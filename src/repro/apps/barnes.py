@@ -128,6 +128,10 @@ def build_barnes(
     )
 
     plan = fence_plan if fence_plan is not None else FencePlan.hand()
+    # the guest threads record into the list, not the instance: the
+    # instance holds the program, which holds ``thread``, and a closure
+    # over the instance would make a cycle that outlives the run
+    interactions = instance.interactions
 
     def sc_fence(slot: str):
         return plan.fence(slot, scope, WAIT_BOTH)
@@ -168,7 +172,7 @@ def build_barnes(
                         child = yield cell_child.load(c * 4 + k)
                         if child:
                             stack.append(child - 1)
-            instance.interactions.append(visited)
+            interactions.append(visited)
             # spill the accumulated force to private scratch (unflagged,
             # long-latency stores pending at the next fence)
             yield spill.store(ax & ((1 << 62) - 1))

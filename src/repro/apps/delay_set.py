@@ -437,12 +437,16 @@ def critical_cycles(g: nx.DiGraph,
     block-entry node.
     """
     conf: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, v, d in g.edges(data=True):
-        if d["kind"] == "conflict":
-            conf.setdefault(u, []).append(v)
+    # g.succ, not g.edges: the edge view caches itself on the graph and
+    # refers back to it, a cycle that keeps the graph alive past the run
+    for u, nbrs in g.succ.items():
+        for v, d in nbrs.items():
+            if d["kind"] == "conflict":
+                conf.setdefault(u, []).append(v)
+    thread_of = {n: d["thread"] for n, d in g.nodes(data=True)}
     sources: dict[int, list[tuple[int, int]]] = {}
     for u in conf:
-        sources.setdefault(g.nodes[u]["thread"], []).append(u)
+        sources.setdefault(thread_of[u], []).append(u)
     for lst in sources.values():
         lst.sort()
     seen: set[tuple[tuple[int, int], ...]] = set()
@@ -453,7 +457,7 @@ def critical_cycles(g: nx.DiGraph,
         out = []
         if entry in conf:
             out.append((entry, [entry]))
-        for x in sources.get(g.nodes[entry]["thread"], ()):
+        for x in sources.get(thread_of[entry], ()):
             if x > entry:
                 out.append((x, [entry, x]))
         return out
@@ -472,14 +476,17 @@ def critical_cycles(g: nx.DiGraph,
                     continue
                 if v < start:
                     continue
-                tv = g.nodes[v]["thread"]
+                tv = thread_of[v]
                 if tv in threads_used or len(threads_used) >= max_threads:
                     continue
                 visit(full + [v], threads_used | {tv}, start)
 
     starts = sorted({v for targets in conf.values() for v in targets})
     for s in starts:
-        visit([s], {g.nodes[s]["thread"]}, s)
+        visit([s], {thread_of[s]}, s)
+    # visit calls itself through its closure cell: clear the cell so
+    # the closures die by refcount instead of waiting for the cyclic GC
+    del visit
     return cycles
 
 

@@ -36,7 +36,9 @@ class Quadtree:
             kids = [k for k in self.children[c] if k != -1]
             return 1 + (max(d(k) for k in kids) if kids else 0)
 
-        return d(self.root)
+        depth = d(self.root)
+        del d  # d calls itself through its closure cell
+        return depth
 
 
 def build_quadtree(
@@ -82,4 +84,7 @@ def build_quadtree(
         return c
 
     root = build(list(range(len(bodies))), 0.0, 0.0, 1.0, 0)
+    # build calls itself through its closure cell: clear the cell so the
+    # closures die by refcount instead of waiting for the cyclic GC
+    del build
     return Quadtree(root, children, com, count, bodies_in)

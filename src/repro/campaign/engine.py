@@ -247,8 +247,10 @@ def _quiesce_worker_gc() -> None:
     young-generation collections a simulation triggers stop touching
     (and copy-on-write duplicating) the shared pages.  The raised
     generation-0 threshold trades a little peak memory for not running
-    the collector thousands of times per job; per-job state is torn
-    down by refcounting regardless, so results are unaffected.
+    the collector thousands of times per job; per-job garbage still
+    dies by refcount, so results are unaffected (``tests/test_teardown.py``
+    runs apps, a verify case and a synthesis kernel with the collector
+    disabled and checks that every run is freed).
     """
     gc.freeze()
     gc.set_threshold(100_000, 50, 50)

@@ -203,23 +203,27 @@ def _thread_orders(ops: list[tuple]) -> list[list[tuple]]:
 
 def _interleavings(sequences: list[list[tuple]]):
     """Every merge of the given per-thread sequences (order-preserving)."""
-    state = [0] * len(sequences)
-    prefix: list[tuple] = []
+    yield from _merge(sequences, [0] * len(sequences), [])
 
-    def walk():
-        live = [t for t, i in enumerate(state) if i < len(sequences[t])]
-        if not live:
-            yield list(prefix)
-            return
-        for t in live:
-            op = sequences[t][state[t]]
-            state[t] += 1
-            prefix.append(op)
-            yield from walk()
-            prefix.pop()
-            state[t] -= 1
 
-    yield from walk()
+def _merge(sequences: list[list[tuple]], state: list[int], prefix: list[tuple]):
+    """:func:`_interleavings` from the position ``state`` after ``prefix``.
+
+    Module-level rather than a nested closure: a closure that calls
+    itself is a reference cycle and outlives its caller until the
+    cyclic GC runs.
+    """
+    live = [t for t, i in enumerate(state) if i < len(sequences[t])]
+    if not live:
+        yield list(prefix)
+        return
+    for t in live:
+        op = sequences[t][state[t]]
+        state[t] += 1
+        prefix.append(op)
+        yield from _merge(sequences, state, prefix)
+        prefix.pop()
+        state[t] -= 1
 
 
 def reference_allowed_outcomes(

@@ -166,46 +166,55 @@ def build_program(test: LitmusTest, env: Env, delays: list[int]) -> tuple[Progra
             )
         return variables[name]
 
-    # materialise all variables up front so inits apply before any run
+    # match every statement once, materialising all variables up front
+    # so inits apply before any run; the thread bodies then dispatch on
+    # the pre-parsed tuples instead of re-matching in every simulation
+    parsed: list[list[tuple]] = []
     for row in test.threads:
+        steps = []
         for stmt in row:
-            m = _STORE_RE.match(stmt)
-            if m:
-                var_of(m.group(1))
-            m = _LOAD_RE.match(stmt)
-            if m:
-                var_of(m.group(2))
+            store = _STORE_RE.match(stmt)
+            load = _LOAD_RE.match(stmt)
+            # ``r0 = 1`` matches both forms and materialises both names,
+            # which places every later variable: keep this order
+            stored = var_of(store.group(1)) if store else None
+            loaded = var_of(load.group(2)) if load else None
+            if stmt == "delay":
+                steps.append(("delay",))
+            elif store:
+                steps.append(("store", stored, int(store.group(2))))
+            elif load:
+                steps.append(("load", loaded, load.group(1)))
+            else:
+                fence = _FENCE_RE.match(stmt)
+                steps.append(("fence", fence.group(1)) if fence else ("bad", stmt))
+        parsed.append(steps)
 
     registers: dict[str, int] = {}
 
-    def make_thread(stmts: list[str], delay: int):
+    def make_thread(steps: list[tuple], delay: int):
         def body(tid: int):
             if delay:
                 yield Compute(delay)
-            for stmt in stmts:
-                if stmt == "delay":
+            for step in steps:
+                kind = step[0]
+                if kind == "delay":
                     if delay:
                         yield Compute(delay)
-                    continue
-                m = _STORE_RE.match(stmt)
-                if m:
-                    yield var_of(m.group(1)).store(int(m.group(2)))
-                    continue
-                m = _LOAD_RE.match(stmt)
-                if m:
-                    registers[m.group(1)] = yield var_of(m.group(2)).load()
-                    continue
-                m = _FENCE_RE.match(stmt)
-                if m:
-                    yield _parse_fence(m.group(1), True)
-                    continue
-                raise LitmusParseError(f"cannot parse statement {stmt!r}")
+                elif kind == "store":
+                    yield step[1].store(step[2])
+                elif kind == "load":
+                    registers[step[2]] = yield step[1].load()
+                elif kind == "fence":
+                    yield _parse_fence(step[1], True)
+                else:
+                    raise LitmusParseError(f"cannot parse statement {step[1]!r}")
 
         return body
 
     fns = [
-        make_thread(stmts, delays[t % len(delays)])
-        for t, stmts in enumerate(test.threads)
+        make_thread(steps, delays[t % len(delays)])
+        for t, steps in enumerate(parsed)
     ]
     return Program(fns, name=test.name), registers
 

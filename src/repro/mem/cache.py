@@ -5,6 +5,10 @@ in what recency order, never data values (values live in
 :class:`repro.mem.memory.SharedMemory`).  Lookups and fills are O(assoc)
 with an ordered-dict-free implementation tuned for the simulator's
 inner loop (plain dicts + per-set recency lists).
+
+A set's recency list is allocated on its first fill, so building a
+cache costs O(1) lists rather than one per set: a Table-III L2 has
+2,048 sets, and the short runs of the verify matrix touch a handful.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ class Cache:
         self.n_sets = n_lines // assoc
         self.assoc = assoc
         self.name = name
-        # each set is a list of line ids, LRU at index 0, MRU at the end
-        self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
+        # each set is a list of line ids, LRU at index 0, MRU at the end;
+        # None until the set's first fill (touch/invalidate only reach
+        # sets that hold a line, so they never see a None)
+        self._sets: list[list[int] | None] = [None] * self.n_sets
         self._where: dict[int, int] = {}  # line -> set index (presence map)
 
     def _set_of(self, line: int) -> int:
@@ -50,6 +56,8 @@ class Cache:
         """Insert ``line``; returns the evicted line id or None."""
         si = self._set_of(line)
         ways = self._sets[si]
+        if ways is None:
+            ways = self._sets[si] = []
         if line in self._where:
             if ways[-1] != line:
                 ways.remove(line)
@@ -72,6 +80,8 @@ class Cache:
         """
         si = line % self.n_sets
         ways = self._sets[si]
+        if ways is None:
+            ways = self._sets[si] = []
         victim = None
         if len(ways) >= self.assoc:
             victim = ways.pop(0)

@@ -141,4 +141,7 @@ def explore_allowed_outcomes(
                 asleep.add((t, i))
 
     walk(set())
+    # walk calls itself through its closure cell: clear the cell so the
+    # closure dies by refcount instead of waiting for the cyclic GC
+    del walk
     return result

@@ -1,8 +1,11 @@
 """Unit tests for the set-associative LRU cache."""
 
+import random
+
 import pytest
 
 from repro.mem.cache import Cache
+from repro.sim.config import SimConfig
 
 
 def test_fill_and_contains():
@@ -78,3 +81,29 @@ def test_invalid_geometry():
         Cache(2, 4)
     with pytest.raises(ValueError):
         Cache(7, 2)
+
+
+def allocated_sets(c: Cache) -> int:
+    return sum(ways is not None for ways in c._sets)
+
+
+def test_fresh_table3_l2_allocates_no_sets():
+    config = SimConfig()
+    c = Cache(config.l2_lines, config.l2_assoc)
+    assert c.n_sets == 2048
+    assert allocated_sets(c) == 0
+    assert not c.touch(7) and not c.invalidate(7)
+    assert allocated_sets(c) == 0
+
+
+def test_sets_allocated_only_on_first_fill():
+    config = SimConfig()
+    c = Cache(config.l2_lines, config.l2_assoc)
+    rng = random.Random(3)
+    lines = [rng.randrange(1 << 20) for _ in range(500)]
+    for i, line in enumerate(lines):
+        if i % 2:
+            c.fill(line)
+        elif not c.touch(line):
+            c.fill_absent(line)
+    assert allocated_sets(c) == len({line % c.n_sets for line in lines})

@@ -42,6 +42,46 @@ def test_cache_touch_consistent_with_contains(lines):
         assert c.touch(line)
 
 
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(["fill", "fill_absent", "touch", "invalidate"]),
+                  st.integers(0, 40)),
+        max_size=80,
+    ),
+    assoc=st.sampled_from([1, 2, 4]),
+)
+def test_cache_matches_per_set_lru_model_from_cold(ops, assoc):
+    """Every op against a per-set LRU reference, starting from a cold
+    cache so each set's first fill takes the allocation path."""
+    c = Cache(16, assoc)
+    model: dict[int, list[int]] = {}  # set index -> lines, LRU first
+    for kind, line in ops:
+        ways = model.setdefault(line % c.n_sets, [])
+        if kind == "touch":
+            hit = line in ways
+            assert c.touch(line) == hit
+            if hit:
+                ways.remove(line)
+                ways.append(line)
+        elif kind == "invalidate":
+            assert c.invalidate(line) == (line in ways)
+            if line in ways:
+                ways.remove(line)
+        elif kind == "fill_absent" and line in ways:
+            continue  # only valid for a line known to be absent
+        else:
+            victim = None
+            if line in ways:
+                ways.remove(line)
+            elif len(ways) == assoc:
+                victim = ways.pop(0)
+            ways.append(line)
+            assert getattr(c, kind)(line) == victim
+        assert c.resident_lines() == {x for w in model.values() for x in w}
+    for si, ways in model.items():
+        assert (c._sets[si] or []) == ways  # recency order, LRU first
+
+
 # ------------------------------------------------------------ shared memory
 @given(
     ops=st.lists(
