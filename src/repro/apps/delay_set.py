@@ -39,10 +39,8 @@ oracle consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-
-import networkx as nx
 
 from ..isa.instructions import (
     Branch,
@@ -102,6 +100,69 @@ def classify_trace(trace: TraceCollector) -> AddressClassification:
 
 
 # --------------------------------------------------------------------- static
+class _Nodes(dict):
+    """Node -> attribute dict; ``nodes(data=True)`` yields the pairs."""
+
+    def __call__(self, data: bool = False):
+        return self.items() if data else self.keys()
+
+
+class DiGraph:
+    """The directed graph the delay-set analysis builds and walks.
+
+    Just the part of a graph API this module needs: attributed nodes
+    and edges kept in insertion order, successor dicts (``succ``,
+    ``g[u][v]``) and an edge iterator.  Both ends of an edge must be
+    added as nodes first.
+    """
+
+    def __init__(self) -> None:
+        self.nodes = _Nodes()
+        self.succ: dict = {}
+
+    def add_node(self, n, **attr) -> None:
+        self.nodes[n] = attr
+        self.succ[n] = {}
+
+    def add_edge(self, u, v, **attr) -> None:
+        self.succ[u][v] = attr
+
+    def __getitem__(self, u) -> dict:
+        return self.succ[u]
+
+    def has_edge(self, u, v) -> bool:
+        return v in self.succ.get(u, ())
+
+    def edges(self, data: bool = False):
+        for u, nbrs in self.succ.items():
+            for v, d in nbrs.items():
+                yield (u, v, d) if data else (u, v)
+
+
+def simple_cycles(g: DiGraph, max_len: int):
+    """Every simple cycle of ``g`` with at most ``max_len`` nodes.
+
+    Bounded DFS: each cycle is rooted at its least node and the walk
+    never descends below the root, so every cycle is found once, as
+    the rotation that starts at that node.
+    """
+    for start in sorted(g.nodes):
+        path = [start]
+        on_path = {start}
+        stack = [iter(g.succ[start])]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                on_path.discard(path.pop())
+            elif nxt == start:
+                yield list(path)
+            elif nxt > start and nxt not in on_path and len(path) < max_len:
+                path.append(nxt)
+                on_path.add(nxt)
+                stack.append(iter(g.succ[nxt]))
+
+
 @dataclass(frozen=True)
 class Access:
     """One static access in a thread program."""
@@ -126,7 +187,7 @@ def _parse(threads: list[list[tuple[str, str]]]) -> list[Access]:
     return accesses
 
 
-def conflict_graph(threads: list[list[tuple[str, str]]]) -> nx.DiGraph:
+def conflict_graph(threads: list[list[tuple[str, str]]]) -> DiGraph:
     """The mixed program/conflict graph of Shasha-Snir.
 
     Nodes are ``(thread, index)``; program edges follow program order
@@ -134,7 +195,7 @@ def conflict_graph(threads: list[list[tuple[str, str]]]) -> nx.DiGraph:
     of the same variable on different threads when at least one writes.
     """
     accesses = _parse(threads)
-    g = nx.DiGraph()
+    g = DiGraph()
     for a in accesses:
         g.add_node(a.key, var=a.var, is_write=a.is_write, thread=a.thread)
     by_thread: dict[int, list[Access]] = {}
@@ -151,7 +212,7 @@ def conflict_graph(threads: list[list[tuple[str, str]]]) -> nx.DiGraph:
     return g
 
 
-def _is_critical(cycle: list[tuple[int, int]], g: nx.DiGraph) -> bool:
+def _is_critical(cycle: list[tuple[int, int]], g: DiGraph) -> bool:
     """Shasha-Snir critical cycle: <= 2 accesses per thread, adjacent."""
     per_thread: dict[int, list[int]] = {}
     for pos, node in enumerate(cycle):
@@ -179,8 +240,8 @@ def delay_pairs(
     """
     g = conflict_graph(threads)
     pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for cycle in nx.simple_cycles(g):
-        if len(cycle) < 2 or len(cycle) > max_cycle_len:
+    for cycle in simple_cycles(g, max_cycle_len):
+        if len(cycle) < 2:
             continue
         if not _is_critical(cycle, g):
             continue
@@ -392,7 +453,7 @@ def record_program(program, memory, schedule: str = "sequential",
     return ProgramSkeleton(threads, fences, steps)
 
 
-def skeleton_graph(skel: ProgramSkeleton) -> nx.DiGraph:
+def skeleton_graph(skel: ProgramSkeleton) -> DiGraph:
     """The Shasha-Snir graph of a recorded skeleton.
 
     Unlike :func:`conflict_graph` (consecutive program edges only --
@@ -402,7 +463,7 @@ def skeleton_graph(skel: ProgramSkeleton) -> nx.DiGraph:
     cycle search below relies on one program edge reaching any later
     access of the thread.
     """
-    g = nx.DiGraph()
+    g = DiGraph()
     for ops in skel.threads:
         for a in ops:
             g.add_node(a.key, var=a.var, base=a.base, addr=a.addr,
@@ -423,7 +484,7 @@ def skeleton_graph(skel: ProgramSkeleton) -> nx.DiGraph:
     return g
 
 
-def critical_cycles(g: nx.DiGraph,
+def critical_cycles(g: DiGraph,
                     max_threads: int = 3) -> list[list[tuple[int, int]]]:
     """Enumerate the critical cycles of a skeleton graph.
 
@@ -432,13 +493,11 @@ def critical_cycles(g: nx.DiGraph,
     The search walks thread *blocks* (enter a thread over a conflict
     edge, optionally take one transitive program step, leave over a
     conflict edge), so the Shasha-Snir shape holds by construction and
-    the exponential :func:`networkx.simple_cycles` sweep is avoided.
+    the exponential :func:`simple_cycles` sweep is avoided.
     Each cycle is discovered exactly once, anchored at its minimal
     block-entry node.
     """
     conf: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    # g.succ, not g.edges: the edge view caches itself on the graph and
-    # refers back to it, a cycle that keeps the graph alive past the run
     for u, nbrs in g.succ.items():
         for v, d in nbrs.items():
             if d["kind"] == "conflict":
@@ -491,7 +550,7 @@ def critical_cycles(g: nx.DiGraph,
 
 
 def skeleton_delay_pairs(
-    g: nx.DiGraph,
+    g: DiGraph,
     cycles: list[list[tuple[int, int]]],
 ) -> set[tuple[tuple[int, int], tuple[int, int]]]:
     """Same-thread adjacent pairs over ``cycles``, earlier access first."""

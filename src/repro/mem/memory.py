@@ -26,16 +26,25 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
+#: a word holds a signed 64-bit value
+WORD_MIN = -(1 << 63)
+WORD_MAX = (1 << 63) - 1
 
 
 class SharedMemory:
-    """Word-addressed functional memory shared by all cores."""
+    """Word-addressed functional memory shared by all cores.
+
+    Globally visible memory is sparse: a dict from address to word,
+    where an absent word reads as 0.  Construction is O(1) whatever
+    ``size_words`` is; ``size_words`` is only the address bound, and an
+    address outside ``[0, size_words)`` raises :class:`IndexError` on
+    read and on write.
+    """
 
     def __init__(self, size_words: int, n_cores: int) -> None:
         if size_words < 1:
             raise ValueError("size_words must be positive")
-        self._mem = np.zeros(size_words, dtype=np.int64)
+        self._mem: dict[int, int] = {}
         self.size_words = size_words
         self.n_cores = n_cores
         # pending[core][addr] -> FIFO list of not-yet-drained values
@@ -49,15 +58,36 @@ class SharedMemory:
         pend = self._pending[core].get(addr)
         if pend:
             return pend[-1]
-        return int(self._mem[addr])
+        value = self._mem.get(addr)
+        if value is None:
+            # only in-range addresses are ever written, so only a miss
+            # needs the bounds check
+            if not 0 <= addr < self.size_words:
+                self._reject(addr, 0)
+            return 0
+        return value
 
     def read_global(self, addr: int) -> int:
         """Read the globally visible value (no forwarding); for checkers."""
-        return int(self._mem[addr])
+        value = self._mem.get(addr)
+        if value is None:
+            if not 0 <= addr < self.size_words:
+                self._reject(addr, 0)
+            return 0
+        return value
 
     def write_global(self, addr: int, value: int) -> None:
         """Directly set the globally visible value (initialisation)."""
+        if not (0 <= addr < self.size_words and WORD_MIN <= value <= WORD_MAX):
+            self._reject(addr, value)
         self._mem[addr] = value
+
+    def _reject(self, addr: int, value: int) -> None:
+        """Raise for an address outside memory or a value that is not a word."""
+        if not 0 <= addr < self.size_words:
+            raise IndexError(
+                f"address {addr} outside memory [0, {self.size_words})")
+        raise OverflowError(f"value {value} does not fit a signed 64-bit word")
 
     def buffer_store(self, core: int, addr: int, value: int) -> None:
         """Record a store at dispatch; visible only to ``core`` until drain."""
@@ -73,7 +103,10 @@ class SharedMemory:
         fifo = self._pending[core][addr]
         if not fifo:
             raise RuntimeError(f"core {core} has no pending store for addr {addr}")
-        value = fifo.pop(0)
+        value = fifo[0]
+        if not (0 <= addr < self.size_words and WORD_MIN <= value <= WORD_MAX):
+            self._reject(addr, value)
+        del fifo[0]
         if not fifo:
             del self._pending[core][addr]
         self._mem[addr] = value
@@ -91,7 +124,9 @@ class SharedMemory:
         while fifo:
             self.drain_store(core, addr)
             fifo = self._pending[core].get(addr)
-        if int(self._mem[addr]) == expected:
+        if self.read_global(addr) == expected:
+            if not WORD_MIN <= new <= WORD_MAX:
+                self._reject(addr, new)
             self._mem[addr] = new
             return True
         return False
@@ -115,6 +150,10 @@ class SharedMemory:
         """Number of buffered (unpublished) stores for ``core``."""
         return sum(len(v) for v in self._pending[core].values())
 
-    def snapshot(self) -> np.ndarray:
-        """Copy of globally visible memory (for end-of-run checkers)."""
-        return self._mem.copy()
+    def snapshot(self) -> dict[int, int]:
+        """Copy of globally visible memory (for end-of-run checkers).
+
+        ``{addr: word}`` for every non-zero word, in address order.
+        """
+        return {addr: self._mem[addr] for addr in sorted(self._mem)
+                if self._mem[addr]}

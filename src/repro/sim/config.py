@@ -142,7 +142,7 @@ class SimConfig:
     trace_compile: bool = True
 
     # --- Limits ---------------------------------------------------------------
-    mem_size_words: int = 1 << 22  # functional memory size (32 MB of words)
+    mem_size_words: int = 1 << 22  # address bound of the functional memory, in words
     max_cycles: int = 50_000_000
 
     def __post_init__(self) -> None:

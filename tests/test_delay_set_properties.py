@@ -4,11 +4,13 @@ Seeded random small thread programs are cross-checked against an
 independent brute-force cycle enumerator written here from first
 principles (plain-dict DFS, no networkx): the delay pairs the library
 derives must be exactly the same-thread program edges of the critical
-cycles the brute force finds.  On top of the cross-check, structural
-properties that must hold for *every* program: pairs are adjacent
-program-order pairs, ``fence_points`` covers exactly the first half of
-every pair, private-variable programs have no pairs at all, and the
-whole pipeline is deterministic.
+cycles the brute force finds.  Where networkx is installed it serves
+as a second, optional oracle for the library's bounded cycle search.
+On top of the cross-checks, structural properties that must hold for
+*every* program: pairs are adjacent program-order pairs,
+``fence_points`` covers exactly the first half of every pair,
+private-variable programs have no pairs at all, and the whole pipeline
+is deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.apps.delay_set import (
     conflict_graph,
     delay_pairs,
     fence_points,
+    simple_cycles,
 )
 
 MAX_CYCLE_LEN = 8
@@ -124,6 +127,28 @@ def test_delay_pairs_match_brute_force(seed):
     threads = _random_threads(seed)
     assert delay_pairs(threads) == _brute_delay_pairs(threads), (
         f"library and brute-force delay sets diverge for {threads!r}")
+
+
+def _rooted(cycle):
+    """``cycle`` rotated to start at its least node."""
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:] + cycle[:k])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bounded_cycle_search_matches_networkx(seed):
+    nx = pytest.importorskip("networkx")
+    g = conflict_graph(_random_threads(seed))
+    ref = nx.DiGraph()
+    ref.add_nodes_from(g.nodes)
+    ref.add_edges_from(g.edges())
+    ours = [tuple(c) for c in simple_cycles(g, MAX_CYCLE_LEN)]
+    assert len(ours) == len(set(ours)), "a cycle was found twice"
+    assert all(c == _rooted(list(c)) for c in ours), (
+        "every cycle starts at its least node")
+    want = {_rooted(c) for c in nx.simple_cycles(ref)
+            if len(c) <= MAX_CYCLE_LEN}
+    assert set(ours) == want
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -71,10 +71,16 @@ def _run_workload(n_threads: int, engine: str, plan: FaultPlan | None = None):
         "stats": [dataclasses.asdict(c) for c in res.stats.cores],
         "summary": res.stats.summary(),
         "retire_logs": [list(core.retire_log) for core in sim.cores],
-        "memory_sha": hashlib.sha256(sim.memory.snapshot().tobytes()).hexdigest(),
+        "memory_sha": _memory_sha(sim.memory),
         "events": log.events,
         "injected": engine_.summary() if engine_ is not None else None,
     }
+
+
+def _memory_sha(memory) -> str:
+    """Digest of the full globally visible memory."""
+    words = sorted(memory.snapshot().items())
+    return hashlib.sha256(repr(words).encode()).hexdigest()
 
 
 def _assert_identical(ref: dict, got: dict, engine: str) -> None:
@@ -91,7 +97,7 @@ def _run_ops(ops_per_thread, engine: str, max_cycles: int = 200_000, **cfg):
         "cycles": res.cycles,
         "stats": [dataclasses.asdict(c) for c in res.stats.cores],
         "retire_logs": [list(core.retire_log) for core in sim.cores],
-        "memory_sha": hashlib.sha256(sim.memory.snapshot().tobytes()).hexdigest(),
+        "memory_sha": _memory_sha(sim.memory),
     }
 
 

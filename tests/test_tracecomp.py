@@ -115,8 +115,8 @@ def _run_marked_guest(engine: str):
     return {
         "cycles": res.cycles,
         "stats": [dataclasses.asdict(c) for c in res.stats.cores],
-        "memory_sha": hashlib.sha256(
-            env.memory.snapshot().tobytes()).hexdigest(),
+        "memory_sha": hashlib.sha256(repr(
+            sorted(env.memory.snapshot().items())).encode()).hexdigest(),
         "done": done.peek(),
     }
 
