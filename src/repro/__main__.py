@@ -728,22 +728,34 @@ def cmd_campaign(ns) -> int:
         reports = _chaos_reports_from_outcomes(result.outcomes)
         status |= _print_chaos_summary(reports, n_seeds, ns.seed_base, truncated)
 
-    for figure in figures:
-        jobs = figure_jobs(figure, ns.scale, dense_loop=ns.dense_loop,
-                           mem_backend=backend, trace_compile=ns.trace_compile)
-        result = _run_jobs(jobs, ns, f"campaign/{figure}")
-        print(assemble_figure(figure, jobs, result.results()))
-        if figure == "figbackend" and result.ok:
-            from .campaign import (
-                backend_compare_report,
-                write_backend_compare_report,
-            )
+    if figures:
+        # one campaign for every requested figure, so cells shared across
+        # figures (the default-machine runs) simulate once
+        per_figure = {
+            figure: figure_jobs(figure, ns.scale, dense_loop=ns.dense_loop,
+                                mem_backend=backend,
+                                trace_compile=ns.trace_compile)
+            for figure in figures
+        }
+        result = _run_jobs([j for jobs in per_figure.values() for j in jobs],
+                           ns, "campaign/figures")
+        outcomes = iter(result.outcomes)
+        for figure, jobs in per_figure.items():
+            mine = [next(outcomes) for _ in jobs]
+            results = [o.result for o in mine]
+            print(assemble_figure(figure, jobs, results))
+            ok = all(o.ok for o in mine)
+            if figure == "figbackend" and ok:
+                from .campaign import (
+                    backend_compare_report,
+                    write_backend_compare_report,
+                )
 
-            report = backend_compare_report(jobs, result.results())
-            write_backend_compare_report(report, ns.backend_out)
-            print(f"report written to {ns.backend_out}", file=sys.stderr)
-        if not result.ok:
-            status |= 1
+                report = backend_compare_report(jobs, results)
+                write_backend_compare_report(report, ns.backend_out)
+                print(f"report written to {ns.backend_out}", file=sys.stderr)
+            if not ok:
+                status |= 1
 
     if ns.litmus:
         jobs = litmus_jobs(model=ns.model, dense_loop=ns.dense_loop,

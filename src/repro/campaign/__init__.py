@@ -63,6 +63,7 @@ from .jobs import (
     Job,
     chaos_jobs,
     execute_job,
+    job_affinity,
     job_cost,
     litmus_jobs,
     app_synth_jobs,
@@ -96,6 +97,7 @@ __all__ = [
     "code_fingerprint",
     "execute_job",
     "figure_jobs",
+    "job_affinity",
     "job_cost",
     "job_key",
     "litmus_jobs",

@@ -39,10 +39,11 @@ Two pool implementations share that contract:
   warm state between jobs -- the source-tree fingerprint computed once
   in the parent and installed into each worker
   (:func:`repro.campaign.cache.set_process_fingerprint`), memoised
-  parse/exploration products keyed by job parameters, and a quiesced
-  garbage collector (the inherited module heap is frozen out of
-  collection traversal, which also keeps forked pages copy-on-write
-  clean).  Completed results are flushed to the cache one manifest
+  parse/exploration products and figure points keyed by job parameters
+  (jobs sharing a figure point travel in one chunk, see
+  :func:`plan_chunks`), and a quiesced garbage collector (the inherited
+  module heap is frozen out of collection traversal, which also keeps
+  forked pages copy-on-write clean).  Completed results are flushed to the cache one manifest
   append + fsync per *chunk* instead of per job.  A worker that dies
   mid-chunk is respawned; only its in-flight job is classified
   ``worker-crash`` and the unstarted remainder of the chunk is
@@ -85,7 +86,7 @@ from multiprocessing.connection import wait as _conn_wait
 
 from .cache import ResultCache, set_process_fingerprint
 from .chaosinfra import InfraFaultPlan, fault_on_receive, fault_pre_job
-from .jobs import Job, execute_job, job_cost
+from .jobs import Job, execute_job, job_affinity, job_cost
 from .resilience import DegradationLadder, RetryPolicy, TRANSIENT_STATUSES
 
 #: outcome statuses (job-level; a chaos job whose *case* deadlocked is
@@ -194,36 +195,57 @@ def plan_chunks(
     parallel: int,
     target_cost: float | None = None,
 ) -> list[list[int]]:
-    """Contiguous, size-aware chunks of the pending job indices.
+    """Size-aware chunks of the pending job indices.
 
-    Submission order is preserved inside and across chunks (adjacent
-    verify cells of the same test share a worker's warm parse), the
+    Submission order is preserved inside every chunk and, for jobs
+    without affinity, across chunks (adjacent verify cells of the same
+    test share a worker's warm parse), the
     per-chunk cost aims at ``total / (parallel * CHUNKS_PER_WORKER)``
     so many tiny jobs batch together while a single expensive job --
     one chaos storm rung costs an order of magnitude more than a litmus
     cell -- fills a chunk by itself, and no chunk exceeds
     :data:`MAX_CHUNK_JOBS` jobs (the re-queue blast radius).
+
+    Jobs sharing a :func:`~repro.campaign.jobs.job_affinity` travel in
+    the chunk of the first of them, so the worker's warm memo serves the
+    rest; they add nothing to that chunk's cost.  A job list without
+    affinities is cut into contiguous chunks.
     """
     if not pending:
         return []
-    costs = [job_cost(jobs[i]) for i in pending]
+    # each unit is a job plus the later pending jobs sharing its affinity
+    units: list[list[int]] = []
+    leaders: dict = {}
+    for index in pending:
+        key = job_affinity(jobs[index])
+        if key is None:
+            units.append([index])
+        elif key in leaders:
+            leaders[key].append(index)
+        else:
+            leaders[key] = [index]
+            units.append(leaders[key])
+    costs = [job_cost(jobs[unit[0]]) for unit in units]
     if target_cost is None:
         target_cost = sum(costs) / max(1, parallel * CHUNKS_PER_WORKER)
     target_cost = max(target_cost, 1e-9)
     chunks: list[list[int]] = []
     cur: list[int] = []
     acc = 0.0
-    for index, cost in zip(pending, costs):
-        if cur and acc + cost > target_cost:
+    for unit, cost in zip(units, costs):
+        if cur and (acc + cost > target_cost
+                    or len(cur) + len(unit) > MAX_CHUNK_JOBS):
             chunks.append(cur)
             cur, acc = [], 0.0
-        cur.append(index)
+        cur.extend(unit)
         acc += cost
         if acc >= target_cost or len(cur) >= MAX_CHUNK_JOBS:
             chunks.append(cur)
             cur, acc = [], 0.0
     if cur:
         chunks.append(cur)
+    if len(units) < len(pending):
+        chunks = [sorted(chunk) for chunk in chunks]
     return chunks
 
 

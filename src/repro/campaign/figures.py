@@ -7,7 +7,8 @@ executes one cell (in whatever process the engine chose), and
 :func:`assemble_figure` folds the cell results back into the same
 ASCII table the serial CLI has always printed.  The enumeration order
 is the serial loop order, so ``--parallel`` changes wall-clock time and
-nothing else.
+nothing else.  App cells of different figures that are the same
+simulation (:func:`cell_key`) share one run per process.
 
 Cell parameters are plain data (names, levels, scale factors); the
 builder callables live in module-level registries and are resolved
@@ -169,64 +170,94 @@ def cell_cost(params: dict) -> float:
 
 
 # ------------------------------------------------------------------ execution
+#: figures whose cells are whole-application runs from :func:`_app_builders`.
+#: Their sweeps all pass through the default machine (300-cycle memory,
+#: 128-entry ROB, MESI), so Fig. 15's 300-cycle column, Fig. 16's
+#: 128-entry column and the MESI cells of the backend comparison are the
+#: same simulations as Fig. 13's T and S cells.
+_APP_FIGURES = ("fig13", "fig15", "fig16", "figbackend")
+
+#: the fields of a measured point each app figure keeps in its payload
+_FULL_POINT = ("cycles", "fence_stall_cycles", "fence_stall_fraction")
+_PAYLOAD_FIELDS = {"fig13": _FULL_POINT, "figbackend": _FULL_POINT,
+                   "fig15": ("cycles",), "fig16": ("cycles",)}
+
+
 def _resolve_scope(spec: str | None, native: FenceKind) -> FenceKind:
     return FenceKind(spec) if spec is not None else native
+
+
+def cell_key(params: dict) -> tuple | None:
+    """The simulation an app figure cell measures, or ``None``.
+
+    ``(app, scale, resolved fence kind, SimConfig)`` fully determines an
+    app cell's run, so two cells -- of the same figure or of different
+    ones -- with equal keys are the same simulation.  Cells of fig12 and
+    fig14 (algorithm loops, not apps) have no key.
+    """
+    figure = params.get("figure")
+    if figure not in _APP_FIGURES:
+        return None
+    _builder, native = _app_builders(params["scale"])[params["app"]]
+    fields = {"dense_loop": params.get("dense_loop", False),
+              "trace_compile": params.get("trace_compile", True),
+              "mem_backend": params.get("mem_backend", "mesi")}
+    if figure == "figbackend":
+        fields["mem_backend"] = params["backend"]
+    elif figure == "fig13":
+        fields["in_window_speculation"] = params["spec"]
+    else:
+        fields[params["param"]] = params["value"]
+    return (params["app"], params["scale"],
+            _resolve_scope(params["scope"], native), SimConfig(**fields))
+
+
+def _app_point(key: tuple) -> tuple:
+    """``(cycles, fence stall cycles, fence stall fraction)`` of one key.
+
+    Memoised per process (campaign warm slot ``figure-points``), so every
+    cell sharing the key -- inline, or in the same pool worker, which the
+    chunk planner arranges (:func:`repro.campaign.jobs.job_affinity`) --
+    simulates once.  Only the three numbers are kept, never the run, and
+    an entry is stored only after the app's ``check()`` passed: a failing
+    cell raises again for every job that shares its key.  The memo sits
+    here and not in :func:`~repro.analysis.speedup.measure`, whose
+    callers (``repro perf``) time repeated runs of one configuration.
+    """
+    from .jobs import warm_slot
+
+    memo = warm_slot("figure-points")
+    point = memo.get(key)
+    if point is None:
+        app, scale, scope, cfg = key
+        builder, _native = _app_builders(scale)[app]
+        run = measure(lambda env: builder(env, scope), cfg)
+        point = memo[key] = (run.cycles, run.fence_stall_cycles,
+                             run.fence_stall_fraction)
+    return point
 
 
 def run_figure_cell(params: dict) -> dict:
     """Execute one figure cell; returns the cell's headline numbers."""
     figure = params["figure"]
+    key = cell_key(params)
+    if key is not None:
+        point = dict(zip(_FULL_POINT, _app_point(key)))
+        return {name: point[name] for name in _PAYLOAD_FIELDS[figure]}
     scale = params["scale"]
-    dense = params.get("dense_loop", False)
-    tc = params.get("trace_compile", True)
-    backend = params.get("mem_backend", "mesi")
-    if figure == "figbackend":
-        builder, native = _app_builders(scale)[params["app"]]
-        scope = _resolve_scope(params["scope"], native)
-        point = measure(
-            lambda env: builder(env, scope),
-            SimConfig(mem_backend=params["backend"], dense_loop=dense,
-                      trace_compile=tc),
-            label=params["label"],
-        )
-        return {"cycles": point.cycles,
-                "fence_stall_cycles": point.fence_stall_cycles,
-                "fence_stall_fraction": point.fence_stall_fraction}
+    cfg = SimConfig(dense_loop=params.get("dense_loop", False),
+                    mem_backend=params.get("mem_backend", "mesi"),
+                    trace_compile=params.get("trace_compile", True))
     if figure == "fig12":
         build = _fig12_builders(scale)[params["bench"]]
-        env = Env(SimConfig(scoped_fences=params["scoped"], dense_loop=dense,
-                            mem_backend=backend, trace_compile=tc))
+        env = Env(cfg.with_(scoped_fences=params["scoped"]))
         handle = build(env, params["level"])
         res = env.run(handle.program)
         handle.check()
         return {"cycles": res.cycles}
-    if figure == "fig13":
-        builder, native = _app_builders(scale)[params["app"]]
-        scope = _resolve_scope(params["scope"], native)
-        point = measure(
-            lambda env: builder(env, scope),
-            SimConfig(in_window_speculation=params["spec"], dense_loop=dense,
-                      mem_backend=backend, trace_compile=tc),
-            label=params["label"],
-        )
-        return {"cycles": point.cycles,
-                "fence_stall_cycles": point.fence_stall_cycles,
-                "fence_stall_fraction": point.fence_stall_fraction}
     if figure == "fig14":
         build = _fig14_builders(scale)[params["bench"]]
-        point = measure(lambda env: build(env, FenceKind(params["scope"])),
-                        SimConfig(dense_loop=dense, mem_backend=backend,
-                                  trace_compile=tc),
-                        label=params["scope"])
-        return {"cycles": point.cycles}
-    if figure in _SWEEPS:
-        builder, native = _app_builders(scale)[params["app"]]
-        scope = _resolve_scope(params["scope"], native)
-        cfg = SimConfig(**{params["param"]: params["value"],
-                           "dense_loop": dense, "mem_backend": backend,
-                           "trace_compile": tc})
-        point = measure(lambda env: builder(env, scope), cfg,
-                        label=params["scope"] or "scoped")
+        point = measure(lambda env: build(env, FenceKind(params["scope"])), cfg)
         return {"cycles": point.cycles}
     raise KeyError(f"unknown figure {figure!r}")
 

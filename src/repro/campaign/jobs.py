@@ -57,7 +57,7 @@ class Job:
         if self.kind == "chaos" or self.kind == "probe":
             return f"{self.kind}:{p['algo']}/{p['scenario']}#{p['seed']}"
         if self.kind == "figure":
-            return f"{p['figure']}:{p.get('bench') or p.get('app')}"
+            return _figure_label(p)
         if self.kind == "litmus":
             return f"litmus:{p['name']}"
         if self.kind == "verify":
@@ -70,6 +70,21 @@ class Job:
         if self.kind == "app-synth":
             return f"app-synth:{p['name']}"
         return self.kind
+
+
+def _figure_label(p: dict) -> str:
+    """``fig15:pst/mem_latency=300/global/mesi``: names one figure cell."""
+    parts = [p.get("bench") or p.get("app")]
+    if "level" in p:
+        parts += [f"level={p['level']}", "scoped" if p["scoped"] else "global"]
+    if "label" in p:
+        parts.append(p["label"])
+    if "param" in p:
+        parts += [f"{p['param']}={p['value']}", p["scope"] or "scoped"]
+    elif p["figure"] == "fig14":
+        parts.append(p["scope"])
+    parts.append(p.get("backend") or p["mem_backend"])
+    return f"{p['figure']}:" + "/".join(parts)
 
 
 #: relative cost units per kind, roughly "one litmus corpus job = 1".
@@ -115,9 +130,24 @@ def job_cost(job: Job) -> float:
     return cost
 
 
+def job_affinity(job: Job):
+    """Jobs with equal non-``None`` affinity share one simulation.
+
+    App figure cells return their :func:`repro.campaign.figures.cell_key`;
+    the chunk planner keeps such jobs in one worker, whose warm memo
+    then serves every one after the first.  Everything else returns
+    ``None`` and is chunked on cost alone.
+    """
+    if job.kind != "figure":
+        return None
+    from .figures import cell_key
+
+    return cell_key(job.params)
+
+
 # ------------------------------------------------------------- warm worker state
 #: per-process memo for pure, param-keyed intermediate products (parsed
-#: litmus tests, DPOR explorations).  Persistent pool workers keep this
+#: litmus tests, DPOR explorations, measured figure points).  Persistent pool workers keep this
 #: warm across the jobs of a campaign; entries are keyed by the full
 #: defining content, so within one process a hit can never be stale --
 #: the campaign's code cannot change under a running worker, and a new

@@ -20,7 +20,8 @@ from repro.apps.cilk_fib import build_cilk_fib
 from repro.apps.pst import build_pst
 from repro.apps.ptc import build_ptc
 from repro.apps.radiosity import build_radiosity
-from repro.campaign.jobs import execute_job, synth_jobs, verify_jobs
+from repro.campaign import figure_jobs, job_affinity
+from repro.campaign.jobs import clear_warm_state, execute_job, synth_jobs, verify_jobs
 from repro.runtime.lang import Env
 from repro.sim.config import SimConfig
 from repro.sim.simulator import Simulator
@@ -84,3 +85,21 @@ def test_synth_kernel_dies_by_refcount(built):
     payload = execute_job(job)
     del payload
     assert_all_freed(built)
+
+
+def test_figure_point_memo_holds_no_run(built):
+    """Cells sharing a key simulate once and the memo keeps only numbers."""
+    jobs = [j for f in ("fig13", "fig15", "fig16", "figbackend")
+            for j in figure_jobs(f, 0.1) if j.params["app"] == "ptc"]
+    key = job_affinity(jobs[0])
+    shared = [j for j in jobs if job_affinity(j) == key]
+    assert len(shared) == 4
+    clear_warm_state()
+    try:
+        payloads = [execute_job(j) for j in shared]
+        assert len({p["cycles"] for p in payloads}) == 1
+        del payloads
+        assert len(built) == 1
+        assert_all_freed(built)
+    finally:
+        clear_warm_state()
