@@ -20,13 +20,11 @@ Commands:
   campaign (worker kills, stalls, cache corruption, a torn manifest)
   that must converge to the byte-identical outcome fingerprint of a
   fault-free sweep (see :mod:`repro.campaign.resilience`).
-* ``perf`` — time representative workloads under all three execution
-  engines (dense reference loop, event-driven fast path, and the
-  trace-compiled engine) and write ``BENCH_simperf.json`` (see
-  :mod:`repro.analysis.simperf`); exits non-zero if the event-engine
-  speedup on the high-latency workload falls below ``--min-speedup``,
-  if the trace-compiled engine fails to beat the event engine by
-  ``--min-compile-ratio``, or if any engine's result fingerprint
+* ``perf`` — time representative workloads under both execution
+  engines (dense reference loop and event-driven fast path) and write
+  ``BENCH_simperf.json`` (see :mod:`repro.analysis.simperf`); exits
+  non-zero if the event-engine speedup on the high-latency workload
+  falls below ``--min-speedup``, or if any engine's result fingerprint
   diverges.  ``--mem-backend mesi,sisd`` records a column set per
   coherence backend.
   With ``--campaign``, instead race the persistent worker pool against
@@ -65,15 +63,12 @@ any table — only how fast it appears.  The
 figure commands are thin wrappers over the same cell drivers the
 pytest-benchmark targets use; ``--scale`` shrinks or grows workloads.
 ``--dense-loop`` runs any command on the per-cycle reference engine
-instead of the event-driven scheduler, and ``--no-trace-compile``
-disables batch block admission so every op is interpreted — escape
-hatches that change wall-clock time and nothing else (the compile flag
-does participate in campaign cache keys, so toggling it re-runs cells
-cold).  ``--mem-backend`` picks the
+instead of the event-driven scheduler — an escape hatch that changes
+wall-clock time and nothing else.  ``--mem-backend`` picks the
 coherence backend timing model (``mesi`` invalidation-based directory
 coherence, the default, or ``sisd`` self-invalidation/self-downgrade);
-``verify`` accepts a comma-separated list and fans the soundness matrix
-out over every named backend, and the dedicated ``figbackend`` figure
+``verify`` and ``perf`` accept a comma-separated list and sweep every
+named backend, and the dedicated ``figbackend`` figure
 sweeps the S-Fence / full-fence / SiSd three-way comparison and writes
 ``backend-compare-report.json``.
 """
@@ -141,7 +136,7 @@ def _parse_backends(ns) -> list[str] | None:
 def _single_backend(ns) -> str | None:
     """One backend for single-sweep commands (None on error).
 
-    Only ``verify`` fans out over a backend list; everywhere else a
+    Only ``verify`` and ``perf`` sweep a backend list; everywhere else a
     comma-separated ``--mem-backend`` is an error, not a silent pick.
     """
     backends = _parse_backends(ns)
@@ -149,7 +144,7 @@ def _single_backend(ns) -> str | None:
         return None
     if len(backends) > 1:
         print(f"{ns.command}: --mem-backend takes a single backend here "
-              f"(only verify sweeps a comma-separated list)", file=sys.stderr)
+              f"(only verify and perf sweep a comma-separated list)", file=sys.stderr)
         return None
     return backends[0]
 
@@ -220,7 +215,7 @@ def cmd_figure(figure: str, ns) -> int:
     if backend is None:
         return 2
     jobs = figure_jobs(figure, ns.scale, dense_loop=ns.dense_loop,
-                       mem_backend=backend, trace_compile=ns.trace_compile)
+                       mem_backend=backend)
     result = _run_jobs(jobs, ns, figure)
     print(assemble_figure(figure, jobs, result.results()))
     if figure == "figbackend":
@@ -253,7 +248,7 @@ def cmd_hwcost(ns) -> int:
 
 
 def cmd_litmus(path: str, model_name: str, dense_loop: bool = False,
-               mem_backend: str = "mesi", trace_compile: bool = True) -> int:
+               mem_backend: str = "mesi") -> int:
     from .litmus.dsl import LitmusParseError, parse_litmus, run_litmus
 
     try:
@@ -267,7 +262,7 @@ def cmd_litmus(path: str, model_name: str, dense_loop: bool = False,
         # the guest generators execute), so run under the same guard
         test = parse_litmus(source)
         run = run_litmus(test, MemoryModel(model_name), dense_loop=dense_loop,
-                         mem_backend=mem_backend, trace_compile=trace_compile)
+                         mem_backend=mem_backend)
     except LitmusParseError as exc:
         print(f"litmus: {path}: {exc}", file=sys.stderr)
         return 2
@@ -378,7 +373,6 @@ def cmd_chaos(ns) -> int:
                 algos=algos, scenarios=scenarios, n_seeds=n_seeds,
                 seed_base=ns.seed_base, base_budget=ns.budget,
                 dense_loop=ns.dense_loop, mem_backend=backend,
-                trace_compile=ns.trace_compile,
             )
             result = _run_jobs(jobs, ns, "chaos")
             reports = _chaos_reports_from_outcomes(result.outcomes)
@@ -387,7 +381,6 @@ def cmd_chaos(ns) -> int:
                 algos=algos, scenarios=scenarios, n_seeds=n_seeds,
                 seed_base=ns.seed_base, base_budget=ns.budget,
                 dense_loop=ns.dense_loop, mem_backend=backend,
-                trace_compile=ns.trace_compile,
             )
     except KeyError as exc:
         print(f"chaos: {exc.args[0]}", file=sys.stderr)
@@ -414,8 +407,7 @@ def cmd_verify(ns) -> int:
     try:
         jobs = verify_jobs(modes=modes, engines=engines,
                            seeds=ns.verify_seeds, smoke=ns.smoke,
-                           backends=backends,
-                           trace_compile=ns.trace_compile)
+                           backends=backends)
     except KeyError as exc:
         print(f"verify: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -586,7 +578,6 @@ def cmd_perf(ns) -> int:
     try:
         report = run_perf(
             workloads=workloads, smoke=ns.smoke, min_speedup=ns.min_speedup,
-            min_compile_ratio=ns.min_compile_ratio,
             progress=lambda line: print(line, file=sys.stderr),
             mem_backends=backends, reps=ns.perf_reps,
         )
@@ -597,18 +588,15 @@ def cmd_perf(ns) -> int:
     rows = [
         (f"{name}[{backend}]" if len(backends) > 1 else name,
          cell["sim_cycles"], cell["dense_wall_s"], cell["event_wall_s"],
-         cell["compiled_wall_s"],
          f"{cell['event_speedup']}x" if cell["event_speedup"] is not None else "n/a",
-         f"{cell['compiled_speedup']}x" if cell["compiled_speedup"] is not None else "n/a",
-         f"{cell['compile_ratio']}x" if cell["compile_ratio"] is not None else "n/a",
          "yes" if cell["identical"] else "DIVERGED")
         for name, w in report["workloads"].items()
         for backend, cell in w["backends"].items()
     ]
     print(format_table(
-        ["workload", "sim cycles", "dense s", "event s", "compiled s",
-         "event x", "compiled x", "vs event", "identical"],
-        rows, title="simulator perf -- dense loop vs event vs trace-compiled",
+        ["workload", "sim cycles", "dense s", "event s", "speedup",
+         "identical"],
+        rows, title="simulator perf -- dense loop vs event engine",
     ))
     print(f"report written to {ns.perf_out}", file=sys.stderr)
     gate = report.get("gate")
@@ -619,12 +607,6 @@ def cmd_perf(ns) -> int:
             print(f"perf: FAIL -- {gate['workload']} event speedup "
                   f"{gate['speedup']}x < required {gate['min_speedup']}x",
                   file=sys.stderr)
-        if gate.get("min_compile_ratio") is not None and (
-                gate["compile_ratio"] is None
-                or gate["compile_ratio"] < gate["min_compile_ratio"]):
-            print(f"perf: FAIL -- {gate['workload']} compiled/event ratio "
-                  f"{gate['compile_ratio']}x < required "
-                  f"{gate['min_compile_ratio']}x", file=sys.stderr)
     diverged = divergent_cells(report)
     if diverged:
         print("perf: FAIL -- identical cross-check failed: "
@@ -719,8 +701,7 @@ def cmd_campaign(ns) -> int:
         try:
             jobs = chaos_jobs(algos=algos, scenarios=scenarios, n_seeds=n_seeds,
                               seed_base=ns.seed_base, base_budget=ns.budget,
-                              dense_loop=ns.dense_loop, mem_backend=backend,
-                              trace_compile=ns.trace_compile)
+                              dense_loop=ns.dense_loop, mem_backend=backend)
         except KeyError as exc:
             print(f"campaign: {exc.args[0]}", file=sys.stderr)
             return 2
@@ -733,8 +714,7 @@ def cmd_campaign(ns) -> int:
         # figures (the default-machine runs) simulate once
         per_figure = {
             figure: figure_jobs(figure, ns.scale, dense_loop=ns.dense_loop,
-                                mem_backend=backend,
-                                trace_compile=ns.trace_compile)
+                                mem_backend=backend)
             for figure in figures
         }
         result = _run_jobs([j for jobs in per_figure.values() for j in jobs],
@@ -759,8 +739,7 @@ def cmd_campaign(ns) -> int:
 
     if ns.litmus:
         jobs = litmus_jobs(model=ns.model, dense_loop=ns.dense_loop,
-                           mem_backend=backend,
-                           trace_compile=ns.trace_compile)
+                           mem_backend=backend)
         result = _run_jobs(jobs, ns, "campaign/litmus")
         rows = []
         mismatches = []
@@ -806,16 +785,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="coherence backend timing model (mesi/sisd) "
                              "[mesi]; verify and perf accept a "
                              "comma-separated list and sweep each")
-    parser.add_argument("--trace-compile", dest="trace_compile",
-                        action="store_true", default=True,
-                        help="run the event engine with trace compilation "
-                             "(straight-line op runs admitted as compiled "
-                             "blocks; identical results, faster) [default]")
-    parser.add_argument("--no-trace-compile", dest="trace_compile",
-                        action="store_false",
-                        help="disable trace compilation: interpret every op "
-                             "on the event engine (escape hatch; identical "
-                             "results)")
 
     engine_group = parser.add_argument_group("campaign engine options")
     engine_group.add_argument("--parallel", type=_parallel_arg, default=None,
@@ -924,16 +893,12 @@ def main(argv: list[str] | None = None) -> int:
     perf_group.add_argument("--perf-out", "-o", default="BENCH_simperf.json",
                             metavar="FILE",
                             help="perf: report path [BENCH_simperf.json]")
-    perf_group.add_argument("--min-speedup", type=float, default=2.0,
+    perf_group.add_argument("--min-speedup", type=float, default=3.0,
                             help="perf: fail if the fig15-hot event-engine "
                                  "speedup over the dense loop is below this "
-                                 "[2.0]; --smoke uses the same gate")
-    perf_group.add_argument("--min-compile-ratio", type=float, default=1.5,
-                            help="perf: fail if the fig15-hot trace-compiled "
-                                 "speedup over the event engine is below this "
-                                 "[1.5]")
+                                 "[3.0]; --smoke uses the same gate")
     perf_group.add_argument("--perf-reps", type=int, default=3, metavar="N",
-                            help="perf: timed repetitions per fast engine; "
+                            help="perf: timed repetitions of each engine; "
                                  "the minimum wall is reported [3]")
     perf_group.add_argument("--workloads", default="",
                             help="perf: comma-separated workload subset "
@@ -961,7 +926,7 @@ def main(argv: list[str] | None = None) -> int:
         if backend is None:
             return 2
         return cmd_litmus(ns.args[0], ns.model, dense_loop=ns.dense_loop,
-                          mem_backend=backend, trace_compile=ns.trace_compile)
+                          mem_backend=backend)
     if ns.command == "chaos":
         return cmd_chaos(ns)
     if ns.command == "campaign":

@@ -1,18 +1,18 @@
-"""Perf-regression harness: the three execution engines head to head.
+"""Perf-regression harness: the two execution engines head to head.
 
-Times representative workloads under the dense reference loop, the
-event-driven fast path (``trace_compile=False``) and the trace-compiled
-engine (the default mode) and reports wall time, simulated cycles per
-second and the speedups between them -- the numbers that guard both
-fast engines against performance regressions (the equivalence *tests*
-guard them against correctness regressions; this module additionally
-cross-checks a result fingerprint per workload/engine/backend so a perf
-run that silently diverged is flagged and named in the exit status).
+Times representative workloads under the dense reference loop and the
+event-driven engine (the default) and reports wall time, simulated
+cycles per second and the speedup between them -- the numbers that
+guard the event engine against performance regressions (the
+equivalence *tests* guard it against correctness regressions; this
+module additionally cross-checks a result fingerprint per
+workload/engine/backend so a perf run that silently diverged is
+flagged and named in the exit status).
 
 Workloads:
 
 * ``litmus``    -- the litmus corpus over a small offset grid: many
-  short runs, scheduler-overhead bound (the fast engines' worst case).
+  short runs, scheduler-overhead bound (the event engine's worst case).
 * ``fig15-500`` -- the Figure 15 high-memory-latency cell exactly as
   the figure runs it (radiosity under a traditional global fence at
   500-cycle memory).  At 500 cycles much of the latency still overlaps
@@ -20,7 +20,7 @@ Workloads:
 * ``fig15-hot`` -- the same cell with the figure's memory-latency axis
   pushed to 2000 cycles, deep into the stall-dominated regime Figure
   15's trend points at: the dense loop's cost grows linearly with the
-  latency while the fast engines' stays flat, which is the property
+  latency while the event engine's stays flat, which is the property
   the CI gate checks (the headline speedups).  (barnes, the figure's
   other latency-sensitive app, is busy-polling-bound on this simulator
   -- some core makes progress on most cycles -- so it measures
@@ -28,12 +28,10 @@ Workloads:
 * ``cilk_fib``  -- fork-join work stealing across 8 cores: mixed
   compute/steal phases, in between the other two.
 
-Timing protocol: the dense loop is timed once (it is the slow column
-and only serves as the common baseline); the event and compiled
-engines are timed ``reps`` times in interleaved pairs and the *minimum*
-wall per engine is reported.  A single-shot ratio of two sub-second
-walls is hostage to scheduler noise; min-of-N of each side is the
-standard estimator of the noise floor and is what the compile-ratio
+Timing protocol: both engines are timed ``reps`` times in interleaved
+(dense, event) pairs and the *minimum* wall per engine is reported.  A
+single-shot wall is hostage to scheduler noise; min-of-N of each side
+is the standard estimator of the noise floor and is what the speedup
 gate is judged on.
 
 ``python -m repro perf`` drives this module and writes
@@ -52,14 +50,13 @@ from ..sim.config import MEM_BACKENDS, SimConfig
 #: headline workload the CI perf gates apply their minimums to
 GATE_WORKLOAD = "fig15-hot"
 
-#: timed repetitions per fast engine (min wall wins)
+#: timed repetitions per engine (min wall wins)
 DEFAULT_REPS = 3
 
 #: engine name -> SimConfig flags
 ENGINES = {
     "dense": {"dense_loop": True},
-    "event": {"dense_loop": False, "trace_compile": False},
-    "compiled": {"dense_loop": False, "trace_compile": True},
+    "event": {"dense_loop": False},
 }
 
 
@@ -71,14 +68,13 @@ class Workload:
     description: str
 
     def run(self, smoke: bool, dense_loop: bool = False,
-            trace_compile: bool = True,
             mem_backend: str = "mesi"):  # pragma: no cover - dispatch
         raise NotImplementedError
 
 
 class _LitmusWorkload(Workload):
     def run(self, smoke: bool, dense_loop: bool = False,
-            trace_compile: bool = True, mem_backend: str = "mesi"):
+            mem_backend: str = "mesi"):
         from ..litmus.corpus import CORPUS
         from ..litmus.dsl import parse_litmus, run_litmus
 
@@ -88,7 +84,6 @@ class _LitmusWorkload(Workload):
         for entry in CORPUS:
             test = parse_litmus(entry.source)
             run = run_litmus(test, offsets=offsets, dense_loop=dense_loop,
-                             trace_compile=trace_compile,
                              mem_backend=mem_backend)
             cycles += run.total_cycles
             fingerprint.append(
@@ -102,7 +97,7 @@ class _Fig15Workload(Workload):
     mem_latency: int = 500
 
     def run(self, smoke: bool, dense_loop: bool = False,
-            trace_compile: bool = True, mem_backend: str = "mesi"):
+            mem_backend: str = "mesi"):
         from ..analysis.speedup import measure
         from ..campaign.figures import _app_builders
         from ..isa.instructions import FenceKind
@@ -110,7 +105,7 @@ class _Fig15Workload(Workload):
         scale = 0.25 if smoke else 1.0
         builder, _native = _app_builders(scale)["radiosity"]
         cfg = SimConfig(mem_latency=self.mem_latency, dense_loop=dense_loop,
-                        trace_compile=trace_compile, mem_backend=mem_backend)
+                        mem_backend=mem_backend)
         point = measure(
             lambda env: builder(env, FenceKind.GLOBAL), cfg, label=self.name
         )
@@ -119,13 +114,12 @@ class _Fig15Workload(Workload):
 
 class _CilkFibWorkload(Workload):
     def run(self, smoke: bool, dense_loop: bool = False,
-            trace_compile: bool = True, mem_backend: str = "mesi"):
+            mem_backend: str = "mesi"):
         from ..analysis.speedup import measure
         from ..apps.cilk_fib import build_cilk_fib
 
         n = 8 if smoke else 11
-        cfg = SimConfig(dense_loop=dense_loop, trace_compile=trace_compile,
-                        mem_backend=mem_backend)
+        cfg = SimConfig(dense_loop=dense_loop, mem_backend=mem_backend)
         point = measure(
             lambda env: build_cilk_fib(env, n=n), cfg, label="cilk_fib"
         )
@@ -164,44 +158,32 @@ def _timed(workload: Workload, engine: str, smoke: bool, mem_backend: str):
 
 def _measure_backend(w: Workload, smoke: bool, mem_backend: str, reps: int,
                      progress=None) -> dict:
-    """One (workload, backend) cell: dense once, fast engines min-of-reps."""
-    dense_wall, dense_cycles, dense_fp = _timed(w, "dense", smoke, mem_backend)
-    walls = {"event": [], "compiled": []}
-    fps = {}
-    cycles = {}
+    """One (workload, backend) cell: each engine min-of-reps."""
+    walls = {"dense": [], "event": []}
+    results = []
     # interleaved rep pairs so OS-level noise drifts hit both engines
     for _ in range(max(1, reps)):
-        for engine in ("event", "compiled"):
-            wall, cyc, fp = _timed(w, engine, smoke, mem_backend)
+        for engine in walls:
+            wall, cycles, fp = _timed(w, engine, smoke, mem_backend)
             walls[engine].append(wall)
-            fps.setdefault(engine, fp)
-            cycles.setdefault(engine, cyc)
+            results.append((cycles, fp))
+    dense_cycles = results[0][0]
+    identical = all(r == results[0] for r in results)
+    dense_wall = min(walls["dense"])
     event_wall = min(walls["event"])
-    compiled_wall = min(walls["compiled"])
-    identical = all(
-        fps[e] == dense_fp and cycles[e] == dense_cycles
-        for e in ("event", "compiled")
-    )
     cell = {
         "sim_cycles": dense_cycles,
         "dense_wall_s": round(dense_wall, 4),
         "event_wall_s": round(event_wall, 4),
-        "compiled_wall_s": round(compiled_wall, 4),
         "dense_cycles_per_s": round(dense_cycles / dense_wall) if dense_wall else None,
         "event_cycles_per_s": round(dense_cycles / event_wall) if event_wall else None,
-        "compiled_cycles_per_s": round(dense_cycles / compiled_wall) if compiled_wall else None,
         "event_speedup": round(dense_wall / event_wall, 2) if event_wall else None,
-        "compiled_speedup": round(dense_wall / compiled_wall, 2) if compiled_wall else None,
-        "compile_ratio": round(event_wall / compiled_wall, 2) if compiled_wall else None,
         "identical": identical,
     }
     if progress is not None:
         progress(
             f"[perf] {w.name}[{mem_backend}]: dense {cell['dense_wall_s']}s, "
-            f"event {cell['event_wall_s']}s ({cell['event_speedup']}x), "
-            f"compiled {cell['compiled_wall_s']}s "
-            f"({cell['compiled_speedup']}x dense, "
-            f"{cell['compile_ratio']}x event)"
+            f"event {cell['event_wall_s']}s ({cell['event_speedup']}x)"
             + ("" if identical else "  ** RESULTS DIVERGED **")
         )
     return cell
@@ -211,18 +193,17 @@ def run_perf(
     workloads: list[str] | None = None,
     smoke: bool = False,
     min_speedup: float | None = None,
-    min_compile_ratio: float | None = None,
     progress=None,
     mem_backends: list[str] | tuple[str, ...] | str = ("mesi",),
     reps: int = DEFAULT_REPS,
 ) -> dict:
-    """Time every requested workload under all three engines.
+    """Time every requested workload under both engines.
 
     The report is JSON-ready.  Each workload carries a per-backend
     column set plus its own ``gate`` verdict: the ``identical``
     cross-check applies to every workload, and the :data:`GATE_WORKLOAD`
-    additionally enforces ``min_speedup`` (event vs dense) and
-    ``min_compile_ratio`` (compiled vs event) on the primary backend.
+    additionally enforces ``min_speedup`` (event vs dense) on the
+    primary backend.
     ``ok`` is False -- and ``failures`` names every offender -- if any
     per-workload gate fails.
     """
@@ -253,21 +234,13 @@ def run_perf(
         entry.update(cells[primary])
         gate = {"identical": all(c["identical"] for c in cells.values())}
         gate["passed"] = gate["identical"]
-        if name == GATE_WORKLOAD:
-            if min_speedup is not None:
-                gate["min_speedup"] = min_speedup
-                gate["speedup"] = entry["event_speedup"]
-                gate["passed"] = gate["passed"] and bool(
-                    entry["event_speedup"] is not None
-                    and entry["event_speedup"] >= min_speedup
-                )
-            if min_compile_ratio is not None:
-                gate["min_compile_ratio"] = min_compile_ratio
-                gate["compile_ratio"] = entry["compile_ratio"]
-                gate["passed"] = gate["passed"] and bool(
-                    entry["compile_ratio"] is not None
-                    and entry["compile_ratio"] >= min_compile_ratio
-                )
+        if name == GATE_WORKLOAD and min_speedup is not None:
+            gate["min_speedup"] = min_speedup
+            gate["speedup"] = entry["event_speedup"]
+            gate["passed"] = gate["passed"] and bool(
+                entry["event_speedup"] is not None
+                and entry["event_speedup"] >= min_speedup
+            )
         entry["gate"] = gate
         report["workloads"][name] = entry
         if not gate["passed"]:
@@ -276,12 +249,11 @@ def run_perf(
 
     # headline gate summary (kept for CI log one-liners): records a skip
     # when the gate workload was not part of the requested subset
-    if min_speedup is not None or min_compile_ratio is not None:
+    if min_speedup is not None:
         gate_entry = report["workloads"].get(GATE_WORKLOAD)
         if gate_entry is None:
             report["gate"] = {"workload": GATE_WORKLOAD,
                               "min_speedup": min_speedup,
-                              "min_compile_ratio": min_compile_ratio,
                               "skipped": True}
         else:
             report["gate"] = dict(gate_entry["gate"], workload=GATE_WORKLOAD)

@@ -56,7 +56,6 @@ from ..isa.instructions import (
     WAIT_STORES,
 )
 from ..sim.trace import TraceCollector
-from ..sim.tracecomp import BlockHint
 
 
 @dataclass(frozen=True)
@@ -394,29 +393,19 @@ def record_program(program, memory, schedule: str = "sequential",
             op = gen.send(send)
         except StopIteration:
             return False, None
-        if type(op) is BlockHint:
-            # replay the hinted ops for their memory effects; per the
-            # hint contract the guest never consumes their results
-            for sub in op.ops:
-                apply_op(t, sub)
-            return True, None
-        return True, apply_op(t, op)
-
-    def apply_op(t: int, op) -> object:
-        """Apply one op's functional effect; returns the send value."""
         accesses = threads[t]
         if isinstance(op, Load):
             value = memory.read_global(op.addr)
             accesses.append(RecordedAccess(
                 t, len(accesses), op.name or f"@{op.addr}", op.addr,
                 False, op.flagged, "load"))
-            return value
+            return True, value
         if isinstance(op, Store):
             memory.write_global(op.addr, op.value)
             accesses.append(RecordedAccess(
                 t, len(accesses), op.name or f"@{op.addr}", op.addr,
                 True, op.flagged, "store"))
-            return None
+            return True, None
         if isinstance(op, Cas):
             current = memory.read_global(op.addr)
             success = current == op.expected
@@ -425,14 +414,14 @@ def record_program(program, memory, schedule: str = "sequential",
             accesses.append(RecordedAccess(
                 t, len(accesses), op.name or f"@{op.addr}", op.addr,
                 True, op.flagged, "cas"))
-            return success
+            return True, success
         if isinstance(op, Fence):
             fences.append(RecordedFence(
                 t, len(accesses) - 1, FENCE_MODE[op.kind], op.waits,
                 op.speculable, getattr(op, "name", "")))
-            return None
+            return True, None
         if isinstance(op, (FsStart, FsEnd, Compute, Branch, Probe)):
-            return None
+            return True, None
         raise TypeError(f"cannot replay op {op!r}")
 
     if schedule == "sequential":

@@ -105,7 +105,6 @@ def figure_jobs(
     scale: float = 1.0,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> list[Job]:
     """All cell jobs of one figure, in serial loop order.
 
@@ -115,7 +114,7 @@ def figure_jobs(
     point is a per-cell backend axis (:data:`_BACKEND_CONFIGS`).
     """
     common = {"figure": figure, "scale": scale, "dense_loop": dense_loop,
-              "mem_backend": mem_backend, "trace_compile": trace_compile}
+              "mem_backend": mem_backend}
     if figure == "figbackend":
         common.pop("mem_backend")
         return [
@@ -200,7 +199,6 @@ def cell_key(params: dict) -> tuple | None:
         return None
     _builder, native = _app_builders(params["scale"])[params["app"]]
     fields = {"dense_loop": params.get("dense_loop", False),
-              "trace_compile": params.get("trace_compile", True),
               "mem_backend": params.get("mem_backend", "mesi")}
     if figure == "figbackend":
         fields["mem_backend"] = params["backend"]
@@ -246,8 +244,7 @@ def run_figure_cell(params: dict) -> dict:
         return {name: point[name] for name in _PAYLOAD_FIELDS[figure]}
     scale = params["scale"]
     cfg = SimConfig(dense_loop=params.get("dense_loop", False),
-                    mem_backend=params.get("mem_backend", "mesi"),
-                    trace_compile=params.get("trace_compile", True))
+                    mem_backend=params.get("mem_backend", "mesi"))
     if figure == "fig12":
         build = _fig12_builders(scale)[params["bench"]]
         env = Env(cfg.with_(scoped_fences=params["scoped"]))
@@ -269,8 +266,7 @@ def _cell_map(jobs: list[Job], results: list[dict | None]) -> dict[tuple, dict |
     for job, result in zip(jobs, results):
         key = tuple(sorted(
             (k, v) for k, v in job.params.items()
-            if k not in ("figure", "scale", "dense_loop", "mem_backend",
-                         "trace_compile")
+            if k not in ("figure", "scale", "dense_loop", "mem_backend")
         ))
         out[key] = result
     return out
@@ -398,7 +394,6 @@ def backend_compare_report(jobs: list[Job], results: list[dict | None]) -> dict:
     """
     scale = jobs[0].params["scale"] if jobs else 1.0
     dense = bool(jobs[0].params.get("dense_loop", False)) if jobs else False
-    tc = bool(jobs[0].params.get("trace_compile", True)) if jobs else True
     cells = _cell_map(jobs, results)
     apps: dict[str, dict] = {}
     for app in _app_builders(scale):
@@ -424,7 +419,6 @@ def backend_compare_report(jobs: list[Job], results: list[dict | None]) -> dict:
         "figure": "figbackend",
         "scale": scale,
         "dense_loop": dense,
-        "trace_compile": tc,
         "configs": [
             {"label": label, "scope": scope or "native", "backend": backend}
             for label, scope, backend in _BACKEND_CONFIGS

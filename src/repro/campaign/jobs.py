@@ -175,7 +175,6 @@ def chaos_jobs(
     escalations: int = 3,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> list[Job]:
     """The chaos sweep cross product, in the serial sweep's exact order."""
     from ..chaos.runner import ALGORITHMS, SCENARIOS
@@ -193,7 +192,6 @@ def chaos_jobs(
             "algo": algo, "scenario": scenario, "seed": seed_base + s,
             "base_budget": base_budget, "escalations": escalations,
             "dense_loop": dense_loop, "mem_backend": mem_backend,
-            "trace_compile": trace_compile,
         })
         for scenario in scenarios
         for algo in algos
@@ -206,7 +204,6 @@ def litmus_jobs(
     offsets: list[int] | None = None,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> list[Job]:
     """One job per litmus-corpus entry."""
     from ..litmus.corpus import CORPUS
@@ -217,7 +214,6 @@ def litmus_jobs(
             "name": entry.name, "source": entry.source, "model": model,
             "offsets": list(offsets), "expect_observable": entry.observable_rmo,
             "dense_loop": dense_loop, "mem_backend": mem_backend,
-            "trace_compile": trace_compile,
         })
         for entry in CORPUS
     ]
@@ -229,7 +225,6 @@ def verify_jobs(
     seeds: int | None = None,
     smoke: bool = False,
     backends: list[str] | None = None,
-    trace_compile: bool = True,
 ) -> list[Job]:
     """The verification matrix: corpus x fence mode x engine x backend.
 
@@ -260,7 +255,7 @@ def verify_jobs(
         Job("verify", {
             "name": entry.name, "source": entry.source, "mode": mode,
             "engine": engine, "seeds": seeds, "smoke": smoke,
-            "backend": backend, "trace_compile": trace_compile,
+            "backend": backend,
         })
         for entry in CORPUS
         for mode in modes
@@ -350,14 +345,12 @@ def probe_jobs(
     base_budget: int = 400_000,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> list[Job]:
     """Determinism probes over (algo, scenario, seed) cases."""
     return [
         Job("probe", {"algo": a, "scenario": sc, "seed": s,
                       "base_budget": base_budget, "dense_loop": dense_loop,
-                      "mem_backend": mem_backend,
-                      "trace_compile": trace_compile})
+                      "mem_backend": mem_backend})
         for a, sc, s in cases
     ]
 
@@ -373,7 +366,6 @@ def _run_chaos_job(params: dict, heartbeat=None) -> dict:
         on_attempt=None if heartbeat is None else (lambda _attempt: heartbeat()),
         dense_loop=params.get("dense_loop", False),
         mem_backend=params.get("mem_backend", "mesi"),
-        trace_compile=params.get("trace_compile", True),
     )
     return asdict(report)
 
@@ -398,7 +390,6 @@ def _run_litmus_job(params: dict, heartbeat=None) -> dict:
         test, MemoryModel(params["model"]), list(params["offsets"]),
         dense_loop=params.get("dense_loop", False),
         mem_backend=params.get("mem_backend", "mesi"),
-        trace_compile=params.get("trace_compile", True),
     )
     expected = params["expect_observable"]
     return {
@@ -470,8 +461,7 @@ def _run_probe_job(params: dict, heartbeat=None) -> dict:
         cfg = SimConfig(
             n_cores=4, retire_log_len=16,
             dense_loop=params.get("dense_loop", False),
-            mem_backend=params.get("mem_backend", "mesi"),
-            trace_compile=params.get("trace_compile", True), **scen.config,
+            mem_backend=params.get("mem_backend", "mesi"), **scen.config,
         )
         env = Env(cfg)
         handle = build_algo(env, scope, scen.emit_branches)

@@ -159,7 +159,6 @@ def run_chaos_case(
     on_attempt=None,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> ChaosReport:
     """Run one (algorithm, scenario, seed) case under supervision.
 
@@ -176,8 +175,7 @@ def run_chaos_case(
     def build():
         cfg = SimConfig(
             n_cores=4, retire_log_len=16, dense_loop=dense_loop,
-            mem_backend=mem_backend, trace_compile=trace_compile,
-            **scen.config
+            mem_backend=mem_backend, **scen.config
         )
         env = Env(cfg)
         handle = build_algo(env, scope, scen.emit_branches)
@@ -234,7 +232,6 @@ def run_plan_case(
     on_attempt=None,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> ChaosReport:
     """Run an arbitrary guest builder under one chaos scenario.
 
@@ -254,8 +251,7 @@ def run_plan_case(
     def build():
         cfg = SimConfig(
             n_cores=4, retire_log_len=16, dense_loop=dense_loop,
-            mem_backend=mem_backend, trace_compile=trace_compile,
-            **scen.config
+            mem_backend=mem_backend, **scen.config
         )
         env = Env(cfg)
         handle = builder(env, scen.emit_branches)
@@ -326,7 +322,6 @@ def sweep(
     progress=None,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> list[ChaosReport]:
     """Run the full cross product; returns one report per case."""
     algos = list(ALGORITHMS) if algos is None else list(algos)
@@ -345,7 +340,6 @@ def sweep(
                     algo, scenario, seed_base + s,
                     base_budget=base_budget, escalations=escalations,
                     dense_loop=dense_loop, mem_backend=mem_backend,
-                    trace_compile=trace_compile,
                 )
                 reports.append(rep)
                 if progress is not None:

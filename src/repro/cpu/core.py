@@ -54,7 +54,6 @@ from ..mem.backend import CoherenceBackend
 from ..mem.memory import SharedMemory
 from ..sim.config import MemoryModel, SimConfig
 from ..sim.stats import CoreStats
-from ..sim.tracecomp import BlockHint, CompiledBlock
 from .rob import (
     K_BRANCH,
     K_CAS,
@@ -127,19 +126,8 @@ class Core:
         # account_idle replays them for every cycle the event scheduler
         # skips so fast-path stats stay byte-identical to the dense loop
         self._idle_deltas = (0, 0, 0, 0)  # fence, rob_full, sb_full, mshr
-        # trace-compiled execution state (sim.tracecomp): upcoming units
-        # (CompiledBlocks and cut ops) for static programs / expanded
-        # BlockHints, plus the admission cursor into the active block
-        self._pending_units: deque = deque()
-        self._active_block: CompiledBlock | None = None
-        self._block_pos = 0
-        # interpreter-side BlockHint expansion (dense/event engines):
-        # queued hint ops, and whether the last gen pull came through a
-        # hint (its results are discarded by the hint contract)
-        self._hint_ops: deque = deque()
-        self._hint_active = False
         # dispatch-loop constants hoisted once (the config never changes
-        # after construction): the compiled engine's per-tick paths read
+        # after construction): the event engine's per-tick paths read
         # these instead of chasing config attributes on every call
         self._width = config.dispatch_width
         self._rob_cap = config.rob_size
@@ -147,18 +135,17 @@ class Core:
         self._sb_cap = config.sb_size
         self._scoped = config.scoped_fences
         self._at_dispatch = config.memory_model.sb_at_dispatch
-        # every stable object the compiled dispatch loop touches, bundled
+        # every stable object the fused dispatch loop touches, bundled
         # so one attribute fetch + tuple unpack replaces ~20 per call.
         # All members are fixed for the core's lifetime: containers are
-        # only ever mutated in place (attach_units refills the deque),
-        # and bound methods pin their receivers.
+        # only ever mutated in place, and bound methods pin their
+        # receivers.
         fsb = self.tracker.fsb
         self._hot = (
             stats,
             self._rob_q,
             self._sb_q,
             self._events,
-            self._pending_units,
             self.tracker,
             fsb,
             fsb.pending_loads,
@@ -166,7 +153,6 @@ class Core:
             fsb.sb_pending_stores,
             memory.pending_map(core_id),
             memory.read,
-            hierarchy,
             hierarchy.resident_in_l1,
             hierarchy.access,
             hierarchy.load_timed,
@@ -174,7 +160,7 @@ class Core:
         )
         self._in_window = config.in_window_speculation
         self._fast = True  # recomputed at bind(), once hooks are settled
-        # probe-skip hint (compiled engine): after a progress tick, the
+        # probe-skip hint (event engine): after a progress tick, the
         # earliest cycle the next tick could possibly progress at, when
         # every tick before it is provably a zero-delta blocked probe;
         # 0 means "tick me at cycle+1 as usual"
@@ -205,18 +191,13 @@ class Core:
         self._fast = (self.monitor is None and self.tracer is None
                       and self.config.memory_model is not MemoryModel.SC)
 
-    def attach_units(self, units) -> None:
-        """Compiled mode: feed a precompiled unit stream instead of the
-        generator (static programs only -- see tracecomp.compile_program).
+    def attach_units(self, ops) -> None:
+        """Bind a static op list as this core's guest thread.
 
-        Must follow :meth:`bind`; the generator is dropped because the
-        unit stream *is* the thread's op sequence.  The deque is refilled
-        in place -- it is aliased from the ``_hot`` dispatch bundle.
+        Shorthand for :meth:`bind` over a generator replaying ``ops``;
+        the simulator itself always binds ``Program`` generators.
         """
-        self._pending_units.clear()
-        self._pending_units.extend(units)
-        self._gen = None
-        self._gen_done = True
+        self.bind(op for op in ops)
 
     # ------------------------------------------------------------------ events
     def _schedule(self, cycle: int, kind: int, payload: object) -> None:
@@ -509,36 +490,18 @@ class Core:
     def _next_op(self) -> Op | None:
         if self._pending_op is not None:
             return self._pending_op
-        hq = self._hint_ops
-        if hq:
-            op = hq.popleft()
-            self._pending_op = op
-            return op
         if self._gen_done:
             return None
-        while True:
-            if self._hint_active:
-                # the hint contract: its ops' results are discarded
-                self._last_result = None
-                self._hint_active = False
-            try:
-                op = self._gen.send(self._last_result)
-            except StopIteration:
-                self._gen_done = True
-                return None
-            self._last_result = None
-            if type(op) is BlockHint:
-                if not op.ops:
-                    continue
-                self._hint_active = True
-                hq.extend(op.ops)
-                op = hq.popleft()
-                self._pending_op = op
-                return op
-            if not isinstance(op, Op):
-                raise TypeError(f"guest thread yielded {op!r}, expected an Op")
-            self._pending_op = op
-            return op
+        try:
+            op = self._gen.send(self._last_result)
+        except StopIteration:
+            self._gen_done = True
+            return None
+        self._last_result = None
+        if not isinstance(op, Op):
+            raise TypeError(f"guest thread yielded {op!r}, expected an Op")
+        self._pending_op = op
+        return op
 
     def _dispatch(self, cycle: int) -> bool:
         cfg = self.config
@@ -841,18 +804,20 @@ class Core:
             self.stall_reason = "rob_full"  # implicit-ordering stall, not a fence
         return False
 
-    # ------------------------------------------------------- compiled engine
+    # ---------------------------------------------------------- event engine
     def tick_compiled(self, cycle: int) -> bool:
-        """Advance one cycle under the trace-compiled engine.
+        """Advance one cycle under the event engine.
 
-        Observationally identical to :meth:`tick` -- same phase order,
-        same stall attribution, same idle-delta recording; the
-        differential suites (tests/test_fastpath_equivalence.py) police
-        byte-identity.  The difference is mechanical: dispatch runs
-        through :meth:`_dispatch_compiled`, which admits
-        :class:`~repro.sim.tracecomp.CompiledBlock` runs as a batch and
-        fuses the interpreter's hot per-op lanes (load/store/compute)
-        with hoisted state.
+        Observationally identical to :meth:`tick` (the dense reference
+        loop's tick) -- same phase order, same stall attribution, same
+        idle-delta recording; the differential suites
+        (tests/test_fastpath_equivalence.py) police byte-identity.  The
+        difference is mechanical: completions are inlined, dispatch
+        runs through :meth:`_dispatch_compiled`, which fuses the
+        interpreter's hot per-op lanes (load/store/compute) with hoisted
+        state, and a progress tick publishes the probe-skip hint the
+        scheduler uses to replay provably blocked ticks as idle.  The
+        end-to-end benchmark's tracer wraps this method by name.
         """
         if self.finished:
             return False
@@ -940,9 +905,7 @@ class Core:
         stats.rob_occupancy_samples += 1
 
         if (not rob_q and not sb_q and self._gen_done
-                and self._pending_op is None
-                and self._active_block is None
-                and not self._pending_units and not self._hint_ops):
+                and self._pending_op is None):
             self.finished = True
             self.finish_cycle = cycle
             stats.cycles = cycle
@@ -997,24 +960,21 @@ class Core:
         return True
 
     def _dispatch_compiled(self, cycle: int) -> bool:
-        """Fused dispatch: block admission + inlined hot per-op lanes.
+        """Fused dispatch: probe early-outs + inlined hot per-op lanes.
 
         A transcription of :meth:`_dispatch`/:meth:`_dispatch_one` for
-        the three block-op classes with state hoisted into locals; every
-        cut-point op, plus *all* ops when a monitor/tracer is installed
-        or the memory model is SC, goes through the unabridged
-        :meth:`_dispatch_one` (the instrumented paths emit events in
-        op order, and SC adds a dispatch-gating check -- neither is
-        worth duplicating here).  Capacity hazards (ROB, store buffer,
-        MSHRs) and ``_blocked_until`` stop a block mid-run with its
-        cursor saved; admission resumes at the exact op it stopped at.
+        plain loads, stores and computes with state hoisted into locals;
+        every other op, plus *all* ops when a monitor/tracer is
+        installed or the memory model is SC, goes through the unabridged
+        :meth:`_dispatch_one` (the instrumented paths emit events in op
+        order, and SC adds a dispatch-gating check -- neither is worth
+        duplicating here).
         """
         # Probe early-outs: almost half of all ticks cannot dispatch at
         # all (dependent-chain block, CAS serialization, drained stream,
         # clogged ROB with the stalled op already pulled).  Resolve
         # those before the full lane-state hoist below -- their cost is
-        # pure overhead the event engine pays too, so trimming it here
-        # is where the compiled engine's speedup comes from.
+        # pure overhead the dense tick pays in full.
         if cycle < self._blocked_until:
             return False
         be = self._blocking_entry
@@ -1026,11 +986,10 @@ class Core:
                 self.stall_reason = "fence"
                 return False
         op = self._pending_op
-        units = self._pending_units
-        if op is None and self._active_block is None and not units:
+        if op is None:
             if self._gen_done:
                 return False
-        elif op is not None and len(self._rob_q) >= self._rob_cap:
+        elif len(self._rob_q) >= self._rob_cap:
             stats = self.stats
             stats.rob_full_stalls += 1
             head = self._rob_q[0]
@@ -1040,7 +999,7 @@ class Core:
             else:
                 self.stall_reason = "rob_full"
             return False
-        elif (op is not None and op.__class__ is Fence
+        elif (op.__class__ is Fence
                 and not (self._in_window and op.speculable)
                 and not self.tracker.fence_ready(op.kind, op.waits)):
             # non-speculative fence waiting on its FSB column: the by
@@ -1050,8 +1009,8 @@ class Core:
             self.stall_reason = "fence"
             return False
 
-        (stats, rob_q, sb_q, events, units, tracker, fsb, pend_loads,
-         pend_stores, sb_pend_stores, pend_map, mem_read, hier, resident,
+        (stats, rob_q, sb_q, events, tracker, fsb, pend_loads,
+         pend_stores, sb_pend_stores, pend_map, mem_read, resident,
          access, load_timed, sb) = self._hot
         rob_cap = self._rob_cap
         width = self._width
@@ -1062,247 +1021,32 @@ class Core:
         dispatched = 0
         fast = self._fast
         core_id = self.core_id
-        # the FSB mask every in-block/straight-line memory op is stamped
-        # with; constant until a cut op (scope delimiter / flagged op /
-        # fence) dispatches through _dispatch_one, which invalidates it
-        mask_entries: list | None = None
+        # the FSB mask every fused-lane memory op is stamped with, and
+        # its set bits; constant until an op dispatched through
+        # _dispatch_one (scope delimiter / flagged op / fence) resets it
+        mask_entries: tuple | None = None
         base_mask = 0
 
         # _blocked_until and _blocking_entry were resolved by the probe
-        # early-outs above; only _dispatch_one and the compute lanes can
+        # early-outs above; only _dispatch_one and the compute lane can
         # re-arm them, and those paths re-check or break explicitly, so
         # the loop head does not re-read them every op
         while dispatched < width:
-            blk = self._active_block
-            if blk is not None:
-                # ---------------- batch admission of a compiled block
-                if mask_entries is None:
-                    if scoped:
-                        base_mask = (tracker._all_class_mask
-                                     if tracker.overflow_count
-                                     else tracker.fss.mask())
-                    else:
-                        base_mask = 0
-                    mask_entries = []
-                    m = base_mask
-                    while m:
-                        low = m & -m
-                        mask_entries.append(low.bit_length() - 1)
-                        m ^= low
-                    mask_entries = tuple(mask_entries)
-                kinds = blk.kinds
-                addrs = blk.addrs
-                values = blk.values
-                n = blk.n
-                pos = self._block_pos
-                start = dispatched
-                n_loads = 0
-                n_stores = 0
-                while pos < n and dispatched < width:
-                    if len(rob_q) >= rob_cap:
-                        if dispatched == 0:
-                            stats.rob_full_stalls += 1
-                            head = rob_q[0]
-                            if head.kind == K_FENCE and not head.done:
-                                stats.fence_stall_cycles += 1
-                                self.stall_reason = "fence"
-                            else:
-                                self.stall_reason = "rob_full"
-                        break
-                    kind = kinds[pos]
-                    addr = addrs[pos]
-                    if kind == K_LOAD:
-                        if not pend_map:
-                            # batch-timing query: a forwarding-free run
-                            # of loads resolves in one backend call,
-                            # bounded so even an all-miss run cannot
-                            # exhaust the MSHRs mid-batch
-                            span = width - dispatched
-                            room = rob_cap - len(rob_q)
-                            if room < span:
-                                span = room
-                            if mshrs:
-                                head_room = mshrs - self._outstanding_misses
-                                if head_room < span:
-                                    span = head_room
-                            end = pos
-                            stop = pos + span
-                            if stop > n:
-                                stop = n
-                            while end < stop and kinds[end] == K_LOAD:
-                                end += 1
-                            if end > pos:
-                                timings = hier.access_batch(
-                                    core_id, addrs[pos:end], False, stats
-                                )
-                                seq = self._mem_seq
-                                ev_seq = self._ev_seq
-                                misses = 0
-                                for was_res, latency in timings:
-                                    entry = RobEntry(K_LOAD, cycle)
-                                    entry.addr = addrs[pos]
-                                    seq += 1
-                                    entry.seq = seq
-                                    entry.fsb_mask = base_mask
-                                    if mshrs and not was_res:
-                                        entry.value = 1
-                                        misses += 1
-                                    ev_seq += 1
-                                    _heappush(events, (cycle + latency,
-                                                       ev_seq, _EV_ROB, entry))
-                                    rob_q.append(entry)
-                                    pos += 1
-                                self._mem_seq = seq
-                                self._ev_seq = ev_seq
-                                self._outstanding_misses += misses
-                                fsb.total_loads += len(timings)
-                                for e in mask_entries:
-                                    pend_loads[e] += len(timings)
-                                n_loads += len(timings)
-                                dispatched += len(timings)
-                                continue
-                            # span == 0: MSHRs exhausted before this load
-                            if not resident(core_id, addr):
-                                if dispatched == 0:
-                                    stats.mshr_stalls += 1
-                                    self.stall_reason = "mshr"
-                                break
-                        # forwarding possible: per-op load lane
-                        forwarded = addr in pend_map
-                        if forwarded:
-                            latency = 1
-                            stats.sb_forwards += 1
-                        elif mshrs == 0 or self._outstanding_misses < mshrs:
-                            was_res, latency = load_timed(core_id, addr, stats)
-                            entry_value = 1 if (mshrs and not was_res) else 0
-                        else:
-                            if not resident(core_id, addr):
-                                if dispatched == 0:
-                                    stats.mshr_stalls += 1
-                                    self.stall_reason = "mshr"
-                                break
-                            latency = access(core_id, addr, False, stats)
-                            entry_value = 0
-                        entry = RobEntry(K_LOAD, cycle)
-                        entry.addr = addr
-                        self._mem_seq += 1
-                        entry.seq = self._mem_seq
-                        entry.fsb_mask = base_mask
-                        fsb.total_loads += 1
-                        for e in mask_entries:
-                            pend_loads[e] += 1
-                        if not forwarded and entry_value:
-                            entry.value = 1
-                            self._outstanding_misses += 1
-                        self._ev_seq += 1
-                        _heappush(events, (cycle + latency,
-                                           self._ev_seq, _EV_ROB, entry))
-                        rob_q.append(entry)
-                        n_loads += 1
-                    elif kind == K_STORE:
-                        if at_dispatch and len(sb_q) >= sb_cap:
-                            if dispatched == 0:
-                                stats.sb_full_stalls += 1
-                                self.stall_reason = "sb_full"
-                            break
-                        entry = RobEntry(K_STORE, cycle)
-                        entry.addr = addr
-                        self._mem_seq += 1
-                        entry.seq = self._mem_seq
-                        entry.fsb_mask = base_mask
-                        entry.done = True
-                        fsb.total_stores += 1
-                        for e in mask_entries:
-                            pend_stores[e] += 1
-                        pend_map[addr].append(values[pos])
-                        if at_dispatch:
-                            entry.in_sb = True
-                            sbe = SBEntry(addr, base_mask, sb._next_seq)
-                            sb._next_seq += 1
-                            sb_q.append(sbe)
-                            sbe.op_seq = entry.seq
-                            groups = self._spec_fence_groups
-                            if groups:
-                                sbe.held = True
-                                groups[-1][1].append(sbe)
-                            else:
-                                fsb.sb_total_stores += 1
-                                for e in mask_entries:
-                                    sb_pend_stores[e] += 1
-                        rob_q.append(entry)
-                        n_stores += 1
-                    else:  # K_COMPUTE: latency precompiled into the addr slot
-                        latency = addr
-                        entry = RobEntry(K_COMPUTE, cycle)
-                        self._ev_seq += 1
-                        _heappush(events, (cycle + latency,
-                                           self._ev_seq, _EV_ROB, entry))
-                        rob_q.append(entry)
-                        self._blocked_until = cycle + latency
-                        # latency >= 1 blocks the rest of this cycle
-                        pos += 1
-                        dispatched += 1
-                        break
-                    pos += 1
-                    dispatched += 1
-                if pos >= n:
-                    self._active_block = None
-                else:
-                    self._block_pos = pos
-                admitted = dispatched - start
-                if admitted:
-                    stats.instructions += admitted
-                    if n_loads:
-                        stats.loads += n_loads
-                    if n_stores:
-                        stats.stores += n_stores
-                    if cycle < self._blocked_until:
-                        break  # a mid-block compute closed the cycle
-                    continue
-                break
-
             op = self._pending_op
             if op is None:
-                if units:
-                    u = units.popleft()
-                    if u.__class__ is CompiledBlock:
-                        if fast:
-                            self._active_block = u
-                            self._block_pos = 0
-                        else:
-                            # instrumented run: stream the block's ops
-                            # through the interpreter path instead
-                            units.extendleft(reversed(u.ops))
-                        continue
-                    op = u
-                    self._pending_op = op
-                elif self._gen_done:
+                if self._gen_done:
                     break
-                else:
-                    if self._hint_active:
-                        # the hint contract: its results are discarded
-                        self._last_result = None
-                        self._hint_active = False
-                    try:
-                        op = self._gen.send(self._last_result)
-                    except StopIteration:
-                        self._gen_done = True
-                        break
-                    self._last_result = None
-                    if op.__class__ is BlockHint:
-                        if not op.ops:
-                            continue
-                        self._hint_active = True
-                        if fast:
-                            units.extend(op.units())
-                        else:
-                            units.extend(op.ops)
-                        continue
-                    if not isinstance(op, Op):
-                        raise TypeError(
-                            f"guest thread yielded {op!r}, expected an Op"
-                        )
-                    self._pending_op = op
+                try:
+                    op = self._gen.send(self._last_result)
+                except StopIteration:
+                    self._gen_done = True
+                    break
+                self._last_result = None
+                if not isinstance(op, Op):
+                    raise TypeError(
+                        f"guest thread yielded {op!r}, expected an Op"
+                    )
+                self._pending_op = op
 
             if len(rob_q) >= rob_cap:
                 if dispatched == 0:
@@ -1316,8 +1060,8 @@ class Core:
                 break
 
             cls = op.__class__
-            if fast and cls is Load and not op.flagged and not op.serialize:
-                # ------------------------------- fused plain-load lane
+            if (fast and ((cls is Load and not op.serialize) or cls is Store)
+                    and not op.flagged):
                 if mask_entries is None:
                     if scoped:
                         base_mask = (tracker._all_class_mask
@@ -1325,101 +1069,89 @@ class Core:
                                      else tracker.fss.mask())
                     else:
                         base_mask = 0
-                    mask_entries = []
+                    entries = []
                     m = base_mask
                     while m:
                         low = m & -m
-                        mask_entries.append(low.bit_length() - 1)
+                        entries.append(low.bit_length() - 1)
                         m ^= low
-                    mask_entries = tuple(mask_entries)
+                    mask_entries = tuple(entries)
                 addr = op.addr
-                fifo = pend_map.get(addr)
-                if fifo is not None:
-                    value = fifo[-1]
-                    latency = 1
-                    stats.sb_forwards += 1
-                    needs_mshr = False
-                elif mshrs == 0 or self._outstanding_misses < mshrs:
-                    # MSHR headroom known: residency + latency in one
-                    # fused cache walk (the value read is pure, so its
-                    # position relative to the timed access is free)
-                    was_res, latency = load_timed(core_id, addr, stats)
-                    needs_mshr = bool(mshrs) and not was_res
-                    value = mem_read(core_id, addr)
-                else:
-                    needs_mshr = not resident(core_id, addr)
+                if cls is Load:
+                    # --------------------------- fused plain-load lane
+                    fifo = pend_map.get(addr)
+                    if fifo is not None:
+                        value = fifo[-1]
+                        latency = 1
+                        stats.sb_forwards += 1
+                        needs_mshr = False
+                    elif mshrs == 0 or self._outstanding_misses < mshrs:
+                        # MSHR headroom known: residency + latency in one
+                        # fused cache walk (the value read is pure, so
+                        # its position relative to the timed access is
+                        # free)
+                        was_res, latency = load_timed(core_id, addr, stats)
+                        needs_mshr = bool(mshrs) and not was_res
+                        value = mem_read(core_id, addr)
+                    else:
+                        needs_mshr = not resident(core_id, addr)
+                        if needs_mshr:
+                            if dispatched == 0:
+                                stats.mshr_stalls += 1
+                                self.stall_reason = "mshr"
+                            break
+                        value = mem_read(core_id, addr)
+                        latency = access(core_id, addr, False, stats)
+                    entry = RobEntry(K_LOAD, cycle)
+                    entry.addr = addr
+                    self._mem_seq += 1
+                    entry.seq = self._mem_seq
+                    entry.fsb_mask = base_mask
+                    fsb.total_loads += 1
+                    for e in mask_entries:
+                        pend_loads[e] += 1
                     if needs_mshr:
+                        entry.value = 1
+                        self._outstanding_misses += 1
+                    self._ev_seq += 1
+                    _heappush(events, (cycle + latency,
+                                       self._ev_seq, _EV_ROB, entry))
+                    rob_q.append(entry)
+                    self._last_result = value
+                    stats.loads += 1
+                else:
+                    # -------------------------- fused plain-store lane
+                    if at_dispatch and len(sb_q) >= sb_cap:
                         if dispatched == 0:
-                            stats.mshr_stalls += 1
-                            self.stall_reason = "mshr"
+                            stats.sb_full_stalls += 1
+                            self.stall_reason = "sb_full"
                         break
-                    value = mem_read(core_id, addr)
-                    latency = access(core_id, addr, False, stats)
-                entry = RobEntry(K_LOAD, cycle)
-                entry.addr = addr
-                self._mem_seq += 1
-                entry.seq = self._mem_seq
-                entry.fsb_mask = base_mask
-                fsb.total_loads += 1
-                for e in mask_entries:
-                    pend_loads[e] += 1
-                if needs_mshr:
-                    entry.value = 1
-                    self._outstanding_misses += 1
-                self._ev_seq += 1
-                _heappush(events, (cycle + latency,
-                                   self._ev_seq, _EV_ROB, entry))
-                rob_q.append(entry)
-                self._last_result = value
-                stats.loads += 1
-            elif fast and cls is Store and not op.flagged:
-                # ------------------------------ fused plain-store lane
-                if at_dispatch and len(sb_q) >= sb_cap:
-                    if dispatched == 0:
-                        stats.sb_full_stalls += 1
-                        self.stall_reason = "sb_full"
-                    break
-                if mask_entries is None:
-                    if scoped:
-                        base_mask = (tracker._all_class_mask
-                                     if tracker.overflow_count
-                                     else tracker.fss.mask())
-                    else:
-                        base_mask = 0
-                    mask_entries = []
-                    m = base_mask
-                    while m:
-                        low = m & -m
-                        mask_entries.append(low.bit_length() - 1)
-                        m ^= low
-                    mask_entries = tuple(mask_entries)
-                addr = op.addr
-                entry = RobEntry(K_STORE, cycle)
-                entry.addr = addr
-                self._mem_seq += 1
-                entry.seq = self._mem_seq
-                entry.fsb_mask = base_mask
-                entry.done = True
-                fsb.total_stores += 1
-                for e in mask_entries:
-                    pend_stores[e] += 1
-                pend_map[addr].append(op.value)
-                if at_dispatch:
-                    entry.in_sb = True
-                    sbe = SBEntry(addr, base_mask, sb._next_seq)
-                    sb._next_seq += 1
-                    sb_q.append(sbe)
-                    sbe.op_seq = entry.seq
-                    groups = self._spec_fence_groups
-                    if groups:
-                        sbe.held = True
-                        groups[-1][1].append(sbe)
-                    else:
-                        fsb.sb_total_stores += 1
-                        for e in mask_entries:
-                            sb_pend_stores[e] += 1
-                rob_q.append(entry)
-                stats.stores += 1
+                    entry = RobEntry(K_STORE, cycle)
+                    entry.addr = addr
+                    self._mem_seq += 1
+                    entry.seq = self._mem_seq
+                    entry.fsb_mask = base_mask
+                    entry.done = True
+                    fsb.total_stores += 1
+                    for e in mask_entries:
+                        pend_stores[e] += 1
+                    pend_map[addr].append(op.value)
+                    if at_dispatch:
+                        entry.in_sb = True
+                        sbe = SBEntry(addr, base_mask, sb._next_seq)
+                        sb._next_seq += 1
+                        sb_q.append(sbe)
+                        sbe.op_seq = entry.seq
+                        groups = self._spec_fence_groups
+                        if groups:
+                            sbe.held = True
+                            groups[-1][1].append(sbe)
+                        else:
+                            fsb.sb_total_stores += 1
+                            for e in mask_entries:
+                                sb_pend_stores[e] += 1
+                    rob_q.append(entry)
+                    stats.stores += 1
             elif fast and cls is Compute:
                 # ---------------------------------- fused compute lane
                 latency = op.cycles
@@ -1437,7 +1169,7 @@ class Core:
                 stats.instructions += 1
                 break
             else:
-                # cut-point / instrumented op: unabridged interpreter
+                # any other / instrumented op: unabridged interpreter
                 if not self._dispatch_one(op, cycle, dispatched):
                     break
                 # scope delimiters, fences and flagged ops may have

@@ -14,7 +14,7 @@ generators and pulls ops from them at dispatch time.
 from __future__ import annotations
 
 from collections.abc import Callable, Generator, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .instructions import Op
 
@@ -33,14 +33,6 @@ class Program:
 
     thread_fns: list[Callable[[int], Generator[Op, object, object]]]
     name: str = "program"
-    #: per-thread op lists when the instruction stream is static (set by
-    #: :func:`ops_program`); the trace compiler
-    #: (:mod:`repro.sim.tracecomp`) compiles these into admission blocks.
-    #: ``None`` marks a dynamic program whose control flow may depend on
-    #: loaded values -- those always stream op-by-op.
-    static_thread_ops: list[list[Op]] | None = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def n_threads(self) -> int:
@@ -65,8 +57,4 @@ def ops_program(per_thread_ops: Iterable[Iterable[Op]], name: str = "ops") -> Pr
                 yield op
         return fn
 
-    return Program(
-        [make_fn(ops) for ops in materialized],
-        name=name,
-        static_thread_ops=materialized,
-    )
+    return Program([make_fn(ops) for ops in materialized], name=name)

@@ -331,7 +331,6 @@ def run_litmus(
     n_cores: int | None = None,
     dense_loop: bool = False,
     mem_backend: str = "mesi",
-    trace_compile: bool = True,
 ) -> LitmusRun:
     """Explore timing offsets; evaluate the ``exists`` condition."""
     offsets = offsets or DEFAULT_OFFSETS
@@ -343,8 +342,7 @@ def run_litmus(
         for d1 in offsets:
             env = Env(SimConfig(
                 n_cores=cores, memory_model=model, dense_loop=dense_loop,
-                mem_backend=mem_backend, trace_compile=trace_compile,
-            ))
+                mem_backend=mem_backend))
             program, registers = build_program(test, env, [d0, d1])
             res = env.run(program, max_cycles=2_000_000)
             total_cycles += res.cycles

@@ -51,7 +51,6 @@ BACKEND_INTERFACE = (
     "config",
     "fault",
     "access",
-    "access_batch",
     "load_timed",
     "completion_cycle",
     "fence",
@@ -99,29 +98,6 @@ class CoherenceBackend:
         """Perform one timed access; returns the latency in cycles."""
         raise NotImplementedError
 
-    def access_batch(
-        self, core: int, addrs, is_write: bool, stats: CoreStats
-    ) -> list[tuple[bool, int]]:
-        """Timed accesses for a straight-line batch of same-kind ops.
-
-        For each address, in order: ``(was_resident_in_l1, latency)``,
-        where residency is sampled *before* that access runs (the MSHR
-        allocation test) and each access observes the cache state left
-        by the previous one -- i.e. exactly the per-op sequence
-        ``resident_in_l1(); access()`` the interpreter issues, as one
-        backend call.  This is the batch-timing contract the trace
-        compiler's block admission relies on (docs/architecture.md
-        §16): a backend override may vectorise the walk but must
-        preserve the sequential semantics, because an access can evict
-        the line a later access in the same batch touches.
-        """
-        resident = self.resident_in_l1
-        access = self.access
-        return [
-            (resident(core, a), access(core, a, is_write, stats))
-            for a in addrs
-        ]
-
     def load_timed(self, core: int, addr: int, stats: CoreStats) -> tuple[bool, int]:
         """One timed read access as ``(was_resident_in_l1, latency)``.
 
@@ -129,8 +105,8 @@ class CoherenceBackend:
         False, stats))`` -- residency sampled before the access runs
         (the MSHR allocation test), then the access performed.  Backends
         may override it to resolve both in a single cache walk; the
-        trace-compiled dispatch lane issues this instead of the two-call
-        sequence whenever an MSHR is known to be available.
+        event engine's fused load lane issues this instead of the
+        two-call sequence whenever an MSHR is known to be available.
         """
         return self.resident_in_l1(core, addr), self.access(core, addr, False, stats)
 

@@ -90,7 +90,7 @@ class MemoryHierarchy(CoherenceBackend):
 
         Exactly ``(resident_in_l1(), access())``: the L1 ``touch``
         doubles as the residency probe (it reports the pre-access hit
-        state and never fills), so the compiled dispatch lane's
+        state and never fills), so the fused load lane's
         resident-then-access pair collapses into a single set lookup.
         """
         line = (addr >> self._line_shift if self._line_shift is not None
@@ -132,21 +132,6 @@ class MemoryHierarchy(CoherenceBackend):
         if fault is not None:
             latency = max(1, fault(core, addr, False, latency))
         return False, latency
-
-    def access_batch(
-        self, core: int, addrs, is_write: bool, stats: CoreStats
-    ) -> list[tuple[bool, int]]:
-        """Batch timing query (architecture §16) as one fused walk.
-
-        Sequential semantics per the base contract -- each access
-        observes the cache state its predecessors left -- but reads
-        resolve through :meth:`load_timed`, halving the per-op lookup
-        work the generic resident-then-access loop would do.
-        """
-        if is_write:
-            return super().access_batch(core, addrs, is_write, stats)
-        load_timed = self.load_timed
-        return [load_timed(core, a, stats) for a in addrs]
 
     def fence(self, core: int, kind: str, waits: int, stats: CoreStats) -> None:
         """Sync points are free under invalidation-based coherence.

@@ -138,7 +138,7 @@ class SharedMemory:
     def pending_map(self, core: int):
         """``core``'s live pending-store map (addr -> value FIFO).
 
-        A stable dict the compiled dispatch path hoists once per call:
+        A stable dict the fused dispatch path hoists once per call:
         forwarding checks become one ``in`` test and buffered stores
         one ``append``, with exactly :meth:`has_pending` /
         :meth:`buffer_store` semantics.  Callers must not mutate it

@@ -20,13 +20,6 @@ guest instruction streams:
   (GLOBAL / CLASS / SET), so one implementation serves the traditional
   baseline, class scope, and set scope (Figure 14 compares the latter
   two).
-* :func:`block` (and the :meth:`SharedArray.load_block` /
-  :meth:`SharedArray.store_block` conveniences) marks a straight-line
-  run of result-free ops as one
-  :class:`~repro.sim.tracecomp.BlockHint`, the block-boundary marker
-  the trace-compiled engine batch-admits.  Semantically a hint is
-  exactly the per-op sequence on every engine; it only changes
-  wall-clock time.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ from ..isa.instructions import (
 from ..mem.memory import SharedMemory
 from ..sim.config import SimConfig
 from ..sim.simulator import Simulator, SimResult
-from ..sim.tracecomp import BlockHint
 from ..isa.program import Program
 from .address_space import AddressSpace
 
@@ -80,26 +72,6 @@ def reset_cids() -> None:
     global _cid_counter
     _cid_counter = itertools.count(1)
     _cid_registry.clear()
-
-
-def block(ops) -> BlockHint:
-    """Mark a straight-line run of ops as one yieldable batch.
-
-    ``yield block([...])`` is the guest-level block-boundary marker:
-    it promises the guest will not consume any of the wrapped ops'
-    results (the hint's yield sends back ``None``), which is what lets
-    the trace-compiled engine admit the run through the fused batch
-    path.  On the dense and event engines the hint expands to the
-    identical per-op stream -- results, timing and instrumentation are
-    byte-for-byte the same either way.
-
-    Ops whose values steer guest control flow (a load feeding a
-    branch, a CAS whose success is checked) must stay outside the
-    block.  Cut-point ops (fences, scope delimiters, flagged
-    accesses) *may* appear -- they simply segment the hint into
-    several compiled blocks with interpreted ops in between.
-    """
-    return BlockHint(ops)
 
 
 def scoped_method(fn):
@@ -238,21 +210,6 @@ class SharedArray:
 
     def cas(self, index: int, expected: int, new: int) -> Cas:
         return Cas(self._check(index), expected, new, flagged=self.flagged, name=self._op_name(index))
-
-    # block-boundary markers (see :func:`block`) -----------------------------
-    def load_block(self, indices) -> BlockHint:
-        """A batched gather whose loaded values are discarded.
-
-        The touch-the-lines access pattern (warming, scanning for side
-        effects on the cache) as one block boundary: each index becomes
-        a plain :meth:`load`, and the guest receives ``None`` -- use
-        individual ``yield self.load(i)`` when the value matters.
-        """
-        return block(self.load(i) for i in indices)
-
-    def store_block(self, items) -> BlockHint:
-        """A batched scatter; ``items`` yields ``(index, value)`` pairs."""
-        return block(self.store(i, v) for i, v in items)
 
     # host access ---------------------------------------------------------------
     def peek(self, index: int) -> int:

@@ -130,17 +130,6 @@ class SimConfig:
     # and as the baseline the perf harness times the fast path against.
     dense_loop: bool = False
 
-    # Trace-compiled guest execution (the default event-engine mode):
-    # straight-line op runs are compiled into CompiledBlocks
-    # (repro.sim.tracecomp) the core admits through a fused dispatch
-    # path, batching ROB/store-buffer bookkeeping and cache timing
-    # queries.  Byte-identical to the interpreter by construction --
-    # every cut point (branch, fence, scope delimiter, CAS, flagged op)
-    # and every capacity hazard falls back to the per-op path.  Ignored
-    # under ``dense_loop`` (the reference loop always interprets);
-    # ``--no-trace-compile`` is the CLI escape hatch.
-    trace_compile: bool = True
-
     # --- Limits ---------------------------------------------------------------
     mem_size_words: int = 1 << 22  # address bound of the functional memory, in words
     max_cycles: int = 50_000_000

@@ -17,7 +17,9 @@ tests/test_fastpath_equivalence.py is the differential suite):
   holds; see docs/architecture.md §9) and the scheduler jumps it
   straight there, attributing the skipped span to stall accounting
   (``Core.account_idle``) and to the timeline as an explicit
-  skipped-span marker.
+  skipped-span marker.  Cores run the fused tick
+  (``Core.tick_compiled``), whose probe-skip hint and same-core
+  chaining cut the remaining blocked probes and heap round trips.
 
 Equivalence rests on two invariants, both enforced by tests:
 
@@ -47,7 +49,6 @@ from .config import SimConfig
 from .diagnostics import SimDiagnostic, capture
 from .stats import CoreStats, SimStats
 from .timeline import core_state
-from .tracecomp import compile_program
 
 
 class SimulationFailure(RuntimeError):
@@ -137,13 +138,7 @@ class Simulator:
         if self.config.dense_loop:
             self._run_dense(limit)
         else:
-            compiled = self.config.trace_compile
-            if compiled:
-                units = compile_program(self.program)
-                if units is not None:
-                    for core, thread_units in zip(self.cores, units):
-                        core.attach_units(thread_units)
-            self._run_event(limit, bound, compiled)
+            self._run_event(limit, bound)
 
         stats = SimStats(cores=self.core_stats)
         stats.total_cycles = max((c.finish_cycle for c in self.cores), default=0)
@@ -182,7 +177,7 @@ class Simulator:
         )
 
     # ---------------------------------------------------------- event engine
-    def _run_event(self, limit: int, bound: int, compiled: bool = False) -> None:
+    def _run_event(self, limit: int, bound: int) -> None:
         """Event-driven scheduler: sleep each core until its next event.
 
         A min-heap of ``(wake_cycle, core_index)`` holds every sleeping
@@ -200,14 +195,16 @@ class Simulator:
         accounted lazily at deadlock/cycle-limit time, since only then
         is the span known.
 
-        ``compiled`` selects the trace-compiled tick
-        (:meth:`~repro.cpu.core.Core.tick_compiled`) and enables
-        same-core chaining: when the core just ticked is due again
-        strictly before every sleeping core, it keeps running without a
-        heap round trip.  Chaining only fires when the next due cycle is
-        *strictly* earlier than the heap top, so heap ties still pop in
-        core-index order and the global tick interleaving -- and with it
-        every observable -- is untouched.
+        Cores run the fused tick (``Core.tick_compiled``), which
+        enables two shortcuts.  *Probe-skip*: a progress tick may prove
+        that every tick up to some later cycle is a blocked probe with
+        known stall deltas, and the scheduler replays that span as
+        idle.  *Same-core chaining*: when the core just ticked is due
+        again strictly before every sleeping core, it keeps running
+        without a heap round trip.  Chaining only fires when the next
+        due cycle is *strictly* earlier than the heap top, so heap ties
+        still pop in core-index order and the global tick interleaving
+        -- and with it every observable -- is untouched.
         """
         cores = self.cores
         timeline = self.timeline
@@ -216,7 +213,7 @@ class Simulator:
         wake = [0] * n
         last_tick = [0] * n
         # pre-bound tick methods: shaves a lookup per tick
-        ticks = [c.tick_compiled if compiled else c.tick for c in cores]
+        ticks = [c.tick_compiled for c in cores]
         heap = [(0, i) for i in range(n) if not cores[i].finished]
         unfinished = len(heap)
         while heap and unfinished:
@@ -237,15 +234,14 @@ class Simulator:
                             unfinished -= 1
                             break
                         nxt = cycle + 1
-                        if compiled:
-                            # probe-skip hint: every tick in
-                            # [cycle+1, skip) is a provably zero-delta
-                            # blocked probe (see Core.tick_compiled),
-                            # so replay it as idle instead of ticking
-                            skip = core._skip_until
-                            if skip > nxt and skip < limit and timeline is None:
-                                core.account_idle(skip - nxt)
-                                nxt = skip
+                        # probe-skip hint: every tick in [cycle+1, skip)
+                        # is a provably blocked probe with known stall
+                        # deltas (see Core.tick_compiled), so replay it
+                        # as idle instead of ticking
+                        skip = core._skip_until
+                        if skip > nxt and skip < limit and timeline is None:
+                            core.account_idle(skip - nxt)
+                            nxt = skip
                     else:
                         if timeline is not None:
                             timeline.sample_core(cycle, core)
@@ -267,7 +263,7 @@ class Simulator:
                                     core_state(core),
                                 )
                         nxt = ev
-                    if compiled and nxt < limit and (
+                    if nxt < limit and (
                         not heap
                         or heap[0][0] > nxt
                         or (heap[0][0] == nxt and heap[0][1] > i)

@@ -127,7 +127,6 @@ def verify_case(params: dict) -> dict:
             variant, MemoryModel.RMO,
             seed_offsets(test.name, params["mode"], seed, smoke),
             dense_loop=dense, mem_backend=backend,
-            trace_compile=params.get("trace_compile", True),
         )
         observed |= run.outcomes
         registers = run.register_names

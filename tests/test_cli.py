@@ -172,6 +172,14 @@ def test_chaos_unknown_algo_rejected(capsys):
     assert "unknown algorithm" in capsys.readouterr().err
 
 
+def test_single_sweep_command_rejects_backend_list(capsys):
+    """Only verify and perf sweep a --mem-backend list; a figure command
+    exits 2 naming that rule instead of silently picking one backend."""
+    assert main(["fig13", "--mem-backend", "mesi,sisd"]) == 2
+    assert ("only verify and perf sweep a comma-separated list"
+            in capsys.readouterr().err)
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["figNaN"])

@@ -1,9 +1,9 @@
-"""Differential equivalence: dense loop vs event fast path vs compiled.
+"""Differential equivalence: dense loop vs event fast path.
 
-The event scheduler's entire claim is that skipping no-progress ticks
-is unobservable, and the trace-compiled engine's claim is that batch
-block admission is unobservable on top of that.  These tests run the
-same workloads under all three engines and assert *byte-identical*
+The event engine's entire claim is that skipping no-progress ticks
+(wake-ups, probe-skip, same-core chaining) and its fused dispatch lanes
+are unobservable.  These tests run the
+same workloads under both engines and assert *byte-identical*
 results at every level the simulator exposes: final memory contents,
 every per-core stats counter, retire logs, the full monitor event
 stream (dispatch/complete/drain/fence/scope events with their exact
@@ -37,13 +37,11 @@ from tests.test_litmus_fuzz import generate_program
 OFFSETS = [0, 3, 47]
 CORE_COUNTS = (2, 4)
 
-#: engine name -> SimConfig overrides.  "compiled" is the default mode;
-#: "event" is the same scheduler with block compilation disabled (every
-#: op interpreted); "dense" is the per-cycle reference loop.
+#: engine name -> SimConfig overrides.  "event" is the default mode;
+#: "dense" is the per-cycle reference loop.
 ENGINES = {
     "dense": dict(dense_loop=True),
-    "event": dict(dense_loop=False, trace_compile=False),
-    "compiled": dict(dense_loop=False, trace_compile=True),
+    "event": dict(dense_loop=False),
 }
 
 
@@ -108,12 +106,10 @@ def test_litmus_corpus_equivalence(entry, n_cores):
     test = parse_litmus(entry.source)
     cores = max(n_cores, test.n_threads)
     dense = run_litmus(test, offsets=OFFSETS, n_cores=cores, dense_loop=True)
-    for tc in (False, True):
-        fast = run_litmus(test, offsets=OFFSETS, n_cores=cores,
-                          dense_loop=False, trace_compile=tc)
-        assert dense.outcomes == fast.outcomes
-        assert dense.condition_observed == fast.condition_observed
-        assert dense.total_cycles == fast.total_cycles
+    fast = run_litmus(test, offsets=OFFSETS, n_cores=cores, dense_loop=False)
+    assert dense.outcomes == fast.outcomes
+    assert dense.condition_observed == fast.condition_observed
+    assert dense.total_cycles == fast.total_cycles
 
 
 # ---------------------------------------------------------------- fuzz corpus
@@ -121,12 +117,10 @@ def test_litmus_corpus_equivalence(entry, n_cores):
 def test_fuzz_program_equivalence(seed):
     test = parse_litmus(generate_program(seed))
     dense = run_litmus(test, offsets=OFFSETS, dense_loop=True)
-    for tc in (False, True):
-        fast = run_litmus(test, offsets=OFFSETS, dense_loop=False,
-                          trace_compile=tc)
-        assert dense.outcomes == fast.outcomes
-        assert dense.condition_observed == fast.condition_observed
-        assert dense.total_cycles == fast.total_cycles
+    fast = run_litmus(test, offsets=OFFSETS, dense_loop=False)
+    assert dense.outcomes == fast.outcomes
+    assert dense.condition_observed == fast.condition_observed
+    assert dense.total_cycles == fast.total_cycles
 
 
 # ------------------------------------------------------------ workload + chaos
@@ -134,8 +128,7 @@ def test_fuzz_program_equivalence(seed):
 def test_workload_equivalence(n_threads):
     """Full observable state: memory, stats, retire logs, event stream."""
     dense = _run_workload(n_threads, "dense")
-    for engine in ("event", "compiled"):
-        _assert_identical(dense, _run_workload(n_threads, engine), engine)
+    _assert_identical(dense, _run_workload(n_threads, "event"), "event")
 
 
 @pytest.mark.parametrize("n_threads", CORE_COUNTS)
@@ -145,9 +138,8 @@ def test_chaos_latency_spike_equivalence(n_threads):
                      mem_jitter=7)
     dense = _run_workload(n_threads, "dense", plan=plan)
     assert sum(dense["injected"].values()) > 0  # scenario actually fired
-    for engine in ("event", "compiled"):
-        _assert_identical(dense, _run_workload(n_threads, engine, plan=plan),
-                          engine)
+    _assert_identical(dense, _run_workload(n_threads, "event", plan=plan),
+                      "event")
 
 
 def test_chaos_drain_throttle_equivalence():
@@ -158,8 +150,7 @@ def test_chaos_drain_throttle_equivalence():
     plan = FaultPlan(seed=9, drain_stall_prob=0.15, drain_stall_cycles=60)
     dense = _run_workload(4, "dense", plan=plan)
     assert dense["injected"].get("drain_stall", 0) > 0
-    for engine in ("event", "compiled"):
-        _assert_identical(dense, _run_workload(4, engine, plan=plan), engine)
+    _assert_identical(dense, _run_workload(4, "event", plan=plan), "event")
 
 
 # ------------------------------------------------- directed wake-up edge cases
@@ -180,11 +171,10 @@ def test_zero_latency_memory_equivalence():
     dense = _run_ops(ops, "dense", n_cores=2,
                      l1_latency=0, l2_latency=0, mem_latency=0,
                      cache_to_cache_latency=0)
-    for engine in ("event", "compiled"):
-        got = _run_ops(ops, engine, n_cores=2,
-                       l1_latency=0, l2_latency=0, mem_latency=0,
-                       cache_to_cache_latency=0)
-        _assert_identical(dense, got, engine)
+    got = _run_ops(ops, "event", n_cores=2,
+                   l1_latency=0, l2_latency=0, mem_latency=0,
+                   cache_to_cache_latency=0)
+    _assert_identical(dense, got, "event")
 
 
 def _wedge_core(sim: Simulator, core_id: int) -> None:
@@ -223,7 +213,6 @@ def test_never_wakes_core_settles_identically():
 
     dense = settle("dense")
     assert settle("event") == dense
-    assert settle("compiled") == dense
 
 
 def test_never_wakes_reports_none():
@@ -251,6 +240,5 @@ def test_op_exactly_on_wake_cycle(compute_cycles):
     ops = [[Store(4096, 9), Compute(compute_cycles),
             Fence(FenceKind.GLOBAL), Load(4096), Compute(3)]]
     dense = _run_ops(ops, "dense", n_cores=1, mem_latency=50)
-    for engine in ("event", "compiled"):
-        got = _run_ops(ops, engine, n_cores=1, mem_latency=50)
-        _assert_identical(dense, got, engine)
+    got = _run_ops(ops, "event", n_cores=1, mem_latency=50)
+    _assert_identical(dense, got, "event")
