@@ -67,7 +67,7 @@ from .rob import (
     ReorderBuffer,
     RobEntry,
 )
-from .store_buffer import SBEntry, StoreBuffer
+from .store_buffer import StoreBuffer
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -133,6 +133,7 @@ class Core:
         self._rob_cap = config.rob_size
         self._mshrs = config.mshrs
         self._sb_cap = config.sb_size
+        self._retire_width = config.retire_width
         self._scoped = config.scoped_fences
         self._at_dispatch = config.memory_model.sb_at_dispatch
         # every stable object the fused dispatch loop touches, bundled
@@ -458,8 +459,8 @@ class Core:
     def _youngest_open_fence(self) -> RobEntry | None:
         """The most recent speculatively issued, not-yet-complete fence.
 
-        Completed fences are removed from the group list in ``_retire``,
-        so every listed fence is still open.
+        A completing fence's group is removed from the list by
+        ``_release_fence_holds``, so every listed fence is still open.
         """
         if self._spec_fence_groups:
             return self._spec_fence_groups[-1][0]
@@ -814,8 +815,9 @@ class Core:
         (tests/test_fastpath_equivalence.py) police byte-identity.  The
         difference is mechanical: completions are inlined, dispatch
         runs through :meth:`_dispatch_compiled`, which fuses the
-        interpreter's hot per-op lanes (load/store/compute) with hoisted
-        state, and a progress tick publishes the probe-skip hint the
+        interpreter's common per-op lanes (loads, stores, computes,
+        scope delimiters, non-speculative fences) with hoisted state,
+        and a progress tick publishes the probe-skip hint the
         scheduler uses to replay provably blocked ticks as idle.  The
         end-to-end benchmark's tracer wraps this method by name.
         """
@@ -832,7 +834,7 @@ class Core:
         # Completions, inlined from _apply_completions: the maturity
         # test runs every tick, so the call is only paid when an event
         # is actually due; mask-0 load completions (unscoped straight-
-        # line code) reduce complete_mem to one counter decrement, and
+        # line code) reduce complete_mem to one checked decrement, and
         # the open-fence countdown is skipped when no fence is open
         # (both are exact: the skipped calls are no-ops).
         events = self._events
@@ -855,6 +857,11 @@ class Core:
                             tracker.complete_mem(mask, is_load=True)
                         else:
                             fsb.total_loads -= 1
+                            if fsb.total_loads < 0:
+                                # record_complete's underflow check
+                                raise RuntimeError(
+                                    "FSB completion without matching dispatch"
+                                )
                         if groups:
                             self._fence_countdown(mask, True, entry.seq)
                         if entry.value:
@@ -891,13 +898,50 @@ class Core:
             progress |= self._try_complete_open_fences(cycle)
         rob_q = self._rob_q
         sb_q = self._sb_q
-        # _retire only does work when the head entry is done (a store
-        # head may also insert into the SB, but only once done): the
-        # guard skips a call on the many ticks spent waiting on a head
+        # _retire and _issue_store, inlined (the dense tick keeps the
+        # methods as the reference).  Retire only does work when the
+        # head entry is done (a store head may also insert into the SB,
+        # but only once done): the guard skips the loop set-up on the
+        # many ticks spent waiting on a head.
+        sb = self.sb
         if rob_q and rob_q[0].done:
-            progress |= self._retire(cycle)
-        if sb_q:
-            progress |= self._issue_store(cycle)
+            retire_log = self.retire_log
+            n = self._retire_width
+            while n and rob_q:
+                head = rob_q[0]
+                if not head.done:
+                    break
+                if head.kind == K_STORE and not head.in_sb:
+                    if len(sb_q) >= self._sb_cap:
+                        stats.sb_full_stalls += 1
+                        break
+                    sbe = sb.insert(head.addr, head.fsb_mask)
+                    sbe.op_seq = head.seq
+                    self.tracker.store_retired(head.fsb_mask)
+                rob_q.popleft()
+                if retire_log is not None:
+                    retire_log.append((cycle, KIND_NAMES[head.kind], head.addr))
+                n -= 1
+                progress = True
+        # with every buffered store already in flight nothing can issue
+        # (and _issue_store would consult no chaos hook): skip the lookup
+        if sb.waiting and cycle >= self._sb_hold_until:
+            entry = sb.next_issuable()
+            if entry is not None:
+                chaos = self.chaos
+                hold = (chaos.drain_delay(self.core_id, cycle)
+                        if chaos is not None else 0)
+                if hold > 0:
+                    # chaos: delay the drain (the store stays buffered)
+                    self._sb_hold_until = cycle + hold
+                else:
+                    done = self.hierarchy.completion_cycle(
+                        cycle, self.core_id, entry.addr, True, stats
+                    )
+                    sb.mark_inflight(entry, done)
+                    self._ev_seq += 1
+                    _heappush(self._events, (done, self._ev_seq, _EV_SB, entry))
+                    progress = True
         if self._dispatch_compiled(cycle):
             progress = True
 
@@ -960,15 +1004,17 @@ class Core:
         return True
 
     def _dispatch_compiled(self, cycle: int) -> bool:
-        """Fused dispatch: probe early-outs + inlined hot per-op lanes.
+        """Fused dispatch: probe early-outs + inlined per-op lanes.
 
-        A transcription of :meth:`_dispatch`/:meth:`_dispatch_one` for
-        plain loads, stores and computes with state hoisted into locals;
-        every other op, plus *all* ops when a monitor/tracer is
-        installed or the memory model is SC, goes through the unabridged
-        :meth:`_dispatch_one` (the instrumented paths emit events in op
-        order, and SC adds a dispatch-gating check -- neither is worth
-        duplicating here).
+        A transcription of :meth:`_dispatch`/:meth:`_dispatch_one` with
+        state hoisted into locals, for loads and stores (plain, set-scope
+        flagged and ``serialize``), computes, scope delimiters and
+        non-speculative fences.  CAS, branches, probes and speculatively
+        issued fences go through the unabridged :meth:`_dispatch_one`;
+        when a monitor/tracer is installed or the memory model is SC,
+        the whole call is the interpreter's :meth:`_dispatch` (the
+        instrumented paths emit events in op order, and SC adds a
+        dispatch-gating check -- neither is worth duplicating here).
         """
         # Probe early-outs: almost half of all ticks cannot dispatch at
         # all (dependent-chain block, CAS serialization, drained stream,
@@ -1008,6 +1054,8 @@ class Core:
             self.stats.fence_stall_cycles += 1
             self.stall_reason = "fence"
             return False
+        if not self._fast:
+            return self._dispatch(cycle)
 
         (stats, rob_q, sb_q, events, tracker, fsb, pend_loads,
          pend_stores, sb_pend_stores, pend_map, mem_read, resident,
@@ -1018,19 +1066,24 @@ class Core:
         scoped = self._scoped
         at_dispatch = self._at_dispatch
         sb_cap = self._sb_cap
+        in_window = self._in_window
         dispatched = 0
-        fast = self._fast
         core_id = self.core_id
         # the FSB mask every fused-lane memory op is stamped with, and
-        # its set bits; constant until an op dispatched through
-        # _dispatch_one (scope delimiter / flagged op / fence) resets it
+        # its set bits, without and with the set-scope bit; constant
+        # until a scope delimiter or an op dispatched through
+        # _dispatch_one resets it
         mask_entries: tuple | None = None
+        flag_entries: tuple = ()
         base_mask = 0
+        set_entry = fsb.set_entry
+        set_bit = 1 << set_entry
 
         # _blocked_until and _blocking_entry were resolved by the probe
-        # early-outs above; only _dispatch_one and the compute lane can
-        # re-arm them, and those paths re-check or break explicitly, so
-        # the loop head does not re-read them every op
+        # early-outs above; only the compute, serialize-load and fence
+        # lanes and _dispatch_one can re-arm them, and those paths
+        # re-check or break explicitly, so the loop head does not
+        # re-read them every op
         while dispatched < width:
             op = self._pending_op
             if op is None:
@@ -1060,8 +1113,7 @@ class Core:
                 break
 
             cls = op.__class__
-            if (fast and ((cls is Load and not op.serialize) or cls is Store)
-                    and not op.flagged):
+            if cls is Load or cls is Store:
                 if mask_entries is None:
                     if scoped:
                         base_mask = (tracker._all_class_mask
@@ -1076,9 +1128,18 @@ class Core:
                         entries.append(low.bit_length() - 1)
                         m ^= low
                     mask_entries = tuple(entries)
+                    flag_entries = mask_entries + (set_entry,)
+                # dispatch_mem: the set-scope flag only counts when
+                # scoped fences are on
+                if scoped and op.flagged:
+                    mask = base_mask | set_bit
+                    bits = flag_entries
+                else:
+                    mask = base_mask
+                    bits = mask_entries
                 addr = op.addr
                 if cls is Load:
-                    # --------------------------- fused plain-load lane
+                    # ---------------------------------- fused load lane
                     fifo = pend_map.get(addr)
                     if fifo is not None:
                         value = fifo[-1]
@@ -1106,9 +1167,9 @@ class Core:
                     entry.addr = addr
                     self._mem_seq += 1
                     entry.seq = self._mem_seq
-                    entry.fsb_mask = base_mask
+                    entry.fsb_mask = mask
                     fsb.total_loads += 1
-                    for e in mask_entries:
+                    for e in bits:
                         pend_loads[e] += 1
                     if needs_mshr:
                         entry.value = 1
@@ -1119,8 +1180,18 @@ class Core:
                     rob_q.append(entry)
                     self._last_result = value
                     stats.loads += 1
+                    if op.serialize:
+                        # address dependency: the group ends only if the
+                        # pointer value is not available this cycle
+                        if cycle + latency > self._blocked_until:
+                            self._blocked_until = cycle + latency
+                        if cycle < self._blocked_until:
+                            self._pending_op = None
+                            dispatched += 1
+                            stats.instructions += 1
+                            break
                 else:
-                    # -------------------------- fused plain-store lane
+                    # --------------------------------- fused store lane
                     if at_dispatch and len(sb_q) >= sb_cap:
                         if dispatched == 0:
                             stats.sb_full_stalls += 1
@@ -1130,17 +1201,15 @@ class Core:
                     entry.addr = addr
                     self._mem_seq += 1
                     entry.seq = self._mem_seq
-                    entry.fsb_mask = base_mask
+                    entry.fsb_mask = mask
                     entry.done = True
                     fsb.total_stores += 1
-                    for e in mask_entries:
+                    for e in bits:
                         pend_stores[e] += 1
                     pend_map[addr].append(op.value)
                     if at_dispatch:
                         entry.in_sb = True
-                        sbe = SBEntry(addr, base_mask, sb._next_seq)
-                        sb._next_seq += 1
-                        sb_q.append(sbe)
+                        sbe = sb.insert(addr, mask)
                         sbe.op_seq = entry.seq
                         groups = self._spec_fence_groups
                         if groups:
@@ -1148,11 +1217,11 @@ class Core:
                             groups[-1][1].append(sbe)
                         else:
                             fsb.sb_total_stores += 1
-                            for e in mask_entries:
+                            for e in bits:
                                 sb_pend_stores[e] += 1
                     rob_q.append(entry)
                     stats.stores += 1
-            elif fast and cls is Compute:
+            elif cls is Compute:
                 # ---------------------------------- fused compute lane
                 latency = op.cycles
                 if latency < 1:
@@ -1168,19 +1237,51 @@ class Core:
                 dispatched += 1
                 stats.instructions += 1
                 break
+            elif cls is Fence and not (in_window and op.speculable):
+                # -------------------------- fused non-speculative fence
+                waits = op.waits
+                if not tracker.fence_ready(op.kind, waits):
+                    if dispatched == 0:
+                        stats.fence_stall_cycles += 1
+                        self.stall_reason = "fence"
+                    break
+                if tracker.would_stall_as_global(waits):
+                    stats.sfence_early_issues += 1
+                self._coherence_sync(cycle, op.kind.value, waits)
+                entry = RobEntry(K_FENCE, cycle)
+                entry.done = True
+                rob_q.append(entry)
+                stats.fences += 1
+                self._pending_op = None
+                dispatched += 1
+                stats.instructions += 1
+                # a backend sync point (SiSd self-downgrade) may have
+                # blocked younger dispatch
+                if cycle < self._blocked_until:
+                    break
+                continue
+            elif cls is FsStart or cls is FsEnd:
+                # ---------------------------------- fused scope delimiter
+                if cls is FsStart:
+                    tracker.fs_start(op.cid)
+                else:
+                    tracker.fs_end(op.cid)
+                entry = RobEntry(K_FS, cycle)
+                entry.done = True
+                rob_q.append(entry)
+                mask_entries = None  # the FSS moved
             else:
-                # any other / instrumented op: unabridged interpreter
+                # CAS, branch, probe, speculative fence: the interpreter
                 if not self._dispatch_one(op, cycle, dispatched):
                     break
-                # scope delimiters, fences and flagged ops may have
-                # changed the FSS or opened a fence group
+                # the interpreter owns these ops' side effects: recompute
+                # the cached mask rather than reason about each of them
                 mask_entries = None
                 self._pending_op = None
                 dispatched += 1
                 stats.instructions += 1
                 # _dispatch_one may have re-armed the dependent-chain
-                # block (serialize load) or installed a blocking entry
-                # (CAS, speculative fence): re-check before the next op
+                # block (mispredict) or installed a blocking entry (CAS)
                 if cycle < self._blocked_until:
                     break
                 be = self._blocking_entry

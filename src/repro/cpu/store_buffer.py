@@ -48,9 +48,15 @@ class SBEntry:
 
 
 class StoreBuffer:
-    """Bounded buffer of retired, undrained stores."""
+    """Bounded buffer of retired, undrained stores.
 
-    __slots__ = ("capacity", "fifo_drain", "_entries", "_next_seq")
+    ``waiting`` counts the entries not yet in flight, held ones
+    included (so toggling ``held`` needs no bookkeeping): when it is
+    zero no entry can issue, and :meth:`next_issuable` answers without
+    a scan.  Entries enter only through :meth:`insert`.
+    """
+
+    __slots__ = ("capacity", "fifo_drain", "_entries", "_next_seq", "waiting")
 
     def __init__(self, capacity: int, fifo_drain: bool) -> None:
         if capacity < 1:
@@ -59,6 +65,7 @@ class StoreBuffer:
         self.fifo_drain = fifo_drain
         self._entries: list[SBEntry] = []
         self._next_seq = 0
+        self.waiting = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -77,11 +84,12 @@ class StoreBuffer:
         entry = SBEntry(addr, fsb_mask, self._next_seq, held=held)
         self._next_seq += 1
         self._entries.append(entry)
+        self.waiting += 1
         return entry
 
     def next_issuable(self) -> SBEntry | None:
         """The entry the write port should issue this cycle, if any."""
-        if not self._entries:
+        if not self.waiting:
             return None
         if self.fifo_drain:
             head = self._entries[0]
@@ -94,6 +102,8 @@ class StoreBuffer:
         return None
 
     def mark_inflight(self, entry: SBEntry, done_cycle: int) -> None:
+        if entry.state == S_WAITING:
+            self.waiting -= 1
         entry.state = S_INFLIGHT
         entry.done_cycle = done_cycle
 
@@ -113,6 +123,8 @@ class StoreBuffer:
 
     def remove(self, entry: SBEntry) -> None:
         self._entries.remove(entry)
+        if entry.state == S_WAITING:
+            self.waiting -= 1
 
     def entries(self):
         """Program-order iteration (oldest first)."""

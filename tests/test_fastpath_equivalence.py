@@ -14,6 +14,12 @@ generator the differential fuzzer uses), a lock-free workload, and
 chaos-fault scenarios -- each at two simulated core counts -- plus
 directed tests for the wake-up contract's edge cases (zero-latency
 memory, a core that never wakes, and wake-source coincidence).
+
+Runs that attach a monitor send every op through the interpreted
+dispatch; the rest keep a retire log, whose entries the engines must
+agree on.  The unmonitored Fig. 13 app runs at the end keep neither,
+drive the fused dispatch lanes on the paper's own programs, and
+assert that no op of a fused kind reached the interpreter.
 """
 
 from __future__ import annotations
@@ -23,8 +29,18 @@ import hashlib
 
 import pytest
 
+from repro.campaign.figures import _app_builders
 from repro.chaos.faults import ChaosEngine, FaultPlan
-from repro.isa.instructions import Compute, Fence, FenceKind, Load, Store
+from repro.cpu.core import Core
+from repro.isa.instructions import (
+    Compute,
+    Fence,
+    FenceKind,
+    FsEnd,
+    FsStart,
+    Load,
+    Store,
+)
 from repro.isa.program import ops_program
 from repro.litmus.corpus import CORPUS
 from repro.litmus.dsl import parse_litmus, run_litmus
@@ -242,3 +258,184 @@ def test_op_exactly_on_wake_cycle(compute_cycles):
     dense = _run_ops(ops, "dense", n_cores=1, mem_latency=50)
     got = _run_ops(ops, "event", n_cores=1, mem_latency=50)
     _assert_identical(dense, got, "event")
+
+
+# ------------------------------------------------ unmonitored fused lanes
+#: app scale for the lane runs: small, but every app still checks
+LANE_SCALE = 0.2
+
+
+def _interpreted_ops(monkeypatch) -> list:
+    """Record every op the event engine hands to ``Core._dispatch_one``."""
+    seen = []
+    orig = Core._dispatch_one
+
+    def spy(self, op, cycle, dispatched):
+        seen.append(op)
+        return orig(self, op, cycle, dispatched)
+
+    monkeypatch.setattr(Core, "_dispatch_one", spy)
+    return seen
+
+
+def _fused(op, in_window: bool) -> bool:
+    """Op kinds the fused lanes own on an unmonitored, non-SC core."""
+    cls = type(op)
+    if cls is Fence:
+        return not (in_window and op.speculable)
+    return cls in (Load, Store, Compute, FsStart, FsEnd)
+
+
+def _run_unmonitored(build, engine: str, **cfg) -> dict:
+    """One run without monitor or retire log: every observable."""
+    reset_cids()
+    env = Env(SimConfig(**ENGINES[engine], **cfg))
+    instance = build(env)
+    sim = env.simulator(instance.program)
+    assert all(c.monitor is None and c.retire_log is None for c in sim.cores)
+    res = sim.run(max_cycles=3_000_000)
+    instance.check()
+    return {
+        "cycles": res.cycles,
+        "stats": [dataclasses.asdict(c) for c in res.stats.cores],
+        "summary": res.stats.summary(),
+        "memory_sha": _memory_sha(sim.memory),
+        "overflow_events": sum(c.tracker.overflow_events for c in sim.cores),
+    }
+
+
+def _check_lanes(monkeypatch, build, **cfg) -> dict:
+    """Dense vs event on ``build``; the fused-lane ops must stay fused."""
+    dense = _run_unmonitored(build, "dense", **cfg)
+    seen = _interpreted_ops(monkeypatch)
+    got = _run_unmonitored(build, "event", **cfg)
+    _assert_identical(dense, got, "event")
+    in_window = cfg.get("in_window_speculation", False)
+    leaked = {type(op).__name__ for op in seen if _fused(op, in_window)}
+    assert not leaked, f"fused-lane ops took the interpreter: {leaked}"
+    return dense
+
+
+def _app(app: str, scope: FenceKind | None = None):
+    builder, native = _app_builders(LANE_SCALE)[app]
+    return lambda env: builder(env, scope or native)
+
+
+APPS = ("pst", "ptc", "barnes", "radiosity")
+
+
+@pytest.mark.parametrize("scope", [FenceKind.CLASS, FenceKind.SET],
+                         ids=["class", "set"])
+@pytest.mark.parametrize("app", APPS)
+def test_fused_lanes_app_equivalence(monkeypatch, app, scope):
+    """Scope delimiters, set-flagged accesses and fences on the lanes."""
+    _check_lanes(monkeypatch, _app(app, scope))
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_fused_lanes_sisd_equivalence(monkeypatch, app):
+    """SiSd: a fused fence keeps the backend's sync-point latency."""
+    _check_lanes(monkeypatch, _app(app), mem_backend="sisd")
+
+
+@pytest.mark.parametrize("app", ["pst", "barnes"])
+def test_fused_lanes_unscoped_equivalence(monkeypatch, app):
+    """Baseline runs: the set flag must not reach the FSB mask."""
+    _check_lanes(monkeypatch, _app(app), scoped_fences=False)
+
+
+@pytest.mark.parametrize("hw", [
+    dict(mapping_entries=1),
+    dict(fsb_entries=2, fss_entries=1, mapping_entries=1),
+], ids=["mapping", "fss"])
+def test_fused_lanes_overflow_equivalence(monkeypatch, hw):
+    """Scope overflow: the lanes stamp the all-class mask while the
+    overflow counter is active (four scoped classes at once)."""
+    from repro.algorithms.mixed import build_mixed_workload
+
+    dense = _check_lanes(
+        monkeypatch,
+        lambda env: build_mixed_workload(env, iterations=4, workload_level=1),
+        **hw,
+    )
+    assert dense["overflow_events"] > 0  # the overflow path actually ran
+
+
+@pytest.mark.parametrize("backend", ["mesi", "sisd"])
+@pytest.mark.parametrize("app", ["barnes", "radiosity"])
+def test_fused_lanes_in_window_equivalence(monkeypatch, app, backend):
+    """Speculative fences stay interpreted; stores behind them are held."""
+    _check_lanes(monkeypatch, _app(app), in_window_speculation=True,
+                 mem_backend=backend)
+
+
+@pytest.mark.parametrize("backend", ["mesi", "sisd"])
+def test_zero_latency_serialize_and_flagged_lanes(monkeypatch, backend):
+    """A zero-latency ``serialize`` load does not end the dispatch group.
+
+    With every access resolving in 0 cycles the address dependency is
+    already satisfied, so the interpreter keeps dispatching after it;
+    set-scope-flagged accesses and class scopes exercise the set bit and
+    the cached mask around them.
+    """
+    ops = [
+        [FsStart(1), Store(64 * t, t + 1, flagged=True),
+         Load(64 * (1 - t), serialize=True), Load(64 * t + 8, flagged=True),
+         Fence(FenceKind.SET), Store(64 * t + 16, 3, flagged=True),
+         Load(64 * t + 16, serialize=True), FsEnd(1),
+         Fence(FenceKind.CLASS), Load(64 * (1 - t) + 8, serialize=True),
+         Store(64 * t + 24, 5), Fence(FenceKind.GLOBAL), Load(64 * t + 24)]
+        for t in range(2)
+    ]
+    lat = dict(n_cores=2, mem_backend=backend, l1_latency=0, l2_latency=0,
+               mem_latency=0, cache_to_cache_latency=0)
+    config = SimConfig(**ENGINES["dense"], **lat)
+    dense = Simulator(config, ops_program(ops)).run(max_cycles=10_000)
+    seen = _interpreted_ops(monkeypatch)
+    sim = Simulator(config.with_(dense_loop=False), ops_program(ops))
+    got = sim.run(max_cycles=10_000)
+    assert not seen  # every op took a fused lane
+    assert got.cycles == dense.cycles
+    assert ([dataclasses.asdict(c) for c in got.stats.cores]
+            == [dataclasses.asdict(c) for c in dense.stats.cores])
+    assert _memory_sha(sim.memory) == _memory_sha(dense.memory)
+
+
+# ------------------------------------------------------ completion checks
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+def test_duplicate_load_completion_raises(engine):
+    """A completion without a matching dispatch fails loudly.
+
+    An unscoped load (FSB mask 0) has its completion event duplicated;
+    the second completion must trip the FSB underflow check in both
+    engines (the event engine's mask-0 shortcut included) rather than
+    drive the load counter negative.
+    """
+    sim = Simulator(SimConfig(n_cores=1, **ENGINES[engine]),
+                    ops_program([[Load(4096), Compute(400)]]))
+    core = sim.cores[0]
+    core.bind(sim.program.spawn()[0])
+    tick = core.tick if engine == "dense" else core.tick_compiled
+    tick(0)
+    cycle, seq, kind, entry = next(e for e in core._events
+                                   if getattr(e[3], "addr", None) == 4096)
+    core._schedule(cycle, kind, entry)
+    with pytest.raises(RuntimeError, match="without matching dispatch"):
+        for c in range(1, cycle + 2):
+            tick(c)
+
+
+def test_overflow_mask_reaches_reactivated_scope():
+    """An op dispatched in overflow mode carries every class bit.
+
+    Scope 2 first overflows a one-entry FSS, so its store has no FSB
+    entry of its own; when scope 2 is re-opened with a real entry, its
+    class fence must still wait for that store.  The fused store lane
+    has to stamp the all-class mask for that to hold.
+    """
+    ops = [[FsStart(1), FsStart(2), Store(8192, 1), FsEnd(2), FsEnd(1),
+            FsStart(2), Fence(FenceKind.CLASS), Load(64), FsEnd(2)]]
+    hw = dict(n_cores=1, fss_entries=1, fsb_entries=3, mapping_entries=2)
+    dense = _run_ops(ops, "dense", **hw)
+    assert dense["stats"][0]["fence_stall_cycles"] > 0
+    _assert_identical(dense, _run_ops(ops, "event", **hw), "event")
