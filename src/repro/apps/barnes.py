@@ -48,19 +48,24 @@ class BarnesInstance:
     pos_y: SharedArray
     n_bodies: int
     interactions: list[int] = field(default_factory=list)
+    #: body -> the (x, y) its thread published, recorded host-side
+    published: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def check(self) -> None:
         assert len(self.interactions) == self.n_bodies, (
             f"barnes: only {len(self.interactions)} of {self.n_bodies} "
             f"bodies processed"
         )
-        moved = sum(
-            1
-            for b in range(self.n_bodies)
-            if (self.pos_x.peek(b), self.pos_y.peek(b)) != self.tree.initial[b]
-        )
-        assert moved == self.n_bodies, (
-            f"barnes: only {moved} of {self.n_bodies} bodies were updated"
+        # an update can be the identity (a force that rounds to -1 per
+        # axis cancels the +1), so compare against what was published,
+        # not against the initial position
+        stale = [
+            b for b in range(self.n_bodies)
+            if (self.pos_x.peek(b), self.pos_y.peek(b))
+            != self.published.get(b)
+        ]
+        assert not stale, (
+            f"barnes: bodies {stale} do not hold their published position"
         )
         assert all(n > 0 for n in self.interactions), "barnes: empty traversal"
 
@@ -108,8 +113,6 @@ def build_barnes(
         for k in range(4):
             cell_child.poke(c * 4 + k, tree.children[c][k] + 1)  # 0 = none
 
-    tree.initial = {b: (int(x * FIX), int(y * FIX)) for b, (x, y) in enumerate(bodies)}
-
     # per-thread private force accumulators (unflagged, long-latency)
     spills = [
         ScratchSpill(env, t, "barnes", cold_every=cold_spill_every)
@@ -132,6 +135,7 @@ def build_barnes(
     # instance holds the program, which holds ``thread``, and a closure
     # over the instance would make a cycle that outlives the run
     interactions = instance.interactions
+    published = instance.published
 
     def sc_fence(slot: str):
         return plan.fence(slot, scope, WAIT_BOTH)
@@ -180,8 +184,10 @@ def build_barnes(
             yield from exchange.emit(b + 1)  # conflicting ownership traffic
             # position update: conflicting accesses, SC-fence bracketed
             yield from sc_fence("publish")
-            yield pos_x.store(b, bx + (ax >> 8) + 1)
-            yield pos_y.store(b, by + (ay >> 8) + 1)
+            nx, ny = bx + (ax >> 8) + 1, by + (ay >> 8) + 1
+            published[b] = (nx, ny)
+            yield pos_x.store(b, nx)
+            yield pos_y.store(b, ny)
             yield from sc_fence("flush")
 
     instance.program = Program([thread] * n_threads, name="barnes")

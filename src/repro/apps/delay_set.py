@@ -25,21 +25,20 @@ Whole-program extension (the apps-wide synthesis path): real programs
 here are Python generators, so their "program graph" is obtained by
 *concrete replay* -- :func:`record_program` drives the guest
 generators against functional memory (no simulator) and records every
-memory access and fence into a :class:`ProgramSkeleton`.  The
-skeleton's conflict graph (:func:`skeleton_graph`) uses *transitive*
-program edges, so critical cycles between non-adjacent accesses are
-found; :func:`critical_cycles` enumerates them with a bounded
-block-DFS (at most two adjacent accesses per thread, at most
-``max_threads`` threads -- the Shasha-Snir shape, enforced by
-construction), and :func:`skeleton_delay_pairs` /
-:func:`required_patterns` turn them into the insertion sites and the
-runtime-checkable ordering requirements the synthesizer and the chaos
-oracle consume.
+memory access and fence into a :class:`ProgramSkeleton`.
+:func:`critical_cycle_summary` walks the skeleton's two-thread critical
+cycles as pairs of thread blocks (program order is transitive, so the
+two accesses of a block may be many ops apart) and returns their count,
+delay pairs, component count and block pairs without listing the
+cycles; :func:`required_patterns` / :func:`enforced_patterns` turn the
+delay pairs into the runtime-checkable ordering requirements the
+synthesizer and the chaos oracle consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from ..isa.instructions import (
@@ -301,7 +300,7 @@ class RecordedAccess:
     def key(self) -> tuple[int, int]:
         return (self.thread, self.index)
 
-    @property
+    @cached_property
     def base(self) -> str:
         return base_var(self.var)
 
@@ -442,25 +441,41 @@ def record_program(program, memory, schedule: str = "sequential",
     return ProgramSkeleton(threads, fences, steps)
 
 
-def skeleton_graph(skel: ProgramSkeleton) -> DiGraph:
-    """The Shasha-Snir graph of a recorded skeleton.
+@dataclass
+class CriticalCycles:
+    """The two-thread critical cycles of a skeleton, counted, not listed.
 
-    Unlike :func:`conflict_graph` (consecutive program edges only --
-    adequate for litmus programs whose critical cycles use adjacent
-    accesses), program edges here are *transitive*: real programs have
-    critical cycles between accesses many ops apart, and the bounded
-    cycle search below relies on one program edge reaching any later
-    access of the thread.
+    Every such cycle is a pair of thread blocks ``(s, xa)`` and
+    ``(v, yb)``: enter ``s``'s thread at ``s``, leave it at ``xa`` (``s``
+    itself or a later conflict source of the thread) over a conflict
+    edge to ``v > s``, leave ``v``'s thread at ``yb`` over a conflict
+    edge back to ``s``.  ``blocks`` holds one ``(s, xas, v, ybs)`` entry
+    per block-entry pair; its cycles are every ``xa`` against every
+    ``yb``, so ``count`` is the sum of ``len(xas) * len(ybs)``.
+    ``pairs`` are the same-thread block pairs, earlier access first --
+    the delay pairs; ``components`` counts the groups of cycles that
+    share an access.
     """
-    g = DiGraph()
-    for ops in skel.threads:
-        for a in ops:
-            g.add_node(a.key, var=a.var, base=a.base, addr=a.addr,
-                       is_write=a.is_write, thread=a.thread,
-                       flagged=a.flagged)
-        for i, u in enumerate(ops):
-            for v in ops[i + 1:]:
-                g.add_edge(u.key, v.key, kind="program")
+
+    count: int
+    pairs: set[tuple[tuple[int, int], tuple[int, int]]]
+    components: int
+    blocks: list[tuple]
+
+
+def critical_cycle_summary(skel: ProgramSkeleton) -> CriticalCycles:
+    """Summarise the Shasha-Snir critical cycles of a recorded skeleton.
+
+    A critical cycle here spans two threads with at most two accesses
+    on each (the shape the synthesizer distills into litmus kernels).
+    Program order is transitive -- real programs have critical cycles
+    between accesses many ops apart -- so a block may leave its thread
+    at any later conflicting access.  Conflicts pair accesses of the
+    same address on different threads, at least one of them a write.
+    Each cycle is anchored at its least block-entry node ``s``, so
+    each is counted exactly once.
+    """
+    conf: dict[tuple[int, int], set[tuple[int, int]]] = {}
     by_addr: dict[int, list[RecordedAccess]] = {}
     for ops in skel.threads:
         for a in ops:
@@ -468,118 +483,50 @@ def skeleton_graph(skel: ProgramSkeleton) -> DiGraph:
     for group in by_addr.values():
         for a, b in combinations(group, 2):
             if a.thread != b.thread and (a.is_write or b.is_write):
-                g.add_edge(a.key, b.key, kind="conflict")
-                g.add_edge(b.key, a.key, kind="conflict")
-    return g
+                conf.setdefault(a.key, set()).add(b.key)
+                conf.setdefault(b.key, set()).add(a.key)
+    # block exits of an entry node: itself, then every later conflict
+    # source of its thread
+    exits: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for ops in skel.threads:
+        sources = [a.key for a in ops if a.key in conf]
+        for k, u in enumerate(sources):
+            exits[u] = sources[k:]
 
-
-def critical_cycles(g: DiGraph,
-                    max_threads: int = 3) -> list[list[tuple[int, int]]]:
-    """Enumerate the critical cycles of a skeleton graph.
-
-    A critical cycle visits at most two accesses per thread, adjacent
-    on the cycle, through at most ``max_threads`` distinct threads.
-    The search walks thread *blocks* (enter a thread over a conflict
-    edge, optionally take one transitive program step, leave over a
-    conflict edge), so the Shasha-Snir shape holds by construction and
-    the exponential :func:`simple_cycles` sweep is avoided.
-    Each cycle is discovered exactly once, anchored at its minimal
-    block-entry node.
-    """
-    conf: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u, nbrs in g.succ.items():
-        for v, d in nbrs.items():
-            if d["kind"] == "conflict":
-                conf.setdefault(u, []).append(v)
-    thread_of = {n: d["thread"] for n, d in g.nodes(data=True)}
-    sources: dict[int, list[tuple[int, int]]] = {}
-    for u in conf:
-        sources.setdefault(thread_of[u], []).append(u)
-    for lst in sources.values():
-        lst.sort()
-    seen: set[tuple[tuple[int, int], ...]] = set()
-    cycles: list[list[tuple[int, int]]] = []
-
-    def block_exits(entry):
-        """Ways to leave ``entry``'s thread: at entry, or one step on."""
-        out = []
-        if entry in conf:
-            out.append((entry, [entry]))
-        for x in sources.get(thread_of[entry], ()):
-            if x > entry:
-                out.append((x, [entry, x]))
-        return out
-
-    def visit(path, threads_used, start):
-        entry = path[-1]
-        for exit_node, block in block_exits(entry):
-            full = path[:-1] + block
-            for v in conf.get(exit_node, ()):
-                if v == start:
-                    if len(threads_used) >= 2:
-                        key = tuple(full)
-                        if key not in seen:
-                            seen.add(key)
-                            cycles.append(list(full))
-                    continue
-                if v < start:
-                    continue
-                tv = thread_of[v]
-                if tv in threads_used or len(threads_used) >= max_threads:
-                    continue
-                visit(full + [v], threads_used | {tv}, start)
-
-    starts = sorted({v for targets in conf.values() for v in targets})
-    for s in starts:
-        visit([s], {thread_of[s]}, s)
-    # visit calls itself through its closure cell: clear the cell so
-    # the closures die by refcount instead of waiting for the cyclic GC
-    del visit
-    return cycles
-
-
-def skeleton_delay_pairs(
-    g: DiGraph,
-    cycles: list[list[tuple[int, int]]],
-) -> set[tuple[tuple[int, int], tuple[int, int]]]:
-    """Same-thread adjacent pairs over ``cycles``, earlier access first."""
-    pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
-    for cycle in cycles:
-        n = len(cycle)
-        for pos, node in enumerate(cycle):
-            nxt = cycle[(pos + 1) % n]
-            if node[0] == nxt[0] and node != nxt:
-                u, v = (node, nxt) if node[1] < nxt[1] else (nxt, node)
-                pairs.add((u, v))
-    return pairs
-
-
-def cycle_components(
-    cycles: list[list[tuple[int, int]]],
-) -> list[list[list[tuple[int, int]]]]:
-    """Group cycles that share at least one access (union-find)."""
     parent: dict[tuple[int, int], tuple[int, int]] = {}
 
     def find(x):
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for cycle in cycles:
-        for node in cycle:
-            parent.setdefault(node, node)
-        for node in cycle[1:]:
-            union(cycle[0], node)
-    groups: dict[tuple[int, int], list[list[tuple[int, int]]]] = {}
-    for cycle in cycles:
-        groups.setdefault(find(cycle[0]), []).append(cycle)
-    return [groups[root] for root in sorted(groups)]
+    count = 0
+    pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
+    blocks: list[tuple] = []
+    for s in sorted(conf):
+        xas_of: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for xa in exits[s]:
+            for v in conf[xa]:
+                if v > s:
+                    xas_of.setdefault(v, []).append(xa)
+        for v in sorted(xas_of):
+            ybs = [yb for yb in exits[v] if s in conf[yb]]
+            if not ybs:
+                continue
+            xas = xas_of[v]
+            count += len(xas) * len(ybs)
+            pairs.update((s, xa) for xa in xas if xa != s)
+            pairs.update((v, yb) for yb in ybs if yb != v)
+            root = find(s)
+            for u in (v, *xas, *ybs):
+                r = find(u)
+                if r != root:
+                    parent[r] = root
+            blocks.append((s, tuple(xas), v, tuple(ybs)))
+    components = len({find(x) for x in parent})
+    return CriticalCycles(count, pairs, components, blocks)
 
 
 # ---------------------------------------------- runtime-checkable requirements
@@ -651,17 +598,24 @@ def enforced_patterns(
             return modes[f.name]
         return f.mode
 
+    # per thread: (base, kind) -> its accesses, in program order
+    by_base: list[dict[tuple[str, str], list[RecordedAccess]]] = []
+    for ops in skel.threads:
+        index: dict[tuple[str, str], list[RecordedAccess]] = {}
+        for a in ops:
+            index.setdefault((a.base, a.kind), []).append(a)
+        by_base.append(index)
+
     held: set[tuple[str, str, str, str]] = set()
     for pattern in patterns:
         base_a, _, base_b, kind_b = pattern
         ok = True
-        for t, ops in enumerate(skel.threads):
+        for t, index in enumerate(by_base):
             if not ok:
                 break
             fences = fences_by_thread.get(t, [])
-            firsts = [a for a in ops if a.base == base_a and a.kind == "w"]
-            seconds = [b for b in ops
-                       if b.base == base_b and b.kind == kind_b]
+            firsts = index.get((base_a, "w"), ())
+            seconds = index.get((base_b, kind_b), ())
             for a in firsts:
                 for b in seconds:
                     if b.index <= a.index:

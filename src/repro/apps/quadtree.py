@@ -7,7 +7,7 @@ flattened into arrays the guest traverses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -19,7 +19,6 @@ class Quadtree:
     com: list[tuple[float, float]]
     count: list[int]               # bodies under each cell
     bodies_in: list[list[int]]     # body ids stored at leaf cells
-    initial: dict = field(default_factory=dict)
 
     @property
     def n_cells(self) -> int:

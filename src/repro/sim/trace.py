@@ -206,4 +206,6 @@ class MonitorFanout:
         def fan(*args, **kwargs):
             for sink in sinks:
                 getattr(sink, name)(*args, **kwargs)
+        # cached on the instance: later lookups never reach __getattr__
+        setattr(self, name, fan)
         return fan

@@ -48,13 +48,10 @@ from ..apps.barnes import build_barnes
 from ..apps.delay_set import (
     ProgramSkeleton,
     RecordedFence,
-    critical_cycles,
-    cycle_components,
+    critical_cycle_summary,
     enforced_patterns,
     record_program,
     required_patterns,
-    skeleton_delay_pairs,
-    skeleton_graph,
 )
 from ..apps.ptc import build_ptc
 from ..apps.radiosity import build_radiosity
@@ -271,9 +268,10 @@ class AppAnalysis:
     """The delay-set view of one recorded app."""
 
     skel: ProgramSkeleton
-    cycles: list
+    cycles: int                   # critical cycles, counted
     pairs: set
     components: int
+    blocks: list                  # CriticalCycles.blocks
     patterns: set                 # runtime-checkable requirements
     hand_enforced: set            # floor: what the hand placement enforces
     slots: dict[str, list[RecordedFence]]
@@ -282,12 +280,10 @@ class AppAnalysis:
 
 
 def analyze_app(entry: AppEntry) -> AppAnalysis:
-    """Record, build the Shasha-Snir graph, classify the fence slots."""
+    """Record, summarize the critical cycles, classify the fence slots."""
     skel = entry.record()
-    g = skeleton_graph(skel)
-    cycles = critical_cycles(g, max_threads=2)
-    pairs = skeleton_delay_pairs(g, cycles)
-    patterns = required_patterns(skel, pairs)
+    summary = critical_cycle_summary(skel)
+    patterns = required_patterns(skel, summary.pairs)
     slots = skel.slots()
     hand = {s: entry.hand_mode for s in slots}
     hand_enforced = enforced_patterns(skel, patterns, modes=hand)
@@ -300,8 +296,8 @@ def analyze_app(entry: AppEntry) -> AppAnalysis:
         else:
             live.append(slot)
     return AppAnalysis(
-        skel=skel, cycles=cycles, pairs=pairs,
-        components=len(cycle_components(cycles)),
+        skel=skel, cycles=summary.count, pairs=summary.pairs,
+        components=summary.components, blocks=summary.blocks,
         patterns=patterns, hand_enforced=hand_enforced,
         slots=slots, live=live, dead=dead,
     )
@@ -324,34 +320,39 @@ def _slots_between(skel: ProgramSkeleton, entry_key, exit_key) -> tuple:
     return tuple(names)
 
 
-def _cycle_signature(skel: ProgramSkeleton, cycle) -> tuple:
-    """Rotation-canonical block shape of one critical cycle.
+def _block_signature(skel: ProgramSkeleton, entry, exit_) -> tuple:
+    """The shape of one thread block of a critical cycle.
 
-    A block is (entry, slot-names-between, exit-or-None) where each
-    access is abstracted to ``(base, kind, op, flagged)``; cycles with
-    the same signature distill to the same kernel.
+    ``(entry, slot-names-between, exit-or-None)`` where each access is
+    abstracted to ``(base, kind, op, flagged)``; a single-access block
+    (``exit_ == entry``) has no slots and no exit.
     """
-    blocks: list[list] = []
-    for node in cycle:
-        if blocks and blocks[-1][0][0] == node[0]:
-            blocks[-1].append(node)
-        else:
-            blocks.append([node])
-
     def desc(key):
         a = skel.access(key)
         return (a.base, a.kind, a.op, a.flagged)
 
-    sig = []
-    for block in blocks:
-        if len(block) == 1:
-            sig.append((desc(block[0]), (), None))
-        else:
-            sig.append((desc(block[0]),
-                        _slots_between(skel, block[0], block[-1]),
-                        desc(block[-1])))
-    rotations = [tuple(sig[i:] + sig[:i]) for i in range(len(sig))]
-    return min(rotations, key=repr)
+    if exit_ == entry:
+        return (desc(entry), (), None)
+    return (desc(entry), _slots_between(skel, entry, exit_), desc(exit_))
+
+
+def cycle_signatures(skel: ProgramSkeleton, blocks: list) -> set:
+    """The distinct rotation-canonical signatures of the critical cycles.
+
+    A cycle's signature is its two block shapes, in the rotation with
+    the lesser ``repr``; cycles with the same signature distill to the
+    same kernel.  Built per block-entry pair of ``blocks``
+    (:attr:`CriticalCycles.blocks`) from the distinct block shapes on
+    each side, so the cycles are never listed.
+    """
+    signatures: set = set()
+    for s, xas, v, ybs in blocks:
+        firsts = {_block_signature(skel, s, xa) for xa in xas}
+        seconds = {_block_signature(skel, v, yb) for yb in ybs}
+        for a in firsts:
+            for b in seconds:
+                signatures.add(min((a, b), (b, a), key=repr))
+    return signatures
 
 
 def _fence_stmt(mode: str, waits: int) -> str:
@@ -445,15 +446,8 @@ def distill_kernels(entry: AppEntry, analysis: AppAnalysis,
     spec is empty (the hand fences never constrained the cycle) are
     kept with ``forbidden == set()`` so callers can count vacuity.
     """
-    skel = analysis.skel
     slot_fences = {s: fs[0] for s, fs in analysis.slots.items()}
-    signatures: list[tuple] = []
-    seen: set = set()
-    for cycle in analysis.cycles:
-        sig = _cycle_signature(skel, cycle)
-        if sig not in seen:
-            seen.add(sig)
-            signatures.append(sig)
+    signatures = cycle_signatures(analysis.skel, analysis.blocks)
     truncated = len(signatures)
     signatures = sorted(signatures, key=repr)[:cap]
 
@@ -895,7 +889,7 @@ def run_app_synth_case(
             "steps": analysis.skel.steps,
         },
         "analysis": {
-            "critical_cycles": len(analysis.cycles),
+            "critical_cycles": analysis.cycles,
             "delay_pairs": len(analysis.pairs),
             "components": analysis.components,
             "patterns": sorted(list(p) for p in analysis.patterns),

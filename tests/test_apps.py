@@ -78,6 +78,18 @@ def test_barnes_updates_every_body(scope):
     inst.check()
 
 
+@pytest.mark.parametrize("scope", [FenceKind.GLOBAL, FenceKind.SET])
+def test_barnes_check_accepts_an_identity_update(scope):
+    """At 10 bodies, body 7's force rounds to -1 per axis, so its update
+    ``b + (a >> 8) + 1`` leaves it where it started: the check must
+    compare against the published position, not the initial one."""
+    env = Env(SimConfig())
+    inst = build_barnes(env, n_bodies=10, scope=scope)
+    env.run(inst.program, max_cycles=2_000_000)
+    inst.check()
+    assert len(inst.published) == 10
+
+
 def test_barnes_set_scope_reduces_stalls():
     frac = {}
     for scope in (FenceKind.GLOBAL, FenceKind.SET):

@@ -11,6 +11,13 @@ On top of the cross-checks, structural properties that must hold for
 ``fence_points`` covers exactly the first half of every pair,
 private-variable programs have no pairs at all, and the whole pipeline
 is deterministic.
+
+The whole-program path's block-pair summary
+(:func:`~repro.apps.delay_set.critical_cycle_summary`) is held to a
+cycle enumerator that lists every cycle, kept here as its brute-force
+reference: on seeded random 2-3-thread skeletons and on the five recorded apps,
+the cycle count, delay pairs, component count and kernel signature set
+must all agree.
 """
 
 from __future__ import annotations
@@ -20,10 +27,20 @@ import random
 import pytest
 
 from repro.apps.delay_set import (
+    ProgramSkeleton,
+    RecordedAccess,
+    RecordedFence,
     conflict_graph,
+    critical_cycle_summary,
     delay_pairs,
     fence_points,
     simple_cycles,
+)
+from repro.synth.programs import (
+    _slots_between,
+    app_entry,
+    app_names,
+    cycle_signatures,
 )
 
 MAX_CYCLE_LEN = 8
@@ -210,3 +227,164 @@ def test_read_only_sharing_yields_no_pairs():
     """Conflicts require at least one writer."""
     threads = [[("x", "r"), ("y", "r")], [("y", "r"), ("x", "r")]]
     assert delay_pairs(threads) == set()
+
+
+# ------------------------------------- whole-program block-pair summary
+def _random_skeleton(seed: int) -> ProgramSkeleton:
+    """2-3 threads of 2-7 accesses over 3 addresses, with named fences."""
+    rng = random.Random(f"cycle-summary:{seed}")
+    names = ["a[0]", "a[1]", "b"]
+    threads = []
+    fences = []
+    for t in range(rng.randint(2, 3)):
+        ops = []
+        for i in range(rng.randint(2, 7)):
+            addr = rng.randrange(len(names))
+            op = rng.choice(("load", "store", "cas"))
+            ops.append(RecordedAccess(t, i, names[addr], 64 * addr,
+                                      op != "load", rng.random() < 0.5, op))
+            if rng.random() < 0.4:
+                fences.append(RecordedFence(
+                    t, i, "full", 3, False, rng.choice(("", "s0", "s1"))))
+        threads.append(ops)
+    return ProgramSkeleton(threads, fences)
+
+
+def _reference_cycles(skel: ProgramSkeleton):
+    """Every two-thread critical cycle, listed one by one.
+
+    A block DFS that enters a thread over a conflict edge, optionally
+    takes one transitive program step, and leaves over a conflict
+    edge, each cycle anchored at its minimal block-entry node.  The
+    conflict map is built here pairwise from the definition.
+    """
+    accesses = [a for ops in skel.threads for a in ops]
+    conf = {}
+    for a in accesses:
+        for b in accesses:
+            if (a.thread != b.thread and a.addr == b.addr
+                    and (a.is_write or b.is_write)):
+                conf.setdefault(a.key, []).append(b.key)
+    thread_of = {a.key: a.thread for a in accesses}
+    sources = {}
+    for u in sorted(conf):
+        sources.setdefault(thread_of[u], []).append(u)
+    seen = set()
+    cycles = []
+
+    def block_exits(entry):
+        out = []
+        if entry in conf:
+            out.append((entry, [entry]))
+        for x in sources.get(thread_of[entry], ()):
+            if x > entry:
+                out.append((x, [entry, x]))
+        return out
+
+    def visit(path, threads_used, start):
+        for exit_node, block in block_exits(path[-1]):
+            full = path[:-1] + block
+            for v in conf.get(exit_node, ()):
+                if v == start:
+                    if len(threads_used) >= 2 and tuple(full) not in seen:
+                        seen.add(tuple(full))
+                        cycles.append(full)
+                    continue
+                if v < start or len(threads_used) >= 2:
+                    continue
+                if thread_of[v] not in threads_used:
+                    visit(full + [v], threads_used | {thread_of[v]}, start)
+
+    for s in sorted({v for targets in conf.values() for v in targets}):
+        visit([s], {thread_of[s]}, s)
+    return cycles
+
+
+def _reference_pairs(cycles):
+    pairs = set()
+    for cycle in cycles:
+        for pos, node in enumerate(cycle):
+            nxt = cycle[(pos + 1) % len(cycle)]
+            if node[0] == nxt[0] and node != nxt:
+                pairs.add((min(node, nxt), max(node, nxt)))
+    return pairs
+
+
+def _reference_components(cycles) -> int:
+    """Groups of cycles that share an access, by repeated merging."""
+    groups: list[set] = []
+    for cycle in cycles:
+        merged = set(cycle)
+        rest = []
+        for g in groups:
+            if g & merged:
+                merged |= g
+            else:
+                rest.append(g)
+        groups = rest + [merged]
+    return len(groups)
+
+
+def _reference_signature(skel: ProgramSkeleton, cycle) -> tuple:
+    """Rotation-canonical block shape of one listed cycle."""
+    blocks = []
+    for node in cycle:
+        if blocks and blocks[-1][0][0] == node[0]:
+            blocks[-1].append(node)
+        else:
+            blocks.append([node])
+
+    def desc(key):
+        a = skel.access(key)
+        return (a.base, a.kind, a.op, a.flagged)
+
+    sig = []
+    for block in blocks:
+        if len(block) == 1:
+            sig.append((desc(block[0]), (), None))
+        else:
+            sig.append((desc(block[0]),
+                        _slots_between(skel, block[0], block[-1]),
+                        desc(block[-1])))
+    rotations = [tuple(sig[i:] + sig[:i]) for i in range(len(sig))]
+    return min(rotations, key=repr)
+
+
+def _assert_summary_matches_reference(skel: ProgramSkeleton):
+    cycles = _reference_cycles(skel)
+    summary = critical_cycle_summary(skel)
+    assert summary.count == len(cycles)
+    assert summary.pairs == _reference_pairs(cycles)
+    assert summary.components == _reference_components(cycles)
+    assert cycle_signatures(skel, summary.blocks) == {
+        _reference_signature(skel, c) for c in cycles}
+    return summary
+
+
+SKELETON_SEEDS = range(60)
+
+
+@pytest.mark.parametrize("seed", SKELETON_SEEDS)
+def test_cycle_summary_matches_enumeration_on_random_skeletons(seed):
+    _assert_summary_matches_reference(_random_skeleton(seed))
+
+
+def test_random_skeletons_exercise_the_summary():
+    """The random corpus must not be vacuous: cycles through several
+    components, two-access blocks on both sides, and named slots."""
+    skeletons = [_random_skeleton(seed) for seed in SKELETON_SEEDS]
+    summaries = [critical_cycle_summary(skel) for skel in skeletons]
+    assert sum(1 for s in summaries if s.count) >= len(summaries) // 2
+    assert any(s.components > 1 for s in summaries)
+    assert any(len(xas) > 1 and len(ybs) > 1
+               for s in summaries for _, xas, _, ybs in s.blocks)
+    assert any(slots
+               for skel, s in zip(skeletons, summaries)
+               for sig in cycle_signatures(skel, s.blocks)
+               for _, slots, _ in sig)
+
+
+@pytest.mark.parametrize("name", app_names())
+def test_cycle_summary_matches_enumeration_on_recorded_apps(name):
+    summary = _assert_summary_matches_reference(app_entry(name).record())
+    assert summary.count > 0
