@@ -20,18 +20,13 @@ Commands:
   campaign (worker kills, stalls, cache corruption, a torn manifest)
   that must converge to the byte-identical outcome fingerprint of a
   fault-free sweep (see :mod:`repro.campaign.resilience`).
-* ``perf`` — time representative workloads under both execution
-  engines (dense reference loop and event-driven fast path) and write
+* ``perf`` — time the ``fig15-hot`` workload (radiosity under a
+  global fence at 2000-cycle memory) under both execution engines
+  (dense reference loop and event-driven fast path) and write
   ``BENCH_simperf.json`` (see :mod:`repro.analysis.simperf`); exits
-  non-zero if the event-engine speedup on the high-latency workload
-  falls below ``--min-speedup``, or if any engine's result fingerprint
-  diverges.  ``--mem-backend mesi,sisd`` records a column set per
-  coherence backend.
-  With ``--campaign``, instead race the persistent worker pool against
-  the legacy ``--fork-per-job`` pool over whole sweeps and write
-  ``BENCH_campaign.json`` (see :mod:`repro.analysis.campthru`); exits
-  non-zero if the cold-sweep speedup falls below ``--min-jobs-ratio``
-  or the pools' outcomes diverge.
+  non-zero if the event-engine speedup falls below ``--min-speedup``,
+  or if any engine's result fingerprint diverges.  ``--mem-backend
+  mesi,sisd`` records a column set per coherence backend.
 * ``verify`` — exhaustively model-check the litmus corpus across fence
   modes with the DPOR explorer, cross-check the reference model, and
   differentially verify both simulator engines for soundness and
@@ -56,9 +51,8 @@ Commands:
 
 Every simulation-grid command accepts ``--parallel N`` to fan cells out
 over N crash-isolated worker processes (default ``auto``: one per CPU,
-capped), ``--fork-per-job`` to fall back to the legacy
-one-process-per-job pool, and ``--cache-dir``/``--no-cache`` to control
-result memoisation.  Parallelism and caching never change any number in
+capped) and ``--cache-dir``/``--no-cache`` to control result
+memoisation.  Parallelism and caching never change any number in
 any table — only how fast it appears.  The
 figure commands are thin wrappers over the same cell drivers the
 pytest-benchmark targets use; ``--scale`` shrinks or grows workloads.
@@ -187,7 +181,7 @@ def _run_jobs(jobs, ns, label: str):
                         backoff_base=ns.retry_backoff)
     result = run_campaign(jobs, parallel=ns.parallel, cache=_make_cache(ns),
                           progress=progress, job_timeout=ns.job_timeout,
-                          fork_per_job=ns.fork_per_job, retry=retry,
+                          retry=retry,
                           on_event=on_event)
     if live:
         print(file=sys.stderr)
@@ -519,79 +513,29 @@ def cmd_synth(ns) -> int:
 
 
 # ------------------------------------------------------------------------ perf
-def cmd_perf_campaign(ns) -> int:
-    """Race the persistent pool against fork-per-job; gate the ratio."""
-    from .analysis.campthru import (
-        DEFAULT_MIN_RATIO,
-        run_campaign_perf,
+def cmd_perf(ns) -> int:
+    from .analysis.simperf import (
+        GATE_WORKLOAD,
+        divergent_cells,
+        run_perf,
         write_report,
     )
-
-    report = run_campaign_perf(
-        parallel=ns.parallel if ns.parallel_explicit else None,
-        smoke=ns.smoke,
-        min_ratio=(DEFAULT_MIN_RATIO if ns.min_jobs_ratio is None
-                   else ns.min_jobs_ratio),
-        progress=lambda line: print(line, file=sys.stderr),
-    )
-    write_report(report, ns.campaign_out)
-    rows = []
-    for name, sweep in report["sweeps"].items():
-        rows.append((
-            name, sweep["jobs"],
-            sweep["legacy"]["cold_s"], sweep["persistent"]["cold_s"],
-            sweep["persistent"]["warm_s"],
-            f"{sweep['persistent']['cold_jobs_per_s']}/s",
-            f"{sweep['ratio']}x" if sweep["ratio"] is not None else "n/a",
-            "yes" if sweep["identical"] else "DIVERGED",
-        ))
-    print(format_table(
-        ["sweep", "jobs", "fork-per-job s", "persistent s", "warm s",
-         "throughput", "speedup", "identical"],
-        rows,
-        title=f"campaign throughput -- persistent pool vs --fork-per-job "
-              f"({report['parallel']} workers, {report['cpus']} cpu(s))",
-    ))
-    print(f"report written to {ns.campaign_out}", file=sys.stderr)
-    gate = report.get("gate")
-    if gate and not gate["passed"]:
-        print(f"perf: FAIL -- {gate['sweep']} cold speedup {gate['ratio']}x "
-              f"< required {gate['min_ratio']}x", file=sys.stderr)
-    if not all(s["identical"] for s in report["sweeps"].values()):
-        print("perf: FAIL -- pool outcomes diverged", file=sys.stderr)
-    if any(s["persistent"]["warm_executed"] or s["legacy"]["warm_executed"]
-           for s in report["sweeps"].values()):
-        print("perf: FAIL -- a warm re-run executed jobs", file=sys.stderr)
-    return 0 if report["ok"] else 1
-
-
-def cmd_perf(ns) -> int:
-    from .analysis.simperf import divergent_cells, run_perf, write_report
-
-    if ns.campaign:
-        return cmd_perf_campaign(ns)
 
     backends = _parse_backends(ns)
     if backends is None:
         return 2
-    workloads = ns.workloads.split(",") if ns.workloads else None
-    try:
-        report = run_perf(
-            workloads=workloads, smoke=ns.smoke, min_speedup=ns.min_speedup,
-            progress=lambda line: print(line, file=sys.stderr),
-            mem_backends=backends, reps=ns.perf_reps,
-        )
-    except KeyError as exc:
-        print(f"perf: {exc.args[0]}", file=sys.stderr)
-        return 2
+    report = run_perf(
+        smoke=ns.smoke, min_speedup=ns.min_speedup,
+        progress=lambda line: print(line, file=sys.stderr),
+        mem_backends=backends, reps=ns.perf_reps,
+    )
     write_report(report, ns.perf_out)
     rows = [
-        (f"{name}[{backend}]" if len(backends) > 1 else name,
+        (f"{GATE_WORKLOAD}[{backend}]" if len(backends) > 1 else GATE_WORKLOAD,
          cell["sim_cycles"], cell["dense_wall_s"], cell["event_wall_s"],
          f"{cell['event_speedup']}x" if cell["event_speedup"] is not None else "n/a",
          "yes" if cell["identical"] else "DIVERGED")
-        for name, w in report["workloads"].items()
-        for backend, cell in w["backends"].items()
+        for backend, cell in report["backends"].items()
     ]
     print(format_table(
         ["workload", "sim cycles", "dense s", "event s", "speedup",
@@ -599,20 +543,15 @@ def cmd_perf(ns) -> int:
         rows, title="simulator perf -- dense loop vs event engine",
     ))
     print(f"report written to {ns.perf_out}", file=sys.stderr)
-    gate = report.get("gate")
-    if gate and not gate.get("passed", True) and not gate.get("skipped"):
-        if gate.get("min_speedup") is not None and (
-                gate["speedup"] is None
-                or gate["speedup"] < gate["min_speedup"]):
-            print(f"perf: FAIL -- {gate['workload']} event speedup "
-                  f"{gate['speedup']}x < required {gate['min_speedup']}x",
-                  file=sys.stderr)
+    gate = report["gate"]
+    if gate["speedup"] is None or gate["speedup"] < gate["min_speedup"]:
+        print(f"perf: FAIL -- {GATE_WORKLOAD} event speedup "
+              f"{gate['speedup']}x < required {gate['min_speedup']}x",
+              file=sys.stderr)
     diverged = divergent_cells(report)
     if diverged:
         print("perf: FAIL -- identical cross-check failed: "
               + ", ".join(diverged), file=sys.stderr)
-    for name in report.get("failures", ()):
-        print(f"perf: FAIL -- workload gate failed: {name}", file=sys.stderr)
     return 0 if report["ok"] else 1
 
 
@@ -792,10 +731,6 @@ def main(argv: list[str] | None = None) -> int:
                               help="fan cells out over N worker processes "
                                    "(0: run in-process; auto: one per CPU, "
                                    "capped) [auto]")
-    engine_group.add_argument("--fork-per-job", action="store_true",
-                              help="use the legacy one-process-per-job pool "
-                                   "instead of persistent chunk-pulling "
-                                   "workers (slower; maximal isolation)")
     engine_group.add_argument("--cache-dir", default="",
                               help=f"result cache directory [{DEFAULT_CACHE_DIR} "
                                    f"when parallel]")
@@ -900,22 +835,6 @@ def main(argv: list[str] | None = None) -> int:
     perf_group.add_argument("--perf-reps", type=int, default=3, metavar="N",
                             help="perf: timed repetitions of each engine; "
                                  "the minimum wall is reported [3]")
-    perf_group.add_argument("--workloads", default="",
-                            help="perf: comma-separated workload subset "
-                                 "(litmus,fig15-hot,cilk_fib)")
-    perf_group.add_argument("--campaign", action="store_true",
-                            help="perf: benchmark campaign throughput "
-                                 "(persistent pool vs --fork-per-job) instead "
-                                 "of simulator engines")
-    perf_group.add_argument("--campaign-out", default="BENCH_campaign.json",
-                            metavar="FILE",
-                            help="perf --campaign: report path "
-                                 "[BENCH_campaign.json]")
-    perf_group.add_argument("--min-jobs-ratio", type=float, default=None,
-                            metavar="R",
-                            help="perf --campaign: fail if the persistent "
-                                 "pool's cold-sweep speedup over fork-per-job "
-                                 "is below R [1.1]")
     ns = parser.parse_args(argv)
     _resolve_parallel(ns)
 

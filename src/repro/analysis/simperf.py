@@ -1,32 +1,24 @@
-"""Perf-regression harness: the two execution engines head to head.
+"""Perf-regression gate: the two execution engines head to head.
 
-Times representative workloads under the dense reference loop and the
-event-driven engine (the default) and reports wall time, simulated
-cycles per second and the speedup between them -- the numbers that
-guard the event engine against performance regressions (the
+Times one workload, ``fig15-hot``, under the dense reference loop and
+the event-driven engine (the default) and reports wall time, simulated
+cycles per second and the speedup between them -- the number that
+guards the event engine against performance regressions (the
 equivalence *tests* guard it against correctness regressions; this
 module additionally cross-checks a result fingerprint per
-workload/engine/backend so a perf run that silently diverged is
-flagged and named in the exit status).
+engine/backend so a perf run that silently diverged is flagged and
+named in the exit status).
 
-Workloads:
-
-* ``litmus``    -- the litmus corpus over a small offset grid: many
-  short runs, scheduler-overhead bound (the event engine's worst case).
-* ``fig15-500`` -- the Figure 15 high-memory-latency cell exactly as
-  the figure runs it (radiosity under a traditional global fence at
-  500-cycle memory).  At 500 cycles much of the latency still overlaps
-  with form-factor compute, so this measures the mixed regime.
-* ``fig15-hot`` -- the same cell with the figure's memory-latency axis
-  pushed to 2000 cycles, deep into the stall-dominated regime Figure
-  15's trend points at: the dense loop's cost grows linearly with the
-  latency while the event engine's stays flat, which is the property
-  the CI gate checks (the headline speedups).  (barnes, the figure's
-  other latency-sensitive app, is busy-polling-bound on this simulator
-  -- some core makes progress on most cycles -- so it measures
-  scheduler overhead, not skipping.)
-* ``cilk_fib``  -- fork-join work stealing across 8 cores: mixed
-  compute/steal phases, in between the other two.
+``fig15-hot`` is the Figure 15 radiosity cell (a traditional global
+fence) with the figure's memory-latency axis pushed to 2000 cycles,
+deep into the stall-dominated regime Figure 15's trend points at: the
+dense loop's cost grows linearly with the latency while the event
+engine's stays flat, which is the property the speedup gate checks.
+(barnes, the figure's other latency-sensitive app, is
+busy-polling-bound on this simulator -- some core makes progress on
+most cycles -- so it measures scheduler overhead, not skipping.)
+End-to-end wall time of what users run is the job of the repository
+benchmark (``benchmarks/e2e``), not of this gate.
 
 Timing protocol: both engines are timed ``reps`` times in interleaved
 (dense, event) pairs and the *minimum* wall per engine is reported.  A
@@ -35,20 +27,21 @@ is the standard estimator of the noise floor and is what the speedup
 gate is judged on.
 
 ``python -m repro perf`` drives this module and writes
-``BENCH_simperf.json``; ``--smoke`` shrinks every workload for CI, and
-``--mem-backend mesi,sisd`` adds a per-backend column set per workload.
+``BENCH_simperf.json``; ``--smoke`` shrinks the workload for CI, and
+``--mem-backend mesi,sisd`` adds a column set per backend.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
 from ..sim.config import MEM_BACKENDS, SimConfig
 
-#: headline workload the CI perf gates apply their minimums to
+#: the one timed workload, and the cell the speedup gate applies to
 GATE_WORKLOAD = "fig15-hot"
+DESCRIPTION = "radiosity, global fence, fig15 latency axis at 2000 cycles"
+GATE_MEM_LATENCY = 2000
 
 #: timed repetitions per engine (min wall wins)
 DEFAULT_REPS = 3
@@ -60,111 +53,44 @@ ENGINES = {
 }
 
 
-@dataclass(frozen=True)
-class Workload:
-    """One timed scenario; ``run`` returns (simulated_cycles, fingerprint)."""
+def run_gate_workload(smoke: bool, dense_loop: bool = False,
+                      mem_backend: str = "mesi"):
+    """Simulate ``fig15-hot``; return (simulated_cycles, fingerprint)."""
+    from ..campaign.figures import _app_builders
+    from ..isa.instructions import FenceKind
+    from .speedup import measure
 
-    name: str
-    description: str
-
-    def run(self, smoke: bool, dense_loop: bool = False,
-            mem_backend: str = "mesi"):  # pragma: no cover - dispatch
-        raise NotImplementedError
-
-
-class _LitmusWorkload(Workload):
-    def run(self, smoke: bool, dense_loop: bool = False,
-            mem_backend: str = "mesi"):
-        from ..litmus.corpus import CORPUS
-        from ..litmus.dsl import parse_litmus, run_litmus
-
-        offsets = [0, 3] if smoke else [0, 17, 160]
-        cycles = 0
-        fingerprint = []
-        for entry in CORPUS:
-            test = parse_litmus(entry.source)
-            run = run_litmus(test, offsets=offsets, dense_loop=dense_loop,
-                             mem_backend=mem_backend)
-            cycles += run.total_cycles
-            fingerprint.append(
-                (entry.name, sorted(run.outcomes), run.condition_observed)
-            )
-        return cycles, fingerprint
-
-
-@dataclass(frozen=True)
-class _Fig15Workload(Workload):
-    mem_latency: int = 500
-
-    def run(self, smoke: bool, dense_loop: bool = False,
-            mem_backend: str = "mesi"):
-        from ..analysis.speedup import measure
-        from ..campaign.figures import _app_builders
-        from ..isa.instructions import FenceKind
-
-        scale = 0.25 if smoke else 1.0
-        builder, _native = _app_builders(scale)["radiosity"]
-        cfg = SimConfig(mem_latency=self.mem_latency, dense_loop=dense_loop,
-                        mem_backend=mem_backend)
-        point = measure(
-            lambda env: builder(env, FenceKind.GLOBAL), cfg, label=self.name
-        )
-        return point.cycles, point.stats_summary
-
-
-class _CilkFibWorkload(Workload):
-    def run(self, smoke: bool, dense_loop: bool = False,
-            mem_backend: str = "mesi"):
-        from ..analysis.speedup import measure
-        from ..apps.cilk_fib import build_cilk_fib
-
-        n = 8 if smoke else 11
-        cfg = SimConfig(dense_loop=dense_loop, mem_backend=mem_backend)
-        point = measure(
-            lambda env: build_cilk_fib(env, n=n), cfg, label="cilk_fib"
-        )
-        return point.cycles, point.stats_summary
-
-
-WORKLOADS: dict[str, Workload] = {
-    w.name: w
-    for w in (
-        _LitmusWorkload("litmus", "litmus corpus sweep (many short runs)"),
-        _Fig15Workload(
-            "fig15-500",
-            "radiosity, global fence, 500-cycle memory (the fig15 cell)",
-            mem_latency=500,
-        ),
-        _Fig15Workload(
-            GATE_WORKLOAD,
-            "radiosity, global fence, fig15 latency axis at 2000 cycles",
-            mem_latency=2000,
-        ),
-        _CilkFibWorkload("cilk_fib", "fork-join fib across 8 cores"),
+    scale = 0.25 if smoke else 1.0
+    builder, _native = _app_builders(scale)["radiosity"]
+    cfg = SimConfig(mem_latency=GATE_MEM_LATENCY, dense_loop=dense_loop,
+                    mem_backend=mem_backend)
+    point = measure(
+        lambda env: builder(env, FenceKind.GLOBAL), cfg, label=GATE_WORKLOAD
     )
-}
+    return point.cycles, point.stats_summary
 
 
-def _timed(workload: Workload, engine: str, smoke: bool, mem_backend: str):
+def _timed(engine: str, smoke: bool, mem_backend: str):
     from ..runtime.lang import reset_cids
 
     reset_cids()
     t0 = time.perf_counter()
-    cycles, fingerprint = workload.run(smoke=smoke, mem_backend=mem_backend,
-                                       **ENGINES[engine])
+    cycles, fingerprint = run_gate_workload(smoke=smoke,
+                                            mem_backend=mem_backend,
+                                            **ENGINES[engine])
     wall = time.perf_counter() - t0
     return wall, cycles, fingerprint
 
 
-def _measure_backend(w: Workload, smoke: bool, mem_backend: str, reps: int,
+def _measure_backend(smoke: bool, mem_backend: str, reps: int,
                      progress=None) -> dict:
-    """One (workload, backend) cell: each engine min-of-reps."""
+    """One backend's cell: each engine min-of-reps."""
     walls = {"dense": [], "event": []}
     results = []
     # interleaved rep pairs so OS-level noise drifts hit both engines
     for _ in range(max(1, reps)):
         for engine in walls:
-            wall, cycles, fp = _timed(w, engine, smoke, mem_backend)
+            wall, cycles, fp = _timed(engine, smoke, mem_backend)
             walls[engine].append(wall)
             results.append((cycles, fp))
     dense_cycles = results[0][0]
@@ -182,92 +108,64 @@ def _measure_backend(w: Workload, smoke: bool, mem_backend: str, reps: int,
     }
     if progress is not None:
         progress(
-            f"[perf] {w.name}[{mem_backend}]: dense {cell['dense_wall_s']}s, "
-            f"event {cell['event_wall_s']}s ({cell['event_speedup']}x)"
+            f"[perf] {GATE_WORKLOAD}[{mem_backend}]: dense "
+            f"{cell['dense_wall_s']}s, event {cell['event_wall_s']}s "
+            f"({cell['event_speedup']}x)"
             + ("" if identical else "  ** RESULTS DIVERGED **")
         )
     return cell
 
 
 def run_perf(
-    workloads: list[str] | None = None,
     smoke: bool = False,
     min_speedup: float | None = None,
     progress=None,
     mem_backends: list[str] | tuple[str, ...] | str = ("mesi",),
     reps: int = DEFAULT_REPS,
 ) -> dict:
-    """Time every requested workload under both engines.
+    """Time :data:`GATE_WORKLOAD` under both engines on every backend.
 
-    The report is JSON-ready.  Each workload carries a per-backend
-    column set plus its own ``gate`` verdict: the ``identical``
-    cross-check applies to every workload, and the :data:`GATE_WORKLOAD`
-    additionally enforces ``min_speedup`` (event vs dense) on the
-    primary backend.
-    ``ok`` is False -- and ``failures`` names every offender -- if any
-    per-workload gate fails.
+    The report is JSON-ready: a column set per backend, the primary
+    (first listed) backend's columns flattened to the top level, and a
+    ``gate`` verdict.  The ``identical`` cross-check applies to every
+    backend; ``min_speedup`` (event vs dense) applies to the primary
+    backend.  ``ok`` is False if the gate fails.
     """
-    names = list(WORKLOADS) if workloads is None else list(workloads)
-    for name in names:
-        if name not in WORKLOADS:
-            raise KeyError(f"unknown perf workload {name!r} (have {sorted(WORKLOADS)})")
     if isinstance(mem_backends, str):
         mem_backends = [b.strip() for b in mem_backends.split(",") if b.strip()]
     backends = list(mem_backends) or ["mesi"]
     for b in backends:
         if b not in MEM_BACKENDS:
             raise KeyError(f"unknown mem backend {b!r} (have {list(MEM_BACKENDS)})")
-    primary = backends[0]
 
+    cells = {}
+    for backend in backends:
+        if progress is not None:
+            progress(f"[perf] {GATE_WORKLOAD}[{backend}] ...")
+        cells[backend] = _measure_backend(smoke, backend, reps, progress)
     report: dict = {"smoke": smoke, "reps": reps, "mem_backends": backends,
-                    "workloads": {}, "failures": [], "ok": True}
-    for name in names:
-        w = WORKLOADS[name]
-        cells = {}
-        for backend in backends:
-            if progress is not None:
-                progress(f"[perf] {name}[{backend}] ...")
-            cells[backend] = _measure_backend(w, smoke, backend, reps,
-                                              progress)
-        entry = {"description": w.description, "backends": cells}
-        # primary-backend columns flattened for table/CI consumers
-        entry.update(cells[primary])
-        gate = {"identical": all(c["identical"] for c in cells.values())}
-        gate["passed"] = gate["identical"]
-        if name == GATE_WORKLOAD and min_speedup is not None:
-            gate["min_speedup"] = min_speedup
-            gate["speedup"] = entry["event_speedup"]
-            gate["passed"] = gate["passed"] and bool(
-                entry["event_speedup"] is not None
-                and entry["event_speedup"] >= min_speedup
-            )
-        entry["gate"] = gate
-        report["workloads"][name] = entry
-        if not gate["passed"]:
-            report["failures"].append(name)
-            report["ok"] = False
-
-    # headline gate summary (kept for CI log one-liners): records a skip
-    # when the gate workload was not part of the requested subset
+                    "workload": GATE_WORKLOAD, "description": DESCRIPTION,
+                    "backends": cells}
+    report.update(cells[backends[0]])
+    gate = {"workload": GATE_WORKLOAD,
+            "identical": all(c["identical"] for c in cells.values())}
+    gate["passed"] = gate["identical"]
     if min_speedup is not None:
-        gate_entry = report["workloads"].get(GATE_WORKLOAD)
-        if gate_entry is None:
-            report["gate"] = {"workload": GATE_WORKLOAD,
-                              "min_speedup": min_speedup,
-                              "skipped": True}
-        else:
-            report["gate"] = dict(gate_entry["gate"], workload=GATE_WORKLOAD)
+        gate["min_speedup"] = min_speedup
+        gate["speedup"] = report["event_speedup"]
+        gate["passed"] = gate["passed"] and bool(
+            gate["speedup"] is not None and gate["speedup"] >= min_speedup
+        )
+    report["gate"] = gate
+    report["ok"] = gate["passed"]
     return report
 
 
 def divergent_cells(report: dict) -> list[str]:
     """Every ``workload[backend]`` whose identical cross-check failed."""
-    out = []
-    for name, entry in report["workloads"].items():
-        for backend, cell in entry["backends"].items():
-            if not cell["identical"]:
-                out.append(f"{name}[{backend}]")
-    return out
+    return [f"{GATE_WORKLOAD}[{backend}]"
+            for backend, cell in report["backends"].items()
+            if not cell["identical"]]
 
 
 def write_report(report: dict, path: str) -> None:

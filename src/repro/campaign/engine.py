@@ -29,32 +29,23 @@ inline (``parallel=0``) or on a pool of worker *processes*
   simulations re-execute; an interrupted campaign continues from
   wherever its manifest left off.
 
-Two pool implementations share that contract:
-
-* The default **persistent pool** forks each of the ``parallel``
-  workers once per campaign.  Workers pull *chunks* of jobs (size-aware
-  chunking via :func:`repro.campaign.jobs.job_cost`: many tiny
-  litmus/verify cells batch together, long chaos rungs stay solo),
-  stream per-job results and heartbeats back over their pipe, and keep
-  warm state between jobs -- the source-tree fingerprint computed once
-  in the parent and installed into each worker
-  (:func:`repro.campaign.cache.set_process_fingerprint`), memoised
-  parse/exploration products and figure points keyed by job parameters
-  (jobs sharing a figure point travel in one chunk, see
-  :func:`plan_chunks`), and a quiesced garbage collector (the inherited
-  module heap is frozen out of collection traversal, which also keeps
-  forked pages copy-on-write clean).  Completed results are flushed to the cache one manifest
-  append + fsync per *chunk* instead of per job.  A worker that dies
-  mid-chunk is respawned; only its in-flight job is classified
-  ``worker-crash`` and the unstarted remainder of the chunk is
-  re-queued at the front of the queue.
-* The legacy **fork-per-job pool** (``fork_per_job=True``, CLI
-  ``--fork-per-job``) spawns one process per job, at most ``parallel``
-  alive at once.  It is kept as the throughput-regression baseline --
-  ``python -m repro perf --campaign`` races the two pools and fails if
-  the persistent pool stops beating it -- and as a maximally isolated
-  escape hatch.  It shares the retry policy, but not the degradation
-  ladder (its blast radius is already one job per process).
+Parallel campaigns run on a **persistent pool** that forks each of the
+``parallel`` workers once per campaign.  Workers pull *chunks* of jobs
+(size-aware chunking via :func:`repro.campaign.jobs.job_cost`: many
+tiny litmus/verify cells batch together, long chaos rungs stay solo),
+stream per-job results and heartbeats back over their pipe, and keep
+warm state between jobs -- the source-tree fingerprint computed once
+in the parent and installed into each worker
+(:func:`repro.campaign.cache.set_process_fingerprint`), memoised
+parse/exploration products and figure points keyed by job parameters
+(jobs sharing a figure point travel in one chunk, see
+:func:`plan_chunks`), and a quiesced garbage collector (the inherited
+module heap is frozen out of collection traversal, which also keeps
+forked pages copy-on-write clean).  Completed results are flushed to
+the cache one manifest append + fsync per *chunk* instead of per job.
+A worker that dies mid-chunk is respawned; only its in-flight job is
+classified ``worker-crash`` and the unstarted remainder of the chunk is
+re-queued at the front of the queue.
 
 Workers are forked (POSIX) so they inherit the loaded simulator modules
 instead of re-importing them; the spawn fallback keeps the engine
@@ -251,7 +242,8 @@ def plan_chunks(
 
 # ------------------------------------------------------------- worker bodies
 def _worker_entry(conn, job: Job) -> None:
-    """Fork-per-job worker body: run one job, ship the payload back."""
+    """Single-shot worker body (serial fallback): run one job, ship the
+    payload back."""
     try:
         result = execute_job(job, heartbeat=lambda: conn.send(("heartbeat",)))
         conn.send(("done", STATUS_OK, result))
@@ -342,7 +334,6 @@ def run_campaign(
     cache: ResultCache | None = None,
     progress=None,
     job_timeout: float = DEFAULT_JOB_TIMEOUT,
-    fork_per_job: bool = False,
     chunk_cost: float | None = None,
     retry: RetryPolicy | None = None,
     infra: InfraFaultPlan | None = None,
@@ -353,8 +344,7 @@ def run_campaign(
 
     ``parallel=0`` runs inline in this process (still cache-aware and
     still per-job isolated from lazy global state); ``parallel>=1``
-    uses that many worker processes -- persistent chunk-pulling workers
-    by default, one process per job with ``fork_per_job=True``.
+    uses that many persistent chunk-pulling worker processes.
     ``progress(outcome, done, total)`` is invoked once per job as it
     completes (cache hits first, then executions in *completion* order
     -- the returned list is always in submission order regardless).
@@ -405,11 +395,6 @@ def run_campaign(
             if cache is not None:
                 cache.put(job, outcome.status, outcome.result)
             finish(i, outcome)
-        return campaign
-
-    if fork_per_job:
-        _run_fork_per_job(jobs, pending, parallel, cache, finish, job_timeout,
-                          retry, on_event)
         return campaign
 
     if ladder is None:
@@ -748,110 +733,3 @@ def _run_serial_fallback(jobs, indices, cache, finish, attempts,
             finish(index, JobOutcome(job, status, None, error=str(payload),
                                      attempts=tuple(history)))
 
-
-# ---------------------------------------------------- legacy fork-per-job pool
-class _ActiveWorker:
-    __slots__ = ("index", "process", "conn", "deadline", "timeout")
-
-    def __init__(self, index, process, conn, timeout):
-        self.index = index
-        self.process = process
-        self.conn = conn
-        self.timeout = timeout
-        self.deadline = time.monotonic() + timeout
-
-    def beat(self) -> None:
-        self.deadline = time.monotonic() + self.timeout
-
-
-def _run_fork_per_job(jobs, pending, parallel, cache, finish, job_timeout,
-                      retry, on_event) -> None:
-    ctx = _mp_context()
-    queue = deque(pending)
-    active: dict[object, _ActiveWorker] = {}
-    attempts: dict[int, list[str]] = {}
-    retry_at: list[tuple[float, int]] = []  # heap of (ready time, index)
-
-    def settle_ok(index: int, payload) -> None:
-        if cache is not None:
-            cache.put(jobs[index], STATUS_OK, payload)
-        finish(index, JobOutcome(jobs[index], STATUS_OK, payload,
-                                 attempts=tuple(attempts.get(index, ()))))
-
-    def settle_failure(index: int, status: str, error: str) -> None:
-        history = attempts.setdefault(index, [])
-        if len(history) < retry.retries_for(status):
-            history.append(status)
-            delay = retry.delay(index, len(history) - 1)
-            heappush(retry_at, (time.monotonic() + delay, index))
-            if on_event is not None:
-                on_event("retry", f"{jobs[index].label()}: {status}; retry "
-                                  f"{len(history)}/{retry.retries} "
-                                  f"in {delay:.2f}s")
-            return
-        finish(index, JobOutcome(jobs[index], status, None, error=error,
-                                 attempts=tuple(history)))
-
-    def reap(worker: _ActiveWorker, kill: bool, status: str, error: str) -> None:
-        if kill:
-            worker.process.terminate()
-        worker.process.join()
-        worker.conn.close()
-        del active[worker.conn]
-        settle_failure(worker.index, status, error)
-
-    while queue or active or retry_at:
-        now = time.monotonic()
-        while retry_at and retry_at[0][0] <= now:
-            queue.append(heappop(retry_at)[1])
-        while queue and len(active) < parallel:
-            index = queue.popleft()
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker_entry, args=(child_conn, jobs[index]),
-                               daemon=True)
-            proc.start()
-            child_conn.close()
-            active[parent_conn] = _ActiveWorker(index, proc, parent_conn, job_timeout)
-
-        if not active:
-            # nothing running: sleep out the earliest retry backoff
-            if retry_at:
-                time.sleep(max(0.0, retry_at[0][0] - time.monotonic()))
-            continue
-
-        now = time.monotonic()
-        waits = [w.deadline - now for w in active.values()]
-        if retry_at:
-            waits.append(retry_at[0][0] - now)
-        wait_for = max(0.01, min(waits))
-        ready = _conn_wait(list(active), timeout=wait_for)
-
-        for conn in ready:
-            worker = active[conn]
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                # pipe closed without a "done": the worker died mid-job
-                worker.process.join()
-                code = worker.process.exitcode
-                conn.close()
-                del active[conn]
-                settle_failure(worker.index, STATUS_CRASH,
-                               f"worker exited with code {code} before reporting")
-                continue
-            if message[0] == "heartbeat":
-                worker.beat()
-                continue
-            _tag, status, payload = message
-            worker.process.join()
-            conn.close()
-            del active[conn]
-            if status == STATUS_OK:
-                settle_ok(worker.index, payload)
-            else:
-                settle_failure(worker.index, status, str(payload))
-
-        now = time.monotonic()
-        for worker in [w for w in active.values() if w.deadline <= now]:
-            reap(worker, kill=True, status=STATUS_TIMEOUT,
-                 error=f"no progress for {worker.timeout:.0f}s; worker killed")

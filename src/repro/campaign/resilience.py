@@ -32,6 +32,8 @@ contract and the harness that proves it:
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from random import Random
 
@@ -144,6 +146,23 @@ def resilience_jobs(smoke: bool = False) -> list:
     return jobs
 
 
+def outcome_fingerprint(campaign) -> str:
+    """SHA-256 over every outcome's status + payload, submission order.
+
+    Cache-service flags and error tracebacks are excluded -- they
+    describe *how* a job ran, not what it computed -- so the same
+    digest must come out inline or at any worker count, cold or warm.
+    """
+    digest = hashlib.sha256()
+    for outcome in campaign.outcomes:
+        digest.update(json.dumps(
+            [outcome.status, outcome.result],
+            sort_keys=True, separators=(",", ":"),
+        ).encode())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def run_resilience_differential(
     seed: int,
     parallel: int = 2,
@@ -173,7 +192,6 @@ def run_resilience_differential(
     """
     import tempfile
 
-    from ..analysis.campthru import outcome_fingerprint
     from .cache import ResultCache
     from .chaosinfra import sabotage_cache, scripted_plan
     from .engine import run_campaign

@@ -225,14 +225,14 @@ def test_submission_order_determinism_across_worker_counts():
         assert chunked.results() == baseline.results()
 
 
-def test_persistent_and_fork_per_job_pools_agree(tmp_path):
+def test_persistent_pool_and_inline_agree_on_chaos(tmp_path):
+    """Chaos jobs heartbeat from inside the worker; the pooled results
+    must still equal the in-process ones."""
     jobs = chaos_jobs(**SMALL)
-    persistent = run_campaign(jobs, parallel=2,
-                              cache=ResultCache(tmp_path / "a"))
-    legacy = run_campaign(jobs, parallel=2, fork_per_job=True,
-                          cache=ResultCache(tmp_path / "b"))
-    assert persistent.results() == legacy.results()
-    assert persistent.ok and legacy.ok
+    inline = run_campaign(jobs, parallel=0)
+    pooled = run_campaign(jobs, parallel=2, cache=ResultCache(tmp_path))
+    assert pooled.results() == inline.results()
+    assert pooled.ok and inline.ok
 
 
 # ------------------------------------------------- fingerprints + batched cache

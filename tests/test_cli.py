@@ -190,8 +190,7 @@ def test_parallel_accepts_auto_and_counts(monkeypatch, capsys):
     assert main(["campaign", "--litmus", "--no-cache",
                  "--parallel", "auto"]) == 0
     capsys.readouterr()
-    assert main(["campaign", "--litmus", "--no-cache", "--parallel", "2",
-                 "--fork-per-job"]) == 0
+    assert main(["campaign", "--litmus", "--no-cache", "--parallel", "2"]) == 0
     assert "ok" in capsys.readouterr().out
 
 
@@ -210,43 +209,6 @@ def test_implicit_auto_parallel_never_creates_cache_dir(monkeypatch, tmp_path,
     assert not (tmp_path / ".campaign-cache").exists()
     assert main(["campaign", "--litmus", "--parallel", "1"]) == 0
     assert (tmp_path / ".campaign-cache").exists()
-
-
-def test_perf_campaign_writes_gated_report(monkeypatch, tmp_path, capsys):
-    from repro.analysis import campthru
-    from repro.campaign import Job
-
-    monkeypatch.setattr(campthru, "_sweep_jobs", lambda smoke: {
-        campthru.GATE_SWEEP: [
-            Job("selftest", {"mode": "ok", "echo": i}) for i in range(3)
-        ],
-    })
-    out_path = tmp_path / "BENCH_campaign.json"
-    assert main(["perf", "--campaign", "--smoke",
-                 "--campaign-out", str(out_path),
-                 "--min-jobs-ratio", "0"]) == 0
-    captured = capsys.readouterr()
-    assert "campaign throughput" in captured.out
-    assert "report written" in captured.err
-    report = json.loads(out_path.read_text())
-    assert report["ok"] is True
-    assert report["gate"]["passed"] is True
-    assert report["sweeps"][campthru.GATE_SWEEP]["identical"] is True
-
-
-def test_perf_campaign_gate_failure_exits_nonzero(monkeypatch, tmp_path,
-                                                  capsys):
-    from repro.analysis import campthru
-    from repro.campaign import Job
-
-    monkeypatch.setattr(campthru, "_sweep_jobs", lambda smoke: {
-        campthru.GATE_SWEEP: [Job("selftest", {"mode": "ok"})],
-    })
-    out_path = tmp_path / "BENCH_campaign.json"
-    assert main(["perf", "--campaign", "--smoke",
-                 "--campaign-out", str(out_path),
-                 "--min-jobs-ratio", "1e9"]) == 1
-    assert "cold speedup" in capsys.readouterr().err
 
 
 def test_fig14_command_small(capsys):

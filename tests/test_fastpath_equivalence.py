@@ -11,7 +11,9 @@ cycles), chaos fault-injection decisions, and litmus outcome sets.
 
 Coverage: the whole litmus corpus, seeded fuzz programs (the same
 generator the differential fuzzer uses), a lock-free workload, and
-chaos-fault scenarios -- each at two simulated core counts -- plus
+chaos-fault scenarios -- each at two simulated core counts -- the
+litmus corpus, cilk fib and a Fig. 15 cell on both coherence
+backends, plus
 directed tests for the wake-up contract's edge cases (zero-latency
 memory, a core that never wakes, and wake-source coincidence).
 
@@ -399,6 +401,50 @@ def test_zero_latency_serialize_and_flagged_lanes(monkeypatch, backend):
     assert ([dataclasses.asdict(c) for c in got.stats.cores]
             == [dataclasses.asdict(c) for c in dense.stats.cores])
     assert _memory_sha(sim.memory) == _memory_sha(dense.memory)
+
+
+# ------------------------------------------------------ perf smoke workloads
+def _litmus_sweep(engine: str, mem_backend: str) -> dict:
+    """The litmus corpus over a two-offset grid: many short runs."""
+    runs = {}
+    for entry in CORPUS:
+        run = run_litmus(parse_litmus(entry.source), offsets=[0, 3],
+                         mem_backend=mem_backend, **ENGINES[engine])
+        runs[entry.name] = (run.total_cycles, sorted(run.outcomes),
+                            run.condition_observed)
+    return runs
+
+
+def _cilk_fib(engine: str, mem_backend: str) -> dict:
+    """Fork-join fib(8) work stealing across 8 cores."""
+    from repro.apps.cilk_fib import build_cilk_fib
+
+    return _run_unmonitored(lambda env: build_cilk_fib(env, n=8), engine,
+                            mem_backend=mem_backend)
+
+
+def _fig15_500(engine: str, mem_backend: str) -> dict:
+    """The Fig. 15 radiosity cell: global fence, 500-cycle memory."""
+    builder, _native = _app_builders(0.25)["radiosity"]
+    return _run_unmonitored(lambda env: builder(env, FenceKind.GLOBAL),
+                            engine, mem_latency=500, mem_backend=mem_backend)
+
+
+SMOKE_WORKLOADS = {
+    "litmus": _litmus_sweep,
+    "cilk_fib": _cilk_fib,
+    "fig15-500": _fig15_500,
+}
+
+
+@pytest.mark.parametrize("backend", ["mesi", "sisd"])
+@pytest.mark.parametrize("workload", sorted(SMOKE_WORKLOADS))
+def test_smoke_workload_equivalence(workload, backend):
+    """The mixed compute/steal (cilk_fib), overhead-bound (litmus) and
+    mixed-latency (fig15-500) regimes, on both coherence backends."""
+    run = SMOKE_WORKLOADS[workload]
+    dense = run("dense", backend)
+    _assert_identical(dense, run("event", backend), "event")
 
 
 # ------------------------------------------------------ completion checks

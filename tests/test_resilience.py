@@ -7,6 +7,7 @@ import pytest
 
 from repro.campaign import (
     DegradationLadder,
+    InfraFaultPlan,
     Job,
     NO_RETRY,
     RetryPolicy,
@@ -17,7 +18,10 @@ from repro.campaign import (
     TRANSIENT_STATUSES,
     run_campaign,
 )
-from repro.campaign.resilience import run_resilience_differential
+from repro.campaign.resilience import (
+    outcome_fingerprint,
+    run_resilience_differential,
+)
 
 FAST_RETRY = RetryPolicy(retries=2, backoff_base=0.01, backoff_cap=0.05)
 
@@ -143,14 +147,43 @@ def test_retry_events_are_reported():
     assert "worker-crash" in retries[0] and "retry 1/1" in retries[0]
 
 
-def test_fork_per_job_pool_retries_too(tmp_path):
-    jobs = ok_jobs(1) + [
-        Job("selftest", {"mode": "crash-once", "marker": str(tmp_path / "m")}),
-    ]
-    campaign = run_campaign(jobs, parallel=2, fork_per_job=True,
-                            retry=FAST_RETRY)
-    assert campaign.ok
-    assert campaign.outcomes[1].attempts == (STATUS_CRASH,)
+# ------------------------------------------------------ poisoned-chunk backstop
+def test_poisoned_chunk_backstop_caps_requeues():
+    """A chunk whose delivery kills the worker before any job starts is
+    re-queued a bounded number of times, then classified -- the pool
+    must not respawn-loop forever."""
+    plan = InfraFaultPlan(receive_kills=((0, 0),))
+    jobs = ok_jobs(4)
+    campaign = run_campaign(jobs, parallel=1, chunk_cost=1e9, infra=plan,
+                            retry=NO_RETRY,
+                            ladder=DegradationLadder(target=1, enabled=False))
+    # with retries disabled every job in the poisoned chunk is charged
+    assert all(o.status == STATUS_CRASH for o in campaign.outcomes)
+    assert all("chunk re-queued" in o.error for o in campaign.outcomes)
+
+
+def test_poisoned_chunk_progress_resets_the_backstop():
+    """A crash *after* progress (a started job) resets the re-queue
+    count: only the in-flight job is charged, the rest complete."""
+    plan = InfraFaultPlan(kills=((1, 0),))
+    jobs = ok_jobs(4)
+    campaign = run_campaign(jobs, parallel=1, chunk_cost=1e9, infra=plan,
+                            retry=NO_RETRY,
+                            ladder=DegradationLadder(target=1, enabled=False))
+    statuses = [o.status for o in campaign.outcomes]
+    assert statuses == [STATUS_OK, STATUS_CRASH, STATUS_OK, STATUS_OK]
+
+
+# -------------------------------------------------------- outcome fingerprint
+def test_outcome_fingerprint_tracks_payloads_not_cache_flags():
+    jobs = ok_jobs(3)
+    a = outcome_fingerprint(run_campaign(jobs, parallel=0))
+    b = outcome_fingerprint(run_campaign(jobs, parallel=2))
+    assert a == b
+    other = outcome_fingerprint(
+        run_campaign(jobs[:2] + [Job("selftest", {"mode": "error"})],
+                     parallel=0))
+    assert other != a
 
 
 # ------------------------------------------------------------ serial fallback
