@@ -56,9 +56,9 @@ memoisation.  Parallelism and caching never change any number in
 any table — only how fast it appears.  The
 figure commands are thin wrappers over the same cell drivers the
 pytest-benchmark targets use; ``--scale`` shrinks or grows workloads.
-``--dense-loop`` runs any command on the per-cycle reference engine
-instead of the event-driven scheduler — an escape hatch that changes
-wall-clock time and nothing else.  ``--mem-backend`` picks the
+Simulations run on the event-driven engine; the per-cycle reference
+loop is the oracle of ``verify --engines dense`` and the ``perf``
+gate.  ``--mem-backend`` picks the
 coherence backend timing model (``mesi`` invalidation-based directory
 coherence, the default, or ``sisd`` self-invalidation/self-downgrade);
 ``verify`` and ``perf`` accept a comma-separated list and sweep every
@@ -202,26 +202,43 @@ def _run_jobs(jobs, ns, label: str):
     return result
 
 
-def cmd_figure(figure: str, ns) -> int:
+def _run_figures(ns, figures: list[str], backend: str, label: str) -> int:
+    """Run the figures' cells as one campaign and print each table.
+
+    One campaign for every requested figure, so cells shared across
+    figures (the default-machine runs) simulate once.  The figbackend
+    report is written only when every one of its cells is ok.
+    """
     from .campaign import assemble_figure, figure_jobs
 
-    backend = _single_backend(ns)
-    if backend is None:
-        return 2
-    jobs = figure_jobs(figure, ns.scale, dense_loop=ns.dense_loop,
-                       mem_backend=backend)
-    result = _run_jobs(jobs, ns, figure)
-    print(assemble_figure(figure, jobs, result.results()))
-    if figure == "figbackend":
-        from .campaign import backend_compare_report, write_backend_compare_report
+    per_figure = {
+        figure: figure_jobs(figure, ns.scale, mem_backend=backend)
+        for figure in figures
+    }
+    result = _run_jobs([j for jobs in per_figure.values() for j in jobs],
+                       ns, label)
+    outcomes = iter(result.outcomes)
+    for figure, jobs in per_figure.items():
+        mine = [next(outcomes) for _ in jobs]
+        results = [o.result for o in mine]
+        print(assemble_figure(figure, jobs, results))
+        if figure == "figbackend" and all(o.ok for o in mine):
+            from .campaign import backend_compare_report, write_backend_compare_report
 
-        report = backend_compare_report(jobs, result.results())
-        write_backend_compare_report(report, ns.backend_out)
-        print(f"report written to {ns.backend_out}", file=sys.stderr)
+            report = backend_compare_report(jobs, results)
+            write_backend_compare_report(report, ns.backend_out)
+            print(f"report written to {ns.backend_out}", file=sys.stderr)
     for outcome in result.failures:
         print(f"\nFAIL {outcome.job.label()}: {outcome.status}\n{outcome.error}",
               file=sys.stderr)
     return 0 if result.ok else 1
+
+
+def cmd_figure(figure: str, ns) -> int:
+    backend = _single_backend(ns)
+    if backend is None:
+        return 2
+    return _run_figures(ns, [figure], backend, figure)
 
 
 def cmd_hwcost(ns) -> int:
@@ -241,8 +258,7 @@ def cmd_hwcost(ns) -> int:
     return 0
 
 
-def cmd_litmus(path: str, model_name: str, dense_loop: bool = False,
-               mem_backend: str = "mesi") -> int:
+def cmd_litmus(path: str, model_name: str, mem_backend: str = "mesi") -> int:
     from .litmus.dsl import LitmusParseError, parse_litmus, run_litmus
 
     try:
@@ -255,8 +271,7 @@ def cmd_litmus(path: str, model_name: str, dense_loop: bool = False,
         # statement parsing is partly lazy (thread bodies are parsed as
         # the guest generators execute), so run under the same guard
         test = parse_litmus(source)
-        run = run_litmus(test, MemoryModel(model_name), dense_loop=dense_loop,
-                         mem_backend=mem_backend)
+        run = run_litmus(test, MemoryModel(model_name), mem_backend=mem_backend)
     except LitmusParseError as exc:
         print(f"litmus: {path}: {exc}", file=sys.stderr)
         return 2
@@ -284,7 +299,7 @@ def _resolve_chaos_seeds(ns) -> tuple[int, bool]:
 
 def _print_chaos_summary(reports, n_seeds: int, seed_base: int,
                          truncated: bool) -> int:
-    """Aggregate table + exit-status summary shared by both chaos paths."""
+    """Aggregate table + exit-status summary of one chaos sweep."""
     from .chaos.runner import ALGORITHMS, SCENARIOS
 
     scenarios = [s for s in SCENARIOS if any(r.scenario == s for r in reports)]
@@ -332,12 +347,29 @@ def _print_chaos_summary(reports, n_seeds: int, seed_base: int,
     return 0
 
 
-def _chaos_reports_from_outcomes(outcomes):
-    """ChaosReports from campaign outcomes (engine failures included)."""
+def _run_chaos(ns, backend: str, label: str) -> int:
+    """Run the chaos cross product as campaign jobs and summarise it.
+
+    Returns the summary's exit status, or 2 on an unknown algorithm or
+    scenario.  Engine failures (worker crash/timeout) become failed
+    reports, so they print ``FAIL`` lines like failed cases do.
+    """
+    from .campaign import chaos_jobs
     from .chaos.runner import ChaosReport
 
+    algos = ns.algos.split(",") if ns.algos else None
+    scenarios = ns.scenarios.split(",") if ns.scenarios else None
+    n_seeds, truncated = _resolve_chaos_seeds(ns)
+    try:
+        jobs = chaos_jobs(algos=algos, scenarios=scenarios, n_seeds=n_seeds,
+                          seed_base=ns.seed_base, base_budget=ns.budget,
+                          mem_backend=backend)
+    except KeyError as exc:
+        print(f"{ns.command}: {exc.args[0]}", file=sys.stderr)
+        return 2
+    result = _run_jobs(jobs, ns, label)
     reports = []
-    for outcome in outcomes:
+    for outcome in result.outcomes:
         if outcome.ok:
             reports.append(ChaosReport(**outcome.result))
         else:
@@ -346,40 +378,14 @@ def _chaos_reports_from_outcomes(outcomes):
                 algo=p["algo"], scenario=p["scenario"], seed=p["seed"],
                 scope="?", status=outcome.status, detail=outcome.error,
             ))
-    return reports
+    return _print_chaos_summary(reports, n_seeds, ns.seed_base, truncated)
 
 
 def cmd_chaos(ns) -> int:
-    from .chaos.runner import sweep
-
-    algos = ns.algos.split(",") if ns.algos else None
-    scenarios = ns.scenarios.split(",") if ns.scenarios else None
-    n_seeds, truncated = _resolve_chaos_seeds(ns)
     backend = _single_backend(ns)
     if backend is None:
         return 2
-
-    try:
-        if ns.parallel > 0:
-            from .campaign import chaos_jobs
-
-            jobs = chaos_jobs(
-                algos=algos, scenarios=scenarios, n_seeds=n_seeds,
-                seed_base=ns.seed_base, base_budget=ns.budget,
-                dense_loop=ns.dense_loop, mem_backend=backend,
-            )
-            result = _run_jobs(jobs, ns, "chaos")
-            reports = _chaos_reports_from_outcomes(result.outcomes)
-        else:
-            reports = sweep(
-                algos=algos, scenarios=scenarios, n_seeds=n_seeds,
-                seed_base=ns.seed_base, base_budget=ns.budget,
-                dense_loop=ns.dense_loop, mem_backend=backend,
-            )
-    except KeyError as exc:
-        print(f"chaos: {exc.args[0]}", file=sys.stderr)
-        return 2
-    return _print_chaos_summary(reports, n_seeds, ns.seed_base, truncated)
+    return _run_chaos(ns, backend, "chaos")
 
 
 # ---------------------------------------------------------------------- verify
@@ -611,13 +617,7 @@ def cmd_campaign_resilience(ns) -> int:
 
 def cmd_campaign(ns) -> int:
     """Run the selected job sets on the engine, cached and resumable."""
-    from .campaign import (
-        FIGURES,
-        assemble_figure,
-        chaos_jobs,
-        figure_jobs,
-        litmus_jobs,
-    )
+    from .campaign import FIGURES, litmus_jobs
 
     backend = _single_backend(ns)
     if backend is None:
@@ -634,51 +634,15 @@ def cmd_campaign(ns) -> int:
 
     status = 0
     if run_chaos:
-        algos = ns.algos.split(",") if ns.algos else None
-        scenarios = ns.scenarios.split(",") if ns.scenarios else None
-        n_seeds, truncated = _resolve_chaos_seeds(ns)
-        try:
-            jobs = chaos_jobs(algos=algos, scenarios=scenarios, n_seeds=n_seeds,
-                              seed_base=ns.seed_base, base_budget=ns.budget,
-                              dense_loop=ns.dense_loop, mem_backend=backend)
-        except KeyError as exc:
-            print(f"campaign: {exc.args[0]}", file=sys.stderr)
+        chaos_status = _run_chaos(ns, backend, "campaign/chaos")
+        if chaos_status == 2:
             return 2
-        result = _run_jobs(jobs, ns, "campaign/chaos")
-        reports = _chaos_reports_from_outcomes(result.outcomes)
-        status |= _print_chaos_summary(reports, n_seeds, ns.seed_base, truncated)
-
+        status |= chaos_status
     if figures:
-        # one campaign for every requested figure, so cells shared across
-        # figures (the default-machine runs) simulate once
-        per_figure = {
-            figure: figure_jobs(figure, ns.scale, dense_loop=ns.dense_loop,
-                                mem_backend=backend)
-            for figure in figures
-        }
-        result = _run_jobs([j for jobs in per_figure.values() for j in jobs],
-                           ns, "campaign/figures")
-        outcomes = iter(result.outcomes)
-        for figure, jobs in per_figure.items():
-            mine = [next(outcomes) for _ in jobs]
-            results = [o.result for o in mine]
-            print(assemble_figure(figure, jobs, results))
-            ok = all(o.ok for o in mine)
-            if figure == "figbackend" and ok:
-                from .campaign import (
-                    backend_compare_report,
-                    write_backend_compare_report,
-                )
-
-                report = backend_compare_report(jobs, results)
-                write_backend_compare_report(report, ns.backend_out)
-                print(f"report written to {ns.backend_out}", file=sys.stderr)
-            if not ok:
-                status |= 1
+        status |= _run_figures(ns, figures, backend, "campaign/figures")
 
     if ns.litmus:
-        jobs = litmus_jobs(model=ns.model, dense_loop=ns.dense_loop,
-                           mem_backend=backend)
+        jobs = litmus_jobs(model=ns.model, mem_backend=backend)
         result = _run_jobs(jobs, ns, "campaign/litmus")
         rows = []
         mismatches = []
@@ -716,10 +680,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("args", nargs="*", help="litmus: <file>")
     parser.add_argument("--scale", type=float, default=1.0, help="workload scale factor")
     parser.add_argument("--model", default="rmo", help="litmus: memory model (sc/tso/pso/rmo)")
-    parser.add_argument("--dense-loop", action="store_true",
-                        help="run simulations on the per-cycle reference engine "
-                             "instead of the event-driven fast path (identical "
-                             "results, slower)")
     parser.add_argument("--mem-backend", default="mesi",
                         help="coherence backend timing model (mesi/sisd) "
                              "[mesi]; verify and perf accept a "
@@ -844,8 +804,7 @@ def main(argv: list[str] | None = None) -> int:
         backend = _single_backend(ns)
         if backend is None:
             return 2
-        return cmd_litmus(ns.args[0], ns.model, dense_loop=ns.dense_loop,
-                          mem_backend=backend)
+        return cmd_litmus(ns.args[0], ns.model, mem_backend=backend)
     if ns.command == "chaos":
         return cmd_chaos(ns)
     if ns.command == "campaign":

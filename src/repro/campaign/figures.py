@@ -103,7 +103,6 @@ def _fig14_builders(scale: float):
 def figure_jobs(
     figure: str,
     scale: float = 1.0,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> list[Job]:
     """All cell jobs of one figure, in serial loop order.
@@ -113,8 +112,7 @@ def figure_jobs(
     result-cache key.  ``figbackend`` ignores it: that figure's whole
     point is a per-cell backend axis (:data:`_BACKEND_CONFIGS`).
     """
-    common = {"figure": figure, "scale": scale, "dense_loop": dense_loop,
-              "mem_backend": mem_backend}
+    common = {"figure": figure, "scale": scale, "mem_backend": mem_backend}
     if figure == "figbackend":
         common.pop("mem_backend")
         return [
@@ -198,8 +196,7 @@ def cell_key(params: dict) -> tuple | None:
     if figure not in _APP_FIGURES:
         return None
     _builder, native = _app_builders(params["scale"])[params["app"]]
-    fields = {"dense_loop": params.get("dense_loop", False),
-              "mem_backend": params.get("mem_backend", "mesi")}
+    fields = {"mem_backend": params.get("mem_backend", "mesi")}
     if figure == "figbackend":
         fields["mem_backend"] = params["backend"]
     elif figure == "fig13":
@@ -243,8 +240,7 @@ def run_figure_cell(params: dict) -> dict:
         point = dict(zip(_FULL_POINT, _app_point(key)))
         return {name: point[name] for name in _PAYLOAD_FIELDS[figure]}
     scale = params["scale"]
-    cfg = SimConfig(dense_loop=params.get("dense_loop", False),
-                    mem_backend=params.get("mem_backend", "mesi"))
+    cfg = SimConfig(mem_backend=params.get("mem_backend", "mesi"))
     if figure == "fig12":
         build = _fig12_builders(scale)[params["bench"]]
         env = Env(cfg.with_(scoped_fences=params["scoped"]))
@@ -266,7 +262,7 @@ def _cell_map(jobs: list[Job], results: list[dict | None]) -> dict[tuple, dict |
     for job, result in zip(jobs, results):
         key = tuple(sorted(
             (k, v) for k, v in job.params.items()
-            if k not in ("figure", "scale", "dense_loop", "mem_backend")
+            if k not in ("figure", "scale", "mem_backend")
         ))
         out[key] = result
     return out
@@ -393,7 +389,6 @@ def backend_compare_report(jobs: list[Job], results: list[dict | None]) -> dict:
     cache reproduces it byte-identically.
     """
     scale = jobs[0].params["scale"] if jobs else 1.0
-    dense = bool(jobs[0].params.get("dense_loop", False)) if jobs else False
     cells = _cell_map(jobs, results)
     apps: dict[str, dict] = {}
     for app in _app_builders(scale):
@@ -418,7 +413,6 @@ def backend_compare_report(jobs: list[Job], results: list[dict | None]) -> dict:
     return {
         "figure": "figbackend",
         "scale": scale,
-        "dense_loop": dense,
         "configs": [
             {"label": label, "scope": scope or "native", "backend": backend}
             for label, scope, backend in _BACKEND_CONFIGS

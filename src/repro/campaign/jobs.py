@@ -18,9 +18,10 @@ Job kinds:
   (:mod:`repro.campaign.figures`).
 * ``litmus`` -- one corpus litmus test checked against its expected
   RMO observability.
-* ``probe``  -- a chaos case that additionally records the full
-  monitor event stream; used by the determinism regression tests to
-  prove in-process, subprocess and pool execution are byte-identical.
+* ``probe``  -- a chaos case that additionally digests the full
+  monitor event stream (:func:`repro.chaos.runner.run_probe_case`);
+  used by the determinism regression tests to prove in-process,
+  subprocess and pool execution are byte-identical.
 * ``verify`` -- one (litmus test, fence mode, engine) cell of the
   exhaustive model-checking matrix (:mod:`repro.verify`): DPOR allowed
   set, reference cross-check, simulator soundness and coverage.
@@ -39,7 +40,6 @@ Job kinds:
 
 from __future__ import annotations
 
-import hashlib
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -125,8 +125,6 @@ def job_cost(job: Job) -> float:
         cost = cell_cost(job.params)
     elif job.kind == "verify" and job.params.get("engine") == "dense":
         cost *= 3.0  # the dense reference loop pays per-cycle ticks
-    if job.params.get("dense_loop"):
-        cost *= 3.0
     return cost
 
 
@@ -173,10 +171,9 @@ def chaos_jobs(
     seed_base: int = 0,
     base_budget: int = 400_000,
     escalations: int = 3,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> list[Job]:
-    """The chaos sweep cross product, in the serial sweep's exact order."""
+    """The chaos sweep cross product: scenario-major, then algorithm, then seed."""
     from ..chaos.runner import ALGORITHMS, SCENARIOS
 
     algos = list(ALGORITHMS) if algos is None else list(algos)
@@ -191,7 +188,7 @@ def chaos_jobs(
         Job("chaos", {
             "algo": algo, "scenario": scenario, "seed": seed_base + s,
             "base_budget": base_budget, "escalations": escalations,
-            "dense_loop": dense_loop, "mem_backend": mem_backend,
+            "mem_backend": mem_backend,
         })
         for scenario in scenarios
         for algo in algos
@@ -202,7 +199,6 @@ def chaos_jobs(
 def litmus_jobs(
     model: str = "rmo",
     offsets: list[int] | None = None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> list[Job]:
     """One job per litmus-corpus entry."""
@@ -213,7 +209,7 @@ def litmus_jobs(
         Job("litmus", {
             "name": entry.name, "source": entry.source, "model": model,
             "offsets": list(offsets), "expect_observable": entry.observable_rmo,
-            "dense_loop": dense_loop, "mem_backend": mem_backend,
+            "mem_backend": mem_backend,
         })
         for entry in CORPUS
     ]
@@ -343,14 +339,12 @@ def app_synth_jobs(
 def probe_jobs(
     cases: list[tuple[str, str, int]],
     base_budget: int = 400_000,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> list[Job]:
     """Determinism probes over (algo, scenario, seed) cases."""
     return [
         Job("probe", {"algo": a, "scenario": sc, "seed": s,
-                      "base_budget": base_budget, "dense_loop": dense_loop,
-                      "mem_backend": mem_backend})
+                      "base_budget": base_budget, "mem_backend": mem_backend})
         for a, sc, s in cases
     ]
 
@@ -364,7 +358,6 @@ def _run_chaos_job(params: dict, heartbeat=None) -> dict:
         base_budget=params.get("base_budget", 400_000),
         escalations=params.get("escalations", 3),
         on_attempt=None if heartbeat is None else (lambda _attempt: heartbeat()),
-        dense_loop=params.get("dense_loop", False),
         mem_backend=params.get("mem_backend", "mesi"),
     )
     return asdict(report)
@@ -388,7 +381,6 @@ def _run_litmus_job(params: dict, heartbeat=None) -> dict:
         test = memo[params["source"]] = parse_litmus(params["source"])
     run = run_litmus(
         test, MemoryModel(params["model"]), list(params["offsets"]),
-        dense_loop=params.get("dense_loop", False),
         mem_backend=params.get("mem_backend", "mesi"),
     )
     expected = params["expect_observable"]
@@ -435,61 +427,13 @@ def _run_app_synth_job(params: dict, heartbeat=None) -> dict:
 
 
 def _run_probe_job(params: dict, heartbeat=None) -> dict:
-    """A chaos case that also digests the full monitor event stream.
+    from ..chaos.runner import run_probe_case
 
-    The digest (not the raw stream -- storms produce hundreds of
-    thousands of events) is what the determinism regression compares
-    across execution modes: any divergence in any field of any event
-    changes the hash.
-    """
-    from ..chaos.faults import ChaosEngine
-    from ..chaos.invariants import OrderingChecker
-    from ..chaos.runner import ALGORITHMS, SCENARIOS
-    from ..chaos.supervisor import run_supervised
-    from ..isa.instructions import FenceKind
-    from ..runtime.lang import Env
-    from ..sim.config import SimConfig
-    from ..sim.trace import MonitorFanout, OrderEventLog
-
-    scen = SCENARIOS[params["scenario"]]
-    build_algo = ALGORITHMS[params["algo"]]
-    seed = params["seed"]
-    scope = FenceKind.SET if seed % 2 else FenceKind.CLASS
-    state: dict = {}
-
-    def build():
-        cfg = SimConfig(
-            n_cores=4, retire_log_len=16,
-            dense_loop=params.get("dense_loop", False),
-            mem_backend=params.get("mem_backend", "mesi"), **scen.config,
-        )
-        env = Env(cfg)
-        handle = build_algo(env, scope, scen.emit_branches)
-        sim = env.simulator(handle.program)
-        ChaosEngine(scen.plan.with_(seed=seed)).install(sim)
-        log = OrderEventLog()
-        checker = OrderingChecker(cfg)
-        for core in sim.cores:
-            core.monitor = MonitorFanout(log, checker)
-        state.update(log=log, checker=checker)
-        return sim
-
-    outcome = run_supervised(
-        build, base_budget=params.get("base_budget", 400_000),
-        raise_on_failure=False,
+    return run_probe_case(
+        params["algo"], params["scenario"], params["seed"],
+        base_budget=params.get("base_budget", 400_000),
+        mem_backend=params.get("mem_backend", "mesi"),
     )
-    log: OrderEventLog = state["log"]
-    digest = hashlib.sha256()
-    for ev in log.events:
-        digest.update(repr(ev).encode())
-    return {
-        "status": "ok" if outcome.ok else outcome.failure.kind.value,
-        "stats": outcome.result.stats.summary() if outcome.ok else None,
-        "cycles": outcome.result.cycles if outcome.ok else -1,
-        "events": len(log.events),
-        "events_sha": digest.hexdigest(),
-        "violations": state["checker"].violation_count,
-    }
 
 
 def _run_selftest_job(params: dict, heartbeat=None) -> dict:

@@ -14,8 +14,8 @@ adversarially exercises exactly those paths:
 * :mod:`repro.chaos.supervisor` -- a supervised runner with a
   cycle-budget escalation ladder and deadlock/livelock/budget failure
   classification, reusing :mod:`repro.sim.diagnostics` snapshots;
-* :mod:`repro.chaos.runner` -- the seed-sweep driver behind
-  ``python -m repro chaos``.
+* :mod:`repro.chaos.runner` -- the scenario presets and the case
+  runner whose cases ``python -m repro chaos`` sweeps as campaign jobs.
 """
 
 from .faults import ChaosEngine, FaultPlan

@@ -1,10 +1,13 @@
-"""Seed-sweep driver: scenarios x algorithms x seeds.
+"""Chaos cases: one workload under one fault scenario with one seed.
 
-One *case* = one algorithm harness run under one fault scenario with
-one seed.  The case is rebuilt from scratch for every supervised
-attempt (fresh :class:`~repro.runtime.lang.Env`, fresh workload handle,
-fresh fault engine and checker) so escalation rungs are exact
-deterministic replays.  After the run the case is judged three ways:
+A *case* is an algorithm harness (:func:`run_chaos_case`), an arbitrary
+guest builder (:func:`run_plan_case`) or an algorithm harness whose
+monitor event stream is digested (:func:`run_probe_case`); all three
+take one path, :func:`_run_case`.  The case is rebuilt from scratch for
+every supervised attempt (fresh :class:`~repro.runtime.lang.Env`, fresh
+workload handle, fresh fault engine and checker) so escalation rungs
+are exact deterministic replays.  After the run the case is judged
+three ways:
 
 1. the :class:`~repro.chaos.invariants.OrderingChecker` that shadowed
    every core must report zero violations,
@@ -22,6 +25,7 @@ the FSS' restore; ``storm`` layers everything at once.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from ..algorithms.workloads import (
@@ -34,6 +38,7 @@ from ..algorithms.workloads import (
 from ..isa.instructions import FenceKind
 from ..runtime.lang import Env
 from ..sim.config import SimConfig
+from ..sim.trace import MonitorFanout, OrderEventLog
 from .faults import ChaosEngine, FaultPlan
 from .invariants import DelayPairChecker, OrderingChecker, address_base_map
 from .supervisor import run_supervised
@@ -102,8 +107,9 @@ SCENARIOS: dict[str, Scenario] = {
     )
 }
 
-# Small-iteration variants of the Section VI-A harnesses: a sweep runs
-# hundreds of cases, so each one is kept to a few thousand memory ops.
+# Small-iteration variants of the Section VI-A harnesses: a chaos
+# campaign runs hundreds of cases, so each one is kept to a few
+# thousand memory ops.
 ALGORITHMS = {
     "wsq": lambda env, scope, br: build_wsq_workload(
         env, scope=scope, iterations=8, workload_level=1, n_threads=4,
@@ -150,41 +156,55 @@ class ChaosReport:
         return self.status == "ok"
 
 
-def run_chaos_case(
-    algo: str,
+def _run_case(
+    builder,
     scenario: str,
     seed: int,
+    label: str,
+    scope: str,
+    patterns=None,
+    sinks=(),
     base_budget: int = 400_000,
     escalations: int = 3,
     on_attempt=None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
-) -> ChaosReport:
-    """Run one (algorithm, scenario, seed) case under supervision.
+):
+    """Build, run and judge one case: the single path every case takes.
 
-    ``on_attempt`` is forwarded to the supervisor's escalation ladder;
-    campaign workers use it to heartbeat between budget rungs.
+    ``builder(env, emit_branches)`` constructs the workload handle.  Each
+    supervised attempt gets a fresh config, :class:`Env`, handle,
+    :class:`ChaosEngine` and :class:`OrderingChecker`; with ``patterns``
+    (delay-set ordering requirements) a :class:`DelayPairChecker` shadows
+    every core too, and each of ``sinks`` (zero-argument monitor
+    factories, e.g. :class:`~repro.sim.trace.OrderEventLog`) is built
+    fresh and fed the same event stream.  Returns ``(report, outcome,
+    sinks)``: the flattened :class:`ChaosReport`, the supervisor's
+    outcome and the final attempt's sink instances.
     """
     scen = SCENARIOS[scenario]
-    build_algo = ALGORITHMS[algo]
-    # alternate the fence flavour so both class- and set-scope paths
-    # (and their distinct FSB columns) see every scenario
-    scope = FenceKind.SET if seed % 2 else FenceKind.CLASS
     state: dict = {}
 
     def build():
         cfg = SimConfig(
-            n_cores=4, retire_log_len=16, dense_loop=dense_loop,
-            mem_backend=mem_backend, **scen.config
+            n_cores=4, retire_log_len=16, mem_backend=mem_backend,
+            **scen.config
         )
         env = Env(cfg)
-        handle = build_algo(env, scope, scen.emit_branches)
+        handle = builder(env, scen.emit_branches)
         sim = env.simulator(handle.program)
         engine = ChaosEngine(scen.plan.with_(seed=seed)).install(sim)
         checker = OrderingChecker(cfg)
+        pair_checker = None
+        if patterns:
+            pair_checker = DelayPairChecker(patterns, address_base_map(env.space))
+        extra = [make() for make in sinks]
+        monitor = checker
+        if extra or pair_checker is not None:
+            monitor = MonitorFanout(*extra, checker, pair_checker)
         for core in sim.cores:
-            core.monitor = checker
-        state.update(handle=handle, engine=engine, checker=checker)
+            core.monitor = monitor
+        state.update(handle=handle, engine=engine, checker=checker,
+                     pair_checker=pair_checker, sinks=extra)
         return sim
 
     outcome = run_supervised(
@@ -192,32 +212,74 @@ def run_chaos_case(
         raise_on_failure=False, on_attempt=on_attempt,
     )
     checker: OrderingChecker = state["checker"]
+    pair_checker = state["pair_checker"]
     report = ChaosReport(
-        algo=algo,
+        algo=label,
         scenario=scenario,
         seed=seed,
-        scope=scope.value,
+        scope=scope,
         status="ok",
         attempts=len(outcome.attempts),
         events=checker.events_seen,
         fences_checked=checker.fences_checked,
-        violations=checker.violation_count,
+        violations=checker.violation_count
+        + (pair_checker.violation_count if pair_checker else 0),
         injected=state["engine"].summary(),
     )
+    if pair_checker is not None:
+        report.pair_violated = sorted(list(p) for p in pair_checker.violated)
     if outcome.failure is not None:
         report.status = outcome.failure.kind.value
         report.detail = str(outcome.failure)
-        return report
-    report.cycles = outcome.result.cycles
-    if not checker.ok:
-        report.status = "violations"
-        report.detail = "\n".join(v.render() for v in checker.violations[:10])
-        return report
-    try:
-        state["handle"].check()
-    except AssertionError as exc:
-        report.status = "check-failed"
-        report.detail = str(exc)
+    else:
+        report.cycles = outcome.result.cycles
+        if report.violations:
+            recorded = checker.violations + (
+                pair_checker.violations if pair_checker else [])
+            report.status = "violations"
+            report.detail = "\n".join(v.render() for v in recorded[:10])
+        else:
+            try:
+                state["handle"].check()
+            except AssertionError as exc:
+                report.status = "check-failed"
+                report.detail = str(exc)
+    return report, outcome, state["sinks"]
+
+
+def _algorithm_case(algo: str, seed: int):
+    """An :data:`ALGORITHMS` preset as a case builder, plus its scope.
+
+    The fence flavour alternates with seed parity so both class- and
+    set-scope paths (and their distinct FSB columns) see every scenario.
+    """
+    build_algo = ALGORITHMS[algo]
+    scope = FenceKind.SET if seed % 2 else FenceKind.CLASS
+    return (lambda env, emit_branches: build_algo(env, scope, emit_branches)), scope
+
+
+def run_chaos_case(
+    algo: str,
+    scenario: str,
+    seed: int,
+    base_budget: int = 400_000,
+    escalations: int = 3,
+    on_attempt=None,
+    mem_backend: str = "mesi",
+) -> ChaosReport:
+    """Run one (algorithm, scenario, seed) case under supervision.
+
+    ``on_attempt`` is forwarded to the supervisor's escalation ladder;
+    campaign workers use it to heartbeat between budget rungs.
+    """
+    # not run_plan_case: benchmarks/e2e/layers.py counts calls of both
+    # public case functions, so neither may call the other
+    builder, scope = _algorithm_case(algo, seed)
+    report, _outcome, _sinks = _run_case(
+        builder, scenario, seed, label=algo, scope=scope.value,
+        base_budget=base_budget, escalations=escalations,
+        on_attempt=on_attempt, mem_backend=mem_backend,
+    )
     return report
 
 
@@ -230,7 +292,6 @@ def run_plan_case(
     base_budget: int = 400_000,
     escalations: int = 3,
     on_attempt=None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> ChaosReport:
     """Run an arbitrary guest builder under one chaos scenario.
@@ -245,103 +306,42 @@ def run_plan_case(
     core alongside the ordering checker; the case is judged by the
     supervisor, both checkers, and the handle's own ``check()``.
     """
-    scen = SCENARIOS[scenario]
-    state: dict = {}
-
-    def build():
-        cfg = SimConfig(
-            n_cores=4, retire_log_len=16, dense_loop=dense_loop,
-            mem_backend=mem_backend, **scen.config
-        )
-        env = Env(cfg)
-        handle = builder(env, scen.emit_branches)
-        sim = env.simulator(handle.program)
-        engine = ChaosEngine(scen.plan.with_(seed=seed)).install(sim)
-        checker = OrderingChecker(cfg)
-        pair_checker = None
-        monitor = checker
-        if patterns:
-            pair_checker = DelayPairChecker(patterns, address_base_map(env.space))
-            from ..sim.trace import MonitorFanout
-
-            monitor = MonitorFanout(checker, pair_checker)
-        for core in sim.cores:
-            core.monitor = monitor
-        state.update(handle=handle, engine=engine, checker=checker,
-                     pair_checker=pair_checker)
-        return sim
-
-    outcome = run_supervised(
-        build, base_budget=base_budget, escalations=escalations,
-        raise_on_failure=False, on_attempt=on_attempt,
+    report, _outcome, _sinks = _run_case(
+        builder, scenario, seed, label=label, scope="plan",
+        patterns=patterns, base_budget=base_budget, escalations=escalations,
+        on_attempt=on_attempt, mem_backend=mem_backend,
     )
-    checker: OrderingChecker = state["checker"]
-    pair_checker = state["pair_checker"]
-    pair_violations = pair_checker.violation_count if pair_checker else 0
-    report = ChaosReport(
-        algo=label,
-        scenario=scenario,
-        seed=seed,
-        scope="plan",
-        status="ok",
-        attempts=len(outcome.attempts),
-        events=checker.events_seen,
-        fences_checked=checker.fences_checked,
-        violations=checker.violation_count + pair_violations,
-        injected=state["engine"].summary(),
-    )
-    if pair_checker is not None:
-        report.pair_violated = sorted(list(p) for p in pair_checker.violated)
-    if outcome.failure is not None:
-        report.status = outcome.failure.kind.value
-        report.detail = str(outcome.failure)
-        return report
-    report.cycles = outcome.result.cycles
-    if not checker.ok or (pair_checker is not None and not pair_checker.ok):
-        report.status = "violations"
-        lines = [v.render() for v in checker.violations[:5]]
-        if pair_checker is not None:
-            lines += [v.render() for v in pair_checker.violations[:5]]
-        report.detail = "\n".join(lines)
-        return report
-    try:
-        state["handle"].check()
-    except AssertionError as exc:
-        report.status = "check-failed"
-        report.detail = str(exc)
     return report
 
 
-def sweep(
-    algos=None,
-    scenarios=None,
-    n_seeds: int = 20,
-    seed_base: int = 0,
+def run_probe_case(
+    algo: str,
+    scenario: str,
+    seed: int,
     base_budget: int = 400_000,
-    escalations: int = 3,
-    progress=None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
-) -> list[ChaosReport]:
-    """Run the full cross product; returns one report per case."""
-    algos = list(ALGORITHMS) if algos is None else list(algos)
-    scenarios = list(SCENARIOS) if scenarios is None else list(scenarios)
-    for name in algos:
-        if name not in ALGORITHMS:
-            raise KeyError(f"unknown algorithm {name!r} (have {sorted(ALGORITHMS)})")
-    for name in scenarios:
-        if name not in SCENARIOS:
-            raise KeyError(f"unknown scenario {name!r} (have {sorted(SCENARIOS)})")
-    reports = []
-    for scenario in scenarios:
-        for algo in algos:
-            for s in range(n_seeds):
-                rep = run_chaos_case(
-                    algo, scenario, seed_base + s,
-                    base_budget=base_budget, escalations=escalations,
-                    dense_loop=dense_loop, mem_backend=mem_backend,
-                )
-                reports.append(rep)
-                if progress is not None:
-                    progress(rep)
-    return reports
+) -> dict:
+    """A chaos case that also digests the full monitor event stream.
+
+    The digest (not the raw stream -- storms produce hundreds of
+    thousands of events) is what the determinism regression compares
+    across execution modes: any divergence in any field of any event
+    changes the hash.
+    """
+    builder, scope = _algorithm_case(algo, seed)
+    report, outcome, (log,) = _run_case(
+        builder, scenario, seed, label=algo, scope=scope.value,
+        sinks=(OrderEventLog,), base_budget=base_budget,
+        mem_backend=mem_backend,
+    )
+    digest = hashlib.sha256()
+    for ev in log.events:
+        digest.update(repr(ev).encode())
+    return {
+        "status": "ok" if outcome.ok else outcome.failure.kind.value,
+        "stats": outcome.result.stats.summary() if outcome.ok else None,
+        "cycles": outcome.result.cycles if outcome.ok else -1,
+        "events": len(log.events),
+        "events_sha": digest.hexdigest(),
+        "violations": report.violations,
+    }

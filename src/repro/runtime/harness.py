@@ -30,27 +30,6 @@ from ..isa.instructions import Branch, Compute, Fence, FenceKind, WAIT_BOTH
 from .lang import Env, SharedArray
 
 
-def supervised_run(build_sim, base_budget: int = 200_000, escalations: int = 3,
-                   factor: int = 2, raise_on_failure: bool = True):
-    """Run a simulator factory under the chaos escalation ladder.
-
-    ``build_sim`` is a zero-argument callable returning a fresh, fully
-    wired :class:`~repro.sim.simulator.Simulator`; it is re-invoked for
-    every budget rung so each attempt is an independent deterministic
-    replay.  Returns a :class:`~repro.chaos.supervisor.SupervisedOutcome`
-    whose ``result`` is the usual :class:`~repro.sim.simulator.SimResult`
-    on success; deadlock/livelock/budget failures raise (or carry, with
-    ``raise_on_failure=False``) a classified
-    :class:`~repro.chaos.supervisor.ChaosFailure` with per-core
-    diagnostics.  The import is lazy so harness users who never need
-    supervision do not load the chaos package.
-    """
-    from ..chaos.supervisor import run_supervised
-
-    return run_supervised(build_sim, base_budget=base_budget,
-                          escalations=escalations, factor=factor,
-                          raise_on_failure=raise_on_failure)
-
 #: synth mode lattice name -> instruction fence kind
 MODE_KIND = {
     "full": FenceKind.GLOBAL,

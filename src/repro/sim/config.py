@@ -126,8 +126,8 @@ class SimConfig:
     # cycle instead of the event-driven scheduler.  Both engines produce
     # byte-identical results (cycles, stats, retire logs, monitor event
     # streams -- see tests/test_fastpath_equivalence.py); the dense loop
-    # exists as an escape hatch (``--dense-loop`` on every CLI command)
-    # and as the baseline the perf harness times the fast path against.
+    # is the oracle those suites and ``verify --engines dense`` check
+    # the fast path against, and the baseline the perf harness times.
     dense_loop: bool = False
 
     # --- Limits ---------------------------------------------------------------

@@ -6,9 +6,9 @@ tests/test_fastpath_equivalence.py is the differential suite):
 
 * **Dense reference loop** (``SimConfig.dense_loop=True``): every core
   is ticked on every cycle, in core-index order.  Trivially correct and
-  trivially slow at 300-cycle memory latencies; kept as the escape
-  hatch (``--dense-loop`` on every CLI command) and as the baseline the
-  perf harness times the fast path against.
+  trivially slow at 300-cycle memory latencies; kept as the oracle the
+  differential suites and ``verify --engines dense`` check the fast
+  path against, and as the baseline the perf harness times it against.
 
 * **Event-driven fast path** (the default): each core sleeps between
   ticks on which it can make progress.  After a no-progress tick the

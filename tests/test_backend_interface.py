@@ -112,7 +112,7 @@ def test_cache_keys_differ_by_backend():
     for kind, params in (
         ("verify", {"test": "SB", "mode": "none", "engine": "event",
                     "seeds": 2, "smoke": False}),
-        ("litmus", {"name": "SB", "model": "rmo", "dense_loop": False}),
+        ("litmus", {"name": "SB", "model": "rmo"}),
         ("chaos", {"algo": "wsq", "scenario": "clean", "seed": 0}),
     ):
         keys = {

@@ -2,7 +2,7 @@
 
 A campaign with the same seeds must produce byte-identical results
 whether it runs in-process, in a single worker subprocess, or on a
-multi-worker pool -- and identical to the pre-existing serial sweep.
+multi-worker pool -- and identical to running the cases directly.
 The ``probe`` job kind digests the *entire* per-core monitor event
 stream (every dispatch, drain, fence, scope and squash event, every
 field), so these tests fail on any divergence in simulation behaviour,
@@ -51,16 +51,29 @@ def test_probe_seeds_change_the_stream():
     assert r[0]["events_sha"] != r[1]["events_sha"]
 
 
-def test_chaos_campaign_matches_serial_sweep():
-    """Pool execution reproduces the serial sweep's reports exactly."""
-    from repro.chaos.runner import sweep
+def test_chaos_campaign_matches_direct_cases():
+    """Pool execution reproduces directly run cases' reports exactly."""
+    from repro.chaos.runner import run_chaos_case
 
     algos, scenarios, n_seeds = ["wsq", "msn"], ["latency", "scope"], 2
-    serial = [asdict(r) for r in
-              sweep(algos=algos, scenarios=scenarios, n_seeds=n_seeds)]
+    direct = [asdict(run_chaos_case(algo, scenario, seed))
+              for scenario in scenarios for algo in algos
+              for seed in range(n_seeds)]
     jobs = chaos_jobs(algos=algos, scenarios=scenarios, n_seeds=n_seeds)
     pooled = _results(jobs, parallel=2)
-    assert pooled == serial
+    assert pooled == direct
+
+
+def test_probe_agrees_with_chaos_case():
+    """A probe is its chaos case plus an event log: same run, same verdict."""
+    probes = _results(probe_jobs(PROBE_CASES), parallel=0)
+    cases = _results([chaos_jobs(algos=[a], scenarios=[sc], n_seeds=1,
+                                 seed_base=s)[0]
+                      for a, sc, s in PROBE_CASES], parallel=0)
+    for probe, case in zip(probes, cases):
+        assert probe["status"] == case["status"] == "ok"
+        assert probe["cycles"] == case["cycles"]
+        assert probe["violations"] == case["violations"]
 
 
 def test_outcomes_return_in_submission_order():

@@ -131,9 +131,3 @@ def test_failure_message_carries_ladder_and_postmortem():
     assert "100cy:cycle-limit" in msg
     assert "core 0" in msg                      # rendered diagnostic
 
-
-def test_supervised_run_helper_lazy_wrapper():
-    from repro.runtime.harness import supervised_run
-
-    outcome = supervised_run(make_sim, base_budget=100_000)
-    assert outcome.ok and outcome.result is not None

@@ -11,9 +11,17 @@ ordering invariant, and pass its algorithm's own linearizability check.
 
 import pytest
 
-from repro.chaos.runner import ALGORITHMS, SCENARIOS, run_chaos_case, sweep
+from repro.campaign import chaos_jobs, run_campaign
+from repro.chaos.runner import ALGORITHMS, SCENARIOS, ChaosReport, run_chaos_case
 
 N_SEEDS = 20
+
+
+def _sweep(**kwargs) -> list[ChaosReport]:
+    """The chaos cross product run inline, one report per case."""
+    campaign = run_campaign(chaos_jobs(**kwargs), parallel=0)
+    assert campaign.ok, [o.error for o in campaign.failures]
+    return [ChaosReport(**r) for r in campaign.results()]
 
 
 def _assert_all_ok(reports):
@@ -28,7 +36,7 @@ def _assert_all_ok(reports):
 
 def test_scope_pressure_sweep_clean():
     """The headline acceptance case: forced overflow, 20 seeds, all algos."""
-    reports = sweep(scenarios=["scope"], n_seeds=N_SEEDS)
+    reports = _sweep(scenarios=["scope"], n_seeds=N_SEEDS)
     assert len(reports) == N_SEEDS * len(ALGORITHMS)
     _assert_all_ok(reports)
     # the sweep genuinely drove the degraded paths
@@ -40,7 +48,7 @@ def test_scope_pressure_sweep_clean():
 
 
 def test_storm_sweep_clean():
-    reports = sweep(scenarios=["storm"], n_seeds=N_SEEDS)
+    reports = _sweep(scenarios=["storm"], n_seeds=N_SEEDS)
     assert len(reports) == N_SEEDS * len(ALGORITHMS)
     _assert_all_ok(reports)
     injected = {}
@@ -54,7 +62,7 @@ def test_storm_sweep_clean():
 
 @pytest.mark.parametrize("scenario", ["latency", "branch", "drain"])
 def test_single_fault_scenarios_clean(scenario):
-    reports = sweep(scenarios=[scenario], n_seeds=4)
+    reports = _sweep(scenarios=[scenario], n_seeds=4)
     _assert_all_ok(reports)
 
 
@@ -72,9 +80,9 @@ def test_seeds_actually_vary_the_run():
 
 def test_unknown_names_rejected():
     with pytest.raises(KeyError):
-        sweep(algos=["nope"], n_seeds=1)
+        chaos_jobs(algos=["nope"], n_seeds=1)
     with pytest.raises(KeyError):
-        sweep(scenarios=["nope"], n_seeds=1)
+        chaos_jobs(scenarios=["nope"], n_seeds=1)
 
 
 def test_scenarios_cover_every_injector():

@@ -219,22 +219,30 @@ def test_fig14_command_small(capsys):
         assert name in out
 
 
-def test_dense_loop_escape_hatch_changes_nothing(tmp_path, capsys):
-    """--dense-loop runs the reference engine with identical output."""
-    f = tmp_path / "sb.litmus"
-    f.write_text(
-        """
-        name SBdemo
-        x = 1  | y = 1
-        r0 = y | r1 = x
-        exists r0 == 0 and r1 == 0
-        """
-    )
-    assert main(["litmus", str(f)]) == 0
-    fast_out = capsys.readouterr().out
-    assert main(["litmus", str(f), "--dense-loop"]) == 0
-    dense_out = capsys.readouterr().out
-    assert dense_out == fast_out
+@pytest.mark.parametrize("argv", [["figbackend"],
+                                  ["campaign", "--figures", "figbackend"]])
+def test_figure_failure_prints_fail_and_skips_backend_report(
+        argv, monkeypatch, tmp_path, capsys):
+    """The figure command and ``campaign --figures`` share one helper: a
+    failed cell prints a FAIL line, exits 1 and writes no figbackend
+    report."""
+    import repro.campaign.figures as figures_mod
+
+    def fake_cell(params):
+        if params["app"] == "ptc" and params["label"] == "SiSd":
+            raise RuntimeError("cell exploded")
+        return {"cycles": 100, "fence_stall_cycles": 10,
+                "fence_stall_fraction": 0.1}
+
+    monkeypatch.setattr(figures_mod, "run_figure_cell", fake_cell)
+    out = tmp_path / "backend.json"
+    assert main([*argv, "--parallel", "0", "--no-cache",
+                 "--backend-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "FAIL figbackend:ptc/SiSd/sisd: error" in err
+    assert "cell exploded" in err
+    assert not out.exists()
+
 
 # ---------------------------------------------------------- resilience surface
 def test_campaign_unrecovered_failures_exit_nonzero(monkeypatch, capsys):
