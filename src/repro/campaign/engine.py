@@ -403,11 +403,13 @@ def run_campaign(
         jobs, pending, parallel, cache, finish, job_timeout, chunk_cost,
         retry, infra, ladder, on_event)
     campaign.downgrades = list(ladder.events)
+    # announced whenever the ladder abandoned the pool, like the ladder's
+    # own record: the surviving workers may already have finished every job
+    if ladder.serial and on_event is not None:
+        on_event("serial-fallback",
+                 f"pool abandoned; running {len(leftover)} remaining "
+                 f"job(s) serially")
     if leftover:
-        if on_event is not None:
-            on_event("serial-fallback",
-                     f"pool abandoned; running {len(leftover)} remaining "
-                     f"job(s) serially")
         _run_serial_fallback(jobs, sorted(set(leftover)), cache, finish,
                              attempts, job_timeout)
     return campaign

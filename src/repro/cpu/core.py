@@ -104,7 +104,7 @@ class Core:
         if config.use_branch_predictor:
             from .predictor import TwoBitPredictor
 
-            self.predictor = TwoBitPredictor(config.predictor_entries)
+            self.predictor = TwoBitPredictor()
         else:
             self.predictor = None
         self._events: list[tuple[int, int, int, object]] = []
@@ -127,8 +127,8 @@ class Core:
         # skips so fast-path stats stay byte-identical to the dense loop
         self._idle_deltas = (0, 0, 0, 0)  # fence, rob_full, sb_full, mshr
         # dispatch-loop constants hoisted once (the config never changes
-        # after construction): the event engine's per-tick paths read
-        # these instead of chasing config attributes on every call
+        # after construction): the dispatch lanes and the event engine's
+        # per-tick paths read these instead of chasing config attributes
         self._width = config.dispatch_width
         self._rob_cap = config.rob_size
         self._mshrs = config.mshrs
@@ -136,7 +136,7 @@ class Core:
         self._retire_width = config.retire_width
         self._scoped = config.scoped_fences
         self._at_dispatch = config.memory_model.sb_at_dispatch
-        # every stable object the fused dispatch loop touches, bundled
+        # every stable object the dispatch lanes touch, bundled
         # so one attribute fetch + tuple unpack replaces ~20 per call.
         # All members are fixed for the core's lifetime: containers are
         # only ever mutated in place, and bound methods pin their
@@ -154,13 +154,13 @@ class Core:
             fsb.sb_pending_stores,
             memory.pending_map(core_id),
             memory.read,
-            hierarchy.resident_in_l1,
-            hierarchy.access,
-            hierarchy.load_timed,
+            self.hierarchy.resident_in_l1,
+            self.hierarchy.access,
+            self.hierarchy.load_timed,
             self.sb,
         )
         self._in_window = config.in_window_speculation
-        self._fast = True  # recomputed at bind(), once hooks are settled
+        self._sc = config.memory_model is MemoryModel.SC
         # probe-skip hint (event engine): after a progress tick, the
         # earliest cycle the next tick could possibly progress at, when
         # every tick before it is provably a zero-delta blocked probe;
@@ -169,7 +169,6 @@ class Core:
         self.finished = True
         self.finish_cycle = 0
         self.stall_reason: str | None = None
-        self.tracer = None  # optional TraceCollector
         # chaos-harness hooks: ``chaos`` injects faults (forced branch
         # mispredictions, store-drain throttling), ``monitor`` receives
         # the ordering-event stream the invariant checker consumes.
@@ -186,11 +185,6 @@ class Core:
         self._gen = gen
         self._gen_done = gen is None
         self.finished = gen is None
-        # instrumentation hooks and the memory model are settled before
-        # a run starts, so the fused-lane eligibility test is a constant
-        # per run rather than three attribute reads per dispatch call
-        self._fast = (self.monitor is None and self.tracer is None
-                      and self.config.memory_model is not MemoryModel.SC)
 
     def attach_units(self, ops) -> None:
         """Bind a static op list as this core's guest thread.
@@ -266,7 +260,7 @@ class Core:
             progress |= self._retire(cycle)
         if self._sb_q:
             progress |= self._issue_store(cycle)
-        progress |= self._dispatch(cycle)
+        progress |= self._dispatch_lanes(cycle)
 
         stats.rob_occupancy_sum += len(self._rob_q)
         stats.rob_occupancy_samples += 1
@@ -488,200 +482,40 @@ class Core:
         return True
 
     # ---------------------------------------------------------------- dispatch
-    def _next_op(self) -> Op | None:
-        if self._pending_op is not None:
-            return self._pending_op
-        if self._gen_done:
-            return None
-        try:
-            op = self._gen.send(self._last_result)
-        except StopIteration:
-            self._gen_done = True
-            return None
-        self._last_result = None
-        if not isinstance(op, Op):
-            raise TypeError(f"guest thread yielded {op!r}, expected an Op")
-        self._pending_op = op
-        return op
-
-    def _dispatch(self, cycle: int) -> bool:
-        cfg = self.config
-        stats = self.stats
-        rob_q = self._rob_q
-        rob_cap = self.rob.capacity
-        dispatched = 0
-        for _ in range(cfg.dispatch_width):
-            if cycle < self._blocked_until:
-                break
-            if self._blocking_entry is not None:
-                if self._blocking_entry.done:
-                    self._blocking_entry = None
-                else:
-                    if dispatched == 0:
-                        stats.fence_stall_cycles += 1
-                        self.stall_reason = "fence"
-                    break
-            op = self._pending_op
-            if op is None:
-                op = self._next_op()
-                if op is None:
-                    break
-            if len(rob_q) >= rob_cap:
-                if dispatched == 0:
-                    stats.rob_full_stalls += 1
-                    head = rob_q[0]
-                    if head.kind == K_FENCE and not head.done:
-                        # issue is blocked because a waiting fence clogs the ROB
-                        stats.fence_stall_cycles += 1
-                        self.stall_reason = "fence"
-                    else:
-                        self.stall_reason = "rob_full"
-                break
-            if not self._dispatch_one(op, cycle, dispatched):
-                break
-            self._pending_op = None
-            dispatched += 1
-            stats.instructions += 1
-        return dispatched > 0
-
     def _dispatch_one(self, op: Op, cycle: int, dispatched: int) -> bool:
-        """Try to dispatch one op; returns False if it must stall."""
+        """Dispatch one op the lanes hand over; False if it must stall.
+
+        Only the rare kinds reach it: CAS, branches, probes and
+        speculatively issued fences (in-window speculation).
+        """
         cfg = self.config
         stats = self.stats
         tracker = self.tracker
         cls = type(op)
 
-        if cls is Load:
-            if not self._sc_ready(dispatched):
-                return False
-            forwarded = self.memory.has_pending(self.core_id, op.addr)
-            # a load that will miss the L1 needs a free MSHR
-            needs_mshr = (
-                cfg.mshrs > 0
-                and not forwarded
-                and not self.hierarchy.resident_in_l1(self.core_id, op.addr)
-            )
-            if needs_mshr and self._outstanding_misses >= cfg.mshrs:
-                if dispatched == 0:
-                    stats.mshr_stalls += 1
-                    self.stall_reason = "mshr"
-                return False
-            if self.tracer is not None:
-                self.tracer.record(self.core_id, "load", op.addr)
-            entry = RobEntry(K_LOAD, cycle)
-            entry.addr = op.addr
-            self._mem_seq += 1
-            entry.seq = self._mem_seq
-            entry.fsb_mask = tracker.dispatch_mem(is_load=True, flagged=op.flagged)
-            if self.monitor is not None:
-                self.monitor.on_mem_dispatch(
-                    self.core_id, cycle, entry.seq, "load", op.addr,
-                    entry.fsb_mask, op.flagged,
-                )
-            value = self.memory.read(self.core_id, op.addr)
-            if forwarded:
-                latency = 1  # store-to-load forwarding from own buffer
-                stats.sb_forwards += 1
-            else:
-                latency = self.hierarchy.access(self.core_id, op.addr, False, stats)
-            if needs_mshr:
-                entry.value = 1  # occupies an MSHR until completion
-                self._outstanding_misses += 1
-            self._schedule(cycle + latency, _EV_ROB, entry)
-            self.rob.push(entry)
-            if op.serialize:
-                # address dependency: nothing younger can dispatch until
-                # the pointer value is architecturally available
-                self._blocked_until = max(self._blocked_until, cycle + latency)
-            self._last_result = value
-            stats.loads += 1
-            return True
-
-        if cls is Store:
-            if not self._sc_ready(dispatched):
-                return False
-            at_dispatch = cfg.memory_model.sb_at_dispatch
-            if at_dispatch and self.sb.full:
-                # senior store queue full: issue stalls until a drain frees it
-                if dispatched == 0:
-                    stats.sb_full_stalls += 1
-                    self.stall_reason = "sb_full"
-                return False
-            if self.tracer is not None:
-                self.tracer.record(self.core_id, "store", op.addr)
-            entry = RobEntry(K_STORE, cycle)
-            entry.addr = op.addr
-            self._mem_seq += 1
-            entry.seq = self._mem_seq
-            entry.fsb_mask = tracker.dispatch_mem(is_load=False, flagged=op.flagged)
-            entry.done = True  # value and address are ready at dispatch
-            if self.monitor is not None:
-                self.monitor.on_mem_dispatch(
-                    self.core_id, cycle, entry.seq, "store", op.addr,
-                    entry.fsb_mask, op.flagged,
-                )
-            self.memory.buffer_store(self.core_id, op.addr, op.value)
-            if at_dispatch:
-                # RMO: the store enters the store buffer immediately (the
-                # paper's "as soon as the value and destination address
-                # are available"); its ROB slot retires as a no-op.  A
-                # store behind a speculatively issued fence is *held*:
-                # it may not become globally visible until the fence
-                # completes (stores are never speculative).
-                entry.in_sb = True
-                open_fence = self._youngest_open_fence()
-                if open_fence is not None:
-                    sbe = self.sb.insert(op.addr, entry.fsb_mask, held=True)
-                    sbe.op_seq = entry.seq
-                    self._spec_fence_groups[-1][1].append(sbe)
-                else:
-                    sbe = self.sb.insert(op.addr, entry.fsb_mask)
-                    sbe.op_seq = entry.seq
-                    tracker.store_retired(entry.fsb_mask)
-            self.rob.push(entry)
-            stats.stores += 1
-            return True
-
         if cls is Fence:
+            # speculatively issued: opens a fence group whose countdown
+            # of older in-scope memory ops completes it later
             waits = op.waits
-            if cfg.in_window_speculation and op.speculable:
-                entry = RobEntry(K_FENCE, cycle)
-                entry.waits = waits
-                entry.scope_entry = tracker.resolve_fence_scope(op.kind)
-                entry.done = False
-                entry.seq = self._mem_seq  # ops <= seq are older
-                self.rob.push(entry)
-                countdown = tracker.pending_for_scope(entry.scope_entry, waits)
-                self._next_fence_id += 1
-                self._spec_fence_groups.append(
-                    [entry, [], countdown, self._next_fence_id, op.kind.value]
+            entry = RobEntry(K_FENCE, cycle)
+            entry.waits = waits
+            entry.scope_entry = tracker.resolve_fence_scope(op.kind)
+            entry.done = False
+            entry.seq = self._mem_seq  # ops <= seq are older
+            self.rob.push(entry)
+            countdown = tracker.pending_for_scope(entry.scope_entry, waits)
+            self._next_fence_id += 1
+            self._spec_fence_groups.append(
+                [entry, [], countdown, self._next_fence_id, op.kind.value]
+            )
+            if self.monitor is not None:
+                self.monitor.on_fence_open(
+                    self.core_id, cycle, self._next_fence_id,
+                    op.kind.value, waits, entry.scope_entry, entry.seq,
                 )
-                if self.monitor is not None:
-                    self.monitor.on_fence_open(
-                        self.core_id, cycle, self._next_fence_id,
-                        op.kind.value, waits, entry.scope_entry, entry.seq,
-                    )
-                stats.fences += 1
-                if tracker.would_stall_as_global(waits):
-                    stats.sfence_early_issues += 1
-                return True
-            if not tracker.fence_ready(op.kind, waits):
-                if dispatched == 0:
-                    stats.fence_stall_cycles += 1
-                    self.stall_reason = "fence"
-                return False
+            stats.fences += 1
             if tracker.would_stall_as_global(waits):
                 stats.sfence_early_issues += 1
-            if self.monitor is not None:
-                self.monitor.on_fence_pass(
-                    self.core_id, cycle, op.kind.value, waits,
-                    tracker.resolve_fence_scope(op.kind), self._mem_seq,
-                )
-            self._coherence_sync(cycle, op.kind.value, waits)
-            entry = RobEntry(K_FENCE, cycle)
-            entry.done = True
-            self.rob.push(entry)
-            stats.fences += 1
             return True
 
         if cls is Cas:
@@ -710,8 +544,6 @@ class Core:
                 return False
             if not self._sc_ready(dispatched):
                 return False
-            if self.tracer is not None:
-                self.tracer.record(self.core_id, "cas", op.addr)
             entry = RobEntry(K_CAS, cycle)
             entry.addr = op.addr
             self._mem_seq += 1
@@ -735,33 +567,6 @@ class Core:
                 self._coherence_sync(cycle, FenceKind.GLOBAL.value, WAIT_BOTH)
             self._last_result = success
             stats.cas_ops += 1
-            return True
-
-        if cls is Compute:
-            entry = RobEntry(K_COMPUTE, cycle)
-            latency = max(1, op.cycles)
-            self._schedule(cycle + latency, _EV_ROB, entry)
-            self.rob.push(entry)
-            # model a dependent ALU chain: issue resumes when it finishes
-            self._blocked_until = cycle + latency
-            return True
-
-        if cls is FsStart:
-            placed = tracker.fs_start(op.cid)
-            if self.monitor is not None:
-                self.monitor.on_scope(self.core_id, cycle, "start", op.cid, placed)
-            entry = RobEntry(K_FS, cycle)
-            entry.done = True
-            self.rob.push(entry)
-            return True
-
-        if cls is FsEnd:
-            placed = tracker.fs_end(op.cid)
-            if self.monitor is not None:
-                self.monitor.on_scope(self.core_id, cycle, "end", op.cid, placed)
-            entry = RobEntry(K_FS, cycle)
-            entry.done = True
-            self.rob.push(entry)
             return True
 
         if cls is Branch:
@@ -797,9 +602,7 @@ class Core:
 
     def _sc_ready(self, dispatched: int) -> bool:
         """Under SC every memory op waits for all prior memory ops."""
-        if self.config.memory_model is not MemoryModel.SC:
-            return True
-        if self.tracker.fsb.all_clear(True, True):
+        if not self._sc or self.tracker.fsb.all_clear(True, True):
             return True
         if dispatched == 0:
             self.stall_reason = "rob_full"  # implicit-ordering stall, not a fence
@@ -812,14 +615,13 @@ class Core:
         Observationally identical to :meth:`tick` (the dense reference
         loop's tick) -- same phase order, same stall attribution, same
         idle-delta recording; the differential suites
-        (tests/test_fastpath_equivalence.py) police byte-identity.  The
-        difference is mechanical: completions are inlined, dispatch
-        runs through :meth:`_dispatch_compiled`, which fuses the
-        interpreter's common per-op lanes (loads, stores, computes,
-        scope delimiters, non-speculative fences) with hoisted state,
-        and a progress tick publishes the probe-skip hint the
-        scheduler uses to replay provably blocked ticks as idle.  The
-        end-to-end benchmark's tracer wraps this method by name.
+        (tests/test_fastpath_equivalence.py) police byte-identity.
+        Dispatch is shared: both ticks call :meth:`_dispatch_lanes`.
+        What differs is mechanical: completions, retire and store issue
+        are inlined copies of the dense tick's methods, and a progress
+        tick publishes the probe-skip hint the scheduler uses to replay
+        provably blocked ticks as idle.  The end-to-end benchmark's
+        tracer wraps this method by name.
         """
         if self.finished:
             return False
@@ -942,7 +744,7 @@ class Core:
                     self._ev_seq += 1
                     _heappush(self._events, (done, self._ev_seq, _EV_SB, entry))
                     progress = True
-        if self._dispatch_compiled(cycle):
+        if self._dispatch_lanes(cycle):
             progress = True
 
         stats.rob_occupancy_sum += len(rob_q)
@@ -1003,24 +805,27 @@ class Core:
                         self._idle_deltas = (1, 0, 0, 0)
         return True
 
-    def _dispatch_compiled(self, cycle: int) -> bool:
-        """Fused dispatch: probe early-outs + inlined per-op lanes.
+    # ------------------------------------------------------- dispatch lanes
+    def _dispatch_lanes(self, cycle: int) -> bool:
+        """Dispatch up to ``dispatch_width`` ops; the core's one dispatch path.
 
-        A transcription of :meth:`_dispatch`/:meth:`_dispatch_one` with
-        state hoisted into locals, for loads and stores (plain, set-scope
-        flagged and ``serialize``), computes, scope delimiters and
-        non-speculative fences.  CAS, branches, probes and speculatively
-        issued fences go through the unabridged :meth:`_dispatch_one`;
-        when a monitor/tracer is installed or the memory model is SC,
-        the whole call is the interpreter's :meth:`_dispatch` (the
-        instrumented paths emit events in op order, and SC adds a
-        dispatch-gating check -- neither is worth duplicating here).
+        Both ticks call it: the dense loop's :meth:`tick` and the event
+        engine's :meth:`tick_compiled`, monitored or not, under every
+        memory model.  Loads and stores (plain, set-scope flagged and
+        ``serialize``), computes, scope delimiters and non-speculative
+        fences run inlined lanes over state hoisted into locals; CAS,
+        branches, probes and speculatively issued fences go through
+        :meth:`_dispatch_one`.  The lanes emit the monitor events in op
+        order behind one hoisted ``mon`` test, and gate loads and stores
+        on SC's all-prior-ops-complete rule through one hoisted bool
+        (:meth:`_sc_ready`'s check, with the same stall reason).
         """
         # Probe early-outs: almost half of all ticks cannot dispatch at
         # all (dependent-chain block, CAS serialization, drained stream,
-        # clogged ROB with the stalled op already pulled).  Resolve
-        # those before the full lane-state hoist below -- their cost is
-        # pure overhead the dense tick pays in full.
+        # clogged ROB with the stalled op already pulled, a pending
+        # fence whose FSB column is not clear).  Resolve those before
+        # the full lane-state hoist below; each charges exactly the
+        # stall counters the lane's own check would.
         if cycle < self._blocked_until:
             return False
         be = self._blocking_entry
@@ -1040,6 +845,7 @@ class Core:
             stats.rob_full_stalls += 1
             head = self._rob_q[0]
             if head.kind == K_FENCE and not head.done:
+                # issue is blocked because a waiting fence clogs the ROB
                 stats.fence_stall_cycles += 1
                 self.stall_reason = "fence"
             else:
@@ -1048,18 +854,17 @@ class Core:
         elif (op.__class__ is Fence
                 and not (self._in_window and op.speculable)
                 and not self.tracker.fence_ready(op.kind, op.waits)):
-            # non-speculative fence waiting on its FSB column: the by
-            # far most common stall probe -- fence_ready is pure, and
-            # the interpreter's not-ready path does exactly this
+            # non-speculative fence waiting on its FSB column: by far
+            # the most common stall probe (fence_ready is pure)
             self.stats.fence_stall_cycles += 1
             self.stall_reason = "fence"
             return False
-        if not self._fast:
-            return self._dispatch(cycle)
 
         (stats, rob_q, sb_q, events, tracker, fsb, pend_loads,
          pend_stores, sb_pend_stores, pend_map, mem_read, resident,
          access, load_timed, sb) = self._hot
+        mon = self.monitor
+        sc = self._sc
         rob_cap = self._rob_cap
         width = self._width
         mshrs = self._mshrs
@@ -1069,10 +874,10 @@ class Core:
         in_window = self._in_window
         dispatched = 0
         core_id = self.core_id
-        # the FSB mask every fused-lane memory op is stamped with, and
-        # its set bits, without and with the set-scope bit; constant
-        # until a scope delimiter or an op dispatched through
-        # _dispatch_one resets it
+        # the FSB mask every lane memory op is stamped with, and its set
+        # bits, without and with the set-scope bit; constant until a
+        # scope delimiter or an op dispatched through _dispatch_one
+        # resets it
         mask_entries: tuple | None = None
         flag_entries: tuple = ()
         base_mask = 0
@@ -1114,7 +919,15 @@ class Core:
 
             cls = op.__class__
             if cls is Load or cls is Store:
+                if sc and not fsb.all_clear(True, True):
+                    # SC: every memory op waits for all prior memory ops
+                    # (an implicit-ordering stall, not a fence stall)
+                    if dispatched == 0:
+                        self.stall_reason = "rob_full"
+                    break
                 if mask_entries is None:
+                    # ScopeTracker.dispatch_mem's mask: every open class
+                    # scope, or every class entry in overflow mode
                     if scoped:
                         base_mask = (tracker._all_class_mask
                                      if tracker.overflow_count
@@ -1129,8 +942,7 @@ class Core:
                         m ^= low
                     mask_entries = tuple(entries)
                     flag_entries = mask_entries + (set_entry,)
-                # dispatch_mem: the set-scope flag only counts when
-                # scoped fences are on
+                # the set-scope flag only counts when scoped fences are on
                 if scoped and op.flagged:
                     mask = base_mask | set_bit
                     bits = flag_entries
@@ -1139,9 +951,10 @@ class Core:
                     bits = mask_entries
                 addr = op.addr
                 if cls is Load:
-                    # ---------------------------------- fused load lane
+                    # --------------------------------------- load lane
                     fifo = pend_map.get(addr)
                     if fifo is not None:
+                        # store-to-load forwarding from the own buffer
                         value = fifo[-1]
                         latency = 1
                         stats.sb_forwards += 1
@@ -1155,6 +968,7 @@ class Core:
                         needs_mshr = bool(mshrs) and not was_res
                         value = mem_read(core_id, addr)
                     else:
+                        # a load that will miss the L1 needs a free MSHR
                         needs_mshr = not resident(core_id, addr)
                         if needs_mshr:
                             if dispatched == 0:
@@ -1166,13 +980,16 @@ class Core:
                     entry = RobEntry(K_LOAD, cycle)
                     entry.addr = addr
                     self._mem_seq += 1
-                    entry.seq = self._mem_seq
+                    seq = entry.seq = self._mem_seq
                     entry.fsb_mask = mask
                     fsb.total_loads += 1
                     for e in bits:
                         pend_loads[e] += 1
+                    if mon is not None:
+                        mon.on_mem_dispatch(core_id, cycle, seq, "load", addr,
+                                            mask, op.flagged)
                     if needs_mshr:
-                        entry.value = 1
+                        entry.value = 1  # holds an MSHR until completion
                         self._outstanding_misses += 1
                     self._ev_seq += 1
                     _heappush(events, (cycle + latency,
@@ -1181,8 +998,9 @@ class Core:
                     self._last_result = value
                     stats.loads += 1
                     if op.serialize:
-                        # address dependency: the group ends only if the
-                        # pointer value is not available this cycle
+                        # address dependency: nothing younger dispatches
+                        # until the pointer value is available; the
+                        # group ends only if that is after this cycle
                         if cycle + latency > self._blocked_until:
                             self._blocked_until = cycle + latency
                         if cycle < self._blocked_until:
@@ -1191,8 +1009,10 @@ class Core:
                             stats.instructions += 1
                             break
                 else:
-                    # --------------------------------- fused store lane
+                    # -------------------------------------- store lane
                     if at_dispatch and len(sb_q) >= sb_cap:
+                        # senior store queue full: issue stalls until a
+                        # drain frees it
                         if dispatched == 0:
                             stats.sb_full_stalls += 1
                             self.stall_reason = "sb_full"
@@ -1200,17 +1020,25 @@ class Core:
                     entry = RobEntry(K_STORE, cycle)
                     entry.addr = addr
                     self._mem_seq += 1
-                    entry.seq = self._mem_seq
+                    seq = entry.seq = self._mem_seq
                     entry.fsb_mask = mask
-                    entry.done = True
+                    entry.done = True  # value and address are ready
                     fsb.total_stores += 1
                     for e in bits:
                         pend_stores[e] += 1
-                    pend_map[addr].append(op.value)
+                    if mon is not None:
+                        mon.on_mem_dispatch(core_id, cycle, seq, "store", addr,
+                                            mask, op.flagged)
+                    pend_map[addr].append(op.value)  # buffer_store
                     if at_dispatch:
+                        # RMO: the store enters the store buffer at
+                        # dispatch and its ROB slot retires as a no-op.
+                        # Behind a speculatively issued fence it is held
+                        # (not globally visible) until the fence
+                        # completes: stores are never speculative.
                         entry.in_sb = True
                         sbe = sb.insert(addr, mask)
-                        sbe.op_seq = entry.seq
+                        sbe.op_seq = seq
                         groups = self._spec_fence_groups
                         if groups:
                             sbe.held = True
@@ -1222,7 +1050,7 @@ class Core:
                     rob_q.append(entry)
                     stats.stores += 1
             elif cls is Compute:
-                # ---------------------------------- fused compute lane
+                # --------------------------------------- compute lane
                 latency = op.cycles
                 if latency < 1:
                     latency = 1
@@ -1231,6 +1059,7 @@ class Core:
                 _heappush(events, (cycle + latency,
                                    self._ev_seq, _EV_ROB, entry))
                 rob_q.append(entry)
+                # a dependent ALU chain: issue resumes when it finishes
                 self._blocked_until = cycle + latency
                 # latency >= 1: the next iteration is guaranteed blocked
                 self._pending_op = None
@@ -1238,16 +1067,21 @@ class Core:
                 stats.instructions += 1
                 break
             elif cls is Fence and not (in_window and op.speculable):
-                # -------------------------- fused non-speculative fence
+                # ------------------------------ non-speculative fence lane
+                kind = op.kind
                 waits = op.waits
-                if not tracker.fence_ready(op.kind, waits):
+                if not tracker.fence_ready(kind, waits):
                     if dispatched == 0:
                         stats.fence_stall_cycles += 1
                         self.stall_reason = "fence"
                     break
                 if tracker.would_stall_as_global(waits):
                     stats.sfence_early_issues += 1
-                self._coherence_sync(cycle, op.kind.value, waits)
+                if mon is not None:
+                    mon.on_fence_pass(core_id, cycle, kind.value, waits,
+                                      tracker.resolve_fence_scope(kind),
+                                      self._mem_seq)
+                self._coherence_sync(cycle, kind.value, waits)
                 entry = RobEntry(K_FENCE, cycle)
                 entry.done = True
                 rob_q.append(entry)
@@ -1261,21 +1095,26 @@ class Core:
                     break
                 continue
             elif cls is FsStart or cls is FsEnd:
-                # ---------------------------------- fused scope delimiter
+                # ------------------------------ scope delimiter lane
                 if cls is FsStart:
-                    tracker.fs_start(op.cid)
+                    action = "start"
+                    placed = tracker.fs_start(op.cid)
                 else:
-                    tracker.fs_end(op.cid)
+                    action = "end"
+                    placed = tracker.fs_end(op.cid)
+                if mon is not None:
+                    mon.on_scope(core_id, cycle, action, op.cid, placed)
                 entry = RobEntry(K_FS, cycle)
                 entry.done = True
                 rob_q.append(entry)
                 mask_entries = None  # the FSS moved
             else:
-                # CAS, branch, probe, speculative fence: the interpreter
+                # CAS, branch, probe, speculative fence
                 if not self._dispatch_one(op, cycle, dispatched):
                     break
-                # the interpreter owns these ops' side effects: recompute
-                # the cached mask rather than reason about each of them
+                # rather than reason about each of these ops' side
+                # effects (a probe runs a guest callback), recompute
+                # the cached mask
                 mask_entries = None
                 self._pending_op = None
                 dispatched += 1

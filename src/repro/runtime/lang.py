@@ -287,14 +287,14 @@ class Env:
         else:
             raise TypeError(f"cannot warm {target!r}")
 
-    def simulator(self, program: Program, tracer=None) -> Simulator:
-        sim = Simulator(self.config, program, memory=self.memory, tracer=tracer)
+    def simulator(self, program: Program) -> Simulator:
+        sim = Simulator(self.config, program, memory=self.memory)
         for core, base, length, into_l1 in self._warm_requests:
             sim.hierarchy.warm(core, base, length, into_l1=into_l1)
         return sim
 
-    def run(self, program: Program, tracer=None, max_cycles: int | None = None) -> SimResult:
-        return self.simulator(program, tracer=tracer).run(max_cycles=max_cycles)
+    def run(self, program: Program, max_cycles: int | None = None) -> SimResult:
+        return self.simulator(program).run(max_cycles=max_cycles)
 
 
 class ScopedStructure:

@@ -114,8 +114,6 @@ class SimConfig:
     # predict Branch ops with a per-core two-bit predictor (indexed by
     # Branch.pc) instead of trusting the guest-stamped mispredict flag
     use_branch_predictor: bool = False
-    predictor_entries: int = 512
-    seed: int = 12345
 
     # keep the last N retired ops per core in a ring buffer for failure
     # diagnostics (0 disables; the chaos harness enables it)

@@ -5,10 +5,13 @@ stats counters, retire logs, monitor event streams, timelines --
 tests/test_fastpath_equivalence.py is the differential suite):
 
 * **Dense reference loop** (``SimConfig.dense_loop=True``): every core
-  is ticked on every cycle, in core-index order.  Trivially correct and
-  trivially slow at 300-cycle memory latencies; kept as the oracle the
-  differential suites and ``verify --engines dense`` check the fast
-  path against, and as the baseline the perf harness times it against.
+  is ticked on every cycle, in core-index order (``Core.tick``).
+  Trivially correct and trivially slow at 300-cycle memory latencies;
+  kept as the oracle for what the fast path adds -- its scheduling
+  (wake-ups, probe-skip, chaining, idle replay) and its inlined
+  completion, retire and store-issue copies -- which the differential
+  suites and ``verify --engines dense`` check, and as the baseline the
+  perf harness times it against.
 
 * **Event-driven fast path** (the default): each core sleeps between
   ticks on which it can make progress.  After a no-progress tick the
@@ -20,6 +23,12 @@ tests/test_fastpath_equivalence.py is the differential suite):
   skipped-span marker.  Cores run the fused tick
   (``Core.tick_compiled``), whose probe-skip hint and same-core
   chaining cut the remaining blocked probes and heap round trips.
+
+Both ticks dispatch through the same fused lanes
+(``Core._dispatch_lanes``), monitored or not, under every memory model,
+so dispatch is not checked by engine agreement: the verify oracle, the
+chaos ordering checkers (which observe the lanes' monitor events) and
+the committed goldens and pinned probe digests check it.
 
 Equivalence rests on two invariants, both enforced by tests:
 
@@ -99,7 +108,6 @@ class Simulator:
         config: SimConfig,
         program: Program,
         memory: SharedMemory | None = None,
-        tracer=None,
         timeline=None,
     ) -> None:
         if program.n_threads > config.n_cores:
@@ -120,9 +128,6 @@ class Simulator:
             Core(c, config, self.memory, self.hierarchy, self.core_stats[c])
             for c in range(config.n_cores)
         ]
-        if tracer is not None:
-            for core in self.cores:
-                core.tracer = tracer
         self.timeline = timeline
 
     def run(self, max_cycles: int | None = None) -> SimResult:

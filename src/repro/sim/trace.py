@@ -1,21 +1,21 @@
 """Structured memory-access tracing.
 
-A :class:`TraceCollector` attached to a :class:`~repro.sim.simulator.Simulator`
-records every dispatched memory access as ``(core, kind, addr)``.  The
-delay-set classifier (:mod:`repro.apps.delay_set`) consumes such traces
-to partition addresses into private / shared-read-only /
-shared-conflicting, the partition end-to-end-SC fence insertion relies
-on for barnes and radiosity (Section VI-B).
-
-A second, finer-grained stream exists for the chaos harness: a *monitor*
-attached to a core (``Core.monitor``) receives every ordering-relevant
-event -- memory-op dispatch/completion/drain with the op's FSB bitmask,
-fence issue and completion with the resolved scope, scope open/close
-with the FSB entry the mapping table assigned, and mispredict squashes.
+A core has one instrumentation hook: a *monitor* attached as
+``Core.monitor`` receives every ordering-relevant event -- memory-op
+dispatch/completion/drain with the op's FSB bitmask, fence issue and
+completion with the resolved scope, scope open/close with the FSB entry
+the mapping table assigned, and mispredict squashes.
 :class:`OrderEvent` is the uniform record; :class:`OrderEventLog`
 implements the monitor protocol by recording, and can :meth:`replay
 <OrderEventLog.replay>` its records into any other monitor (e.g. the
 ordering-invariant checker in :mod:`repro.chaos.invariants`).
+
+:class:`TraceCollector` is the coarsest monitor sink: it keeps only the
+memory-op dispatches, as ``(core, kind, addr)``.  The delay-set
+classifier (:mod:`repro.apps.delay_set`) consumes such traces to
+partition addresses into private / shared-read-only /
+shared-conflicting, the partition end-to-end-SC fence insertion relies
+on for barnes and radiosity (Section VI-B).
 """
 
 from __future__ import annotations
@@ -46,13 +46,29 @@ class TraceRecord:
 
 
 class TraceCollector:
-    """Accumulates memory-access records during a run."""
+    """Accumulates memory-access records during a run.
+
+    A monitor sink (attach it as ``Core.monitor``, or behind a
+    :class:`MonitorFanout`): every dispatched load, store and CAS is
+    recorded; the other monitor hooks are no-ops.
+    """
 
     def __init__(self) -> None:
         self.records: list[TraceRecord] = []
 
     def record(self, core: int, kind: str, addr: int) -> None:
         self.records.append(TraceRecord(core, kind, addr))
+
+    # -- monitor protocol -----------------------------------------------------
+    def on_mem_dispatch(self, core, cycle, seq, op, addr, mask, flagged) -> None:
+        self.record(core, op, addr)
+
+    def _ignore(self, *args) -> None:
+        pass
+
+    on_mem_complete = on_store_drain = on_fence_open = _ignore
+    on_fence_complete = on_fence_pass = on_scope = _ignore
+    on_squash = on_coherence_sync = _ignore
 
     def __len__(self) -> int:
         return len(self.records)

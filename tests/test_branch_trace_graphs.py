@@ -44,7 +44,9 @@ def test_alternating_model_period():
 def test_trace_records_memory_ops():
     tracer = TraceCollector()
     prog = ops_program([[Store(10, 1), Load(10), Load(20)]])
-    Simulator(SimConfig(n_cores=1), prog, tracer=tracer).run()
+    sim = Simulator(SimConfig(n_cores=1), prog)
+    sim.cores[0].monitor = tracer
+    sim.run()
     kinds = [(r.kind, r.addr) for r in tracer.records]
     assert ("store", 10) in kinds and ("load", 10) in kinds and ("load", 20) in kinds
     assert len(tracer) == 3

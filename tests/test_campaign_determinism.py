@@ -13,9 +13,29 @@ from __future__ import annotations
 
 from dataclasses import asdict
 
+import pytest
+
 from repro.campaign import chaos_jobs, probe_jobs, run_campaign
 
 PROBE_CASES = [("wsq", "storm", 3), ("lamport", "scope", 4)]
+
+#: (algo, scenario, seed, mem_backend) -> (cycles, events_sha) of the
+#: probe's full monitor stream, recorded before dispatch was unified
+#: into the fused lanes.  Dense-vs-event runs share dispatch, so these
+#: pins (with the chaos checkers and verify's oracle) are what catches
+#: a dispatch change that moves an event, its order or its arguments.
+#: ``msn/branch`` drives the mispredict/squash path; the SiSd probe
+#: pins ``coherence_sync`` events and their order against ``fence_pass``.
+PINNED_PROBES = {
+    ("wsq", "storm", 3, "mesi"): (
+        7404, "82df72f219dbb50e95a668d03e54ee509413c4baba14daf4c563153b889fd5f6"),
+    ("lamport", "scope", 4, "mesi"): (
+        5613, "c89c0bb867cc0d0698a133b61b765da113545b221b909f07e233cbb7d957d3fb"),
+    ("msn", "branch", 1, "mesi"): (
+        5965, "aa08d0b83db9adebe01305a28b1e23945ccaeca6ebbf3a94cc7f9297a6d3dce3"),
+    ("wsq", "latency", 2, "sisd"): (
+        9008, "307095f44302428259602b181e7e6db87ffaca52aac1a176effe1b9b148d19bf"),
+}
 
 
 def _results(jobs, parallel):
@@ -82,3 +102,15 @@ def test_outcomes_return_in_submission_order():
     campaign = run_campaign(jobs, parallel=2)
     for job, outcome in zip(jobs, campaign.outcomes):
         assert outcome.job.params == job.params
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_PROBES),
+                         ids=lambda c: "/".join(map(str, c)))
+def test_probe_stream_matches_pin(case):
+    """The monitor stream of each pinned probe is byte-identical to the
+    one recorded when the pins were taken."""
+    algo, scenario, seed, backend = case
+    (r,) = _results(probe_jobs([(algo, scenario, seed)], mem_backend=backend),
+                    parallel=0)
+    assert r["status"] == "ok" and r["violations"] == 0
+    assert (r["cycles"], r["events_sha"]) == PINNED_PROBES[case]

@@ -19,6 +19,7 @@ from repro.isa.instructions import (
 from repro.isa.program import Program, ops_program
 from repro.sim.config import MemoryModel, SimConfig
 from repro.sim.simulator import Simulator, run_program
+from repro.sim.trace import OrderEventLog
 
 
 def run_ops(ops, **cfg):
@@ -207,6 +208,51 @@ def test_sc_orders_every_memory_op():
     rmo = run_ops(list(ops), memory_model=MemoryModel.RMO)
     # under SC the load waits for the store's drain
     assert sc.cycles > rmo.cycles
+
+
+def _event_log(ops, **cfg):
+    """Run one core's ``ops`` with an event log attached; its events."""
+    sim = Simulator(SimConfig(n_cores=1, **cfg), ops_program([ops]))
+    log = OrderEventLog()
+    sim.cores[0].monitor = log
+    sim.run()
+    return log.events
+
+
+def test_sc_store_waits_for_older_load():
+    """Under SC a store waits at dispatch for every older memory op.
+
+    The store's buffered value only becomes visible at retire, after the
+    older load, so skipping the SC gate for stores changes no litmus
+    outcome -- only this dispatch timing shows it.
+    """
+    events = _event_log([Load(4096), Store(64, 1)], memory_model=MemoryModel.SC,
+                        mem_latency=300)
+    load_done = next(e.cycle for e in events
+                     if e.kind == "mem_complete" and e.seq == 1)
+    store_issued = next(e.cycle for e in events
+                        if e.kind == "mem_dispatch" and e.op == "store")
+    assert load_done >= 300
+    assert store_issued >= load_done
+
+
+def test_forwarded_load_completes_next_cycle():
+    """Store-to-load forwarding from the own buffer takes one cycle."""
+    events = _event_log([Store(4096, 5), Load(4096)])
+    issued = next(e for e in events
+                  if e.kind == "mem_dispatch" and e.op == "load")
+    done = next(e for e in events
+                if e.kind == "mem_complete" and e.seq == issued.seq)
+    assert done.cycle == issued.cycle + 1
+
+
+def test_sisd_sync_event_follows_fence_pass():
+    """A passing fence reports itself before the backend sync it causes."""
+    events = _event_log([Store(4096, 5), Fence(), Load(64)], mem_backend="sisd")
+    kinds = [e.kind for e in events]
+    at = kinds.index("fence_pass")
+    assert kinds[at + 1] == "coherence_sync"
+    assert "coherence_sync" not in kinds[:at]
 
 
 def test_instruction_count():

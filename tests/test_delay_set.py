@@ -55,7 +55,9 @@ def test_barnes_flags_match_dynamic_classification():
     env = Env(SimConfig())
     inst = build_barnes(env, n_bodies=48, scope=FenceKind.SET)
     tracer = TraceCollector()
-    sim = env.simulator(inst.program, tracer=tracer)
+    sim = env.simulator(inst.program)
+    for core in sim.cores:
+        core.monitor = tracer
     sim.run(max_cycles=2_000_000)
     inst.check()
     classification = classify_trace(tracer)
@@ -82,7 +84,9 @@ def test_radiosity_readonly_data_unflagged():
     env = Env(SimConfig())
     inst = build_radiosity(env, n_patches=32, scope=FenceKind.SET)
     tracer = TraceCollector()
-    sim = env.simulator(inst.program, tracer=tracer)
+    sim = env.simulator(inst.program)
+    for core in sim.cores:
+        core.monitor = tracer
     sim.run(max_cycles=2_000_000)
     inst.check()
     classification = classify_trace(tracer)

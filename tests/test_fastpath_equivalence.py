@@ -1,8 +1,12 @@
 """Differential equivalence: dense loop vs event fast path.
 
 The event engine's entire claim is that skipping no-progress ticks
-(wake-ups, probe-skip, same-core chaining) and its fused dispatch lanes
-are unobservable.  These tests run the
+(wake-ups, probe-skip, same-core chaining) and its inlined copies of
+completion, retire and store issue are unobservable.  Dispatch itself
+is shared: both ticks call the same fused lanes, so these suites check
+the scheduler and those copies, not dispatch (which the verify oracle,
+the chaos checkers and the pinned probe digests of
+tests/test_campaign_determinism.py check).  These tests run the
 same workloads under both engines and assert *byte-identical*
 results at every level the simulator exposes: final memory contents,
 every per-core stats counter, retire logs, the full monitor event
@@ -17,11 +21,11 @@ backends, plus
 directed tests for the wake-up contract's edge cases (zero-latency
 memory, a core that never wakes, and wake-source coincidence).
 
-Runs that attach a monitor send every op through the interpreted
-dispatch; the rest keep a retire log, whose entries the engines must
-agree on.  The unmonitored Fig. 13 app runs at the end keep neither,
-drive the fused dispatch lanes on the paper's own programs, and
-assert that no op of a fused kind reached the interpreter.
+Every run, monitored or not and under every memory model, dispatches
+through the fused lanes.  The Fig. 13 app runs at the end drive them on
+the paper's own programs (unmonitored, monitored with the ordering
+checker attached, and under SC) and assert that no op of a fused kind
+reached ``Core._dispatch_one``, the path of the rare kinds.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import pytest
 
 from repro.campaign.figures import _app_builders
 from repro.chaos.faults import ChaosEngine, FaultPlan
+from repro.chaos.invariants import OrderingChecker
 from repro.cpu.core import Core
 from repro.isa.instructions import (
     Compute,
@@ -47,9 +52,9 @@ from repro.isa.program import ops_program
 from repro.litmus.corpus import CORPUS
 from repro.litmus.dsl import build_program, parse_litmus, run_litmus
 from repro.runtime.lang import Env, reset_cids
-from repro.sim.config import SimConfig
+from repro.sim.config import MemoryModel, SimConfig
 from repro.sim.simulator import DeadlockError, Simulator
-from repro.sim.trace import OrderEventLog
+from repro.sim.trace import MonitorFanout, OrderEventLog
 from tests.test_litmus_fuzz import generate_program
 
 OFFSETS = [0, 3, 47]
@@ -284,13 +289,13 @@ def test_op_exactly_on_wake_cycle(compute_cycles):
     _assert_identical(dense, got, "event")
 
 
-# ------------------------------------------------ unmonitored fused lanes
+# ---------------------------------------------------------- fused lanes
 #: app scale for the lane runs: small, but every app still checks
 LANE_SCALE = 0.2
 
 
-def _interpreted_ops(monkeypatch) -> list:
-    """Record every op the event engine hands to ``Core._dispatch_one``."""
+def _dispatch_one_ops(monkeypatch) -> list:
+    """Record every op either engine hands to ``Core._dispatch_one``."""
     seen = []
     orig = Core._dispatch_one
 
@@ -303,40 +308,54 @@ def _interpreted_ops(monkeypatch) -> list:
 
 
 def _fused(op, in_window: bool) -> bool:
-    """Op kinds the fused lanes own on an unmonitored, non-SC core."""
+    """Op kinds the fused lanes own."""
     cls = type(op)
     if cls is Fence:
         return not (in_window and op.speculable)
     return cls in (Load, Store, Compute, FsStart, FsEnd)
 
 
-def _run_unmonitored(build, engine: str, **cfg) -> dict:
-    """One run without monitor or retire log: every observable."""
+def _run_app(build, engine: str, monitored: bool = False, **cfg) -> dict:
+    """One run without retire log: every observable.
+
+    ``monitored`` attaches an event log and the ordering checker to
+    every core; the run must then pass the checker, and its event
+    stream joins the observables.
+    """
     reset_cids()
-    env = Env(SimConfig(**ENGINES[engine], **cfg))
+    config = SimConfig(**ENGINES[engine], **cfg)
+    env = Env(config)
     instance = build(env)
     sim = env.simulator(instance.program)
     assert all(c.monitor is None and c.retire_log is None for c in sim.cores)
+    log = checker = None
+    if monitored:
+        log, checker = OrderEventLog(), OrderingChecker(config)
+        for core in sim.cores:
+            core.monitor = MonitorFanout(log, checker)
     res = sim.run(max_cycles=3_000_000)
     instance.check()
+    if checker is not None:
+        checker.assert_ok()
     return {
         "cycles": res.cycles,
         "stats": [dataclasses.asdict(c) for c in res.stats.cores],
         "summary": res.stats.summary(),
         "memory_sha": _memory_sha(sim.memory),
         "overflow_events": sum(c.tracker.overflow_events for c in sim.cores),
+        "events": log.events if log is not None else None,
     }
 
 
-def _check_lanes(monkeypatch, build, **cfg) -> dict:
+def _check_lanes(monkeypatch, build, monitored: bool = False, **cfg) -> dict:
     """Dense vs event on ``build``; the fused-lane ops must stay fused."""
-    dense = _run_unmonitored(build, "dense", **cfg)
-    seen = _interpreted_ops(monkeypatch)
-    got = _run_unmonitored(build, "event", **cfg)
+    seen = _dispatch_one_ops(monkeypatch)
+    dense = _run_app(build, "dense", monitored, **cfg)
+    got = _run_app(build, "event", monitored, **cfg)
     _assert_identical(dense, got, "event")
     in_window = cfg.get("in_window_speculation", False)
     leaked = {type(op).__name__ for op in seen if _fused(op, in_window)}
-    assert not leaked, f"fused-lane ops took the interpreter: {leaked}"
+    assert not leaked, f"fused-lane ops took _dispatch_one: {leaked}"
     return dense
 
 
@@ -388,9 +407,27 @@ def test_fused_lanes_overflow_equivalence(monkeypatch, hw):
 @pytest.mark.parametrize("backend", ["mesi", "sisd"])
 @pytest.mark.parametrize("app", ["barnes", "radiosity"])
 def test_fused_lanes_in_window_equivalence(monkeypatch, app, backend):
-    """Speculative fences stay interpreted; stores behind them are held."""
+    """Speculative fences take _dispatch_one; stores behind them are held."""
     _check_lanes(monkeypatch, _app(app), in_window_speculation=True,
                  mem_backend=backend)
+
+
+@pytest.mark.parametrize("app", ["pst", "ptc"])
+def test_fused_lanes_monitored_equivalence(monkeypatch, app):
+    """Monitored runs take the lanes too: the event stream they emit is
+    the same under both engines, and the ordering checker passes it."""
+    dense = _check_lanes(monkeypatch, _app(app), monitored=True,
+                         mem_backend="sisd")
+    kinds = {ev.kind for ev in dense["events"]}
+    assert {"mem_dispatch", "fence_pass", "scope",
+            "coherence_sync"} <= kinds
+
+
+def test_fused_lanes_sc_equivalence(monkeypatch):
+    """SC runs take the lanes: loads and stores wait at the SC gate."""
+    dense = _check_lanes(monkeypatch, _app("pst"), memory_model=MemoryModel.SC)
+    rmo = _run_app(_app("pst"), "event")
+    assert dense["cycles"] > rmo["cycles"]  # the gate actually held ops
 
 
 @pytest.mark.parametrize("backend", ["mesi", "sisd"])
@@ -398,7 +435,7 @@ def test_zero_latency_serialize_and_flagged_lanes(monkeypatch, backend):
     """A zero-latency ``serialize`` load does not end the dispatch group.
 
     With every access resolving in 0 cycles the address dependency is
-    already satisfied, so the interpreter keeps dispatching after it;
+    already satisfied, so the load lane keeps dispatching after it;
     set-scope-flagged accesses and class scopes exercise the set bit and
     the cached mask around them.
     """
@@ -415,7 +452,7 @@ def test_zero_latency_serialize_and_flagged_lanes(monkeypatch, backend):
                mem_latency=0, cache_to_cache_latency=0)
     config = SimConfig(**ENGINES["dense"], **lat)
     dense = Simulator(config, ops_program(ops)).run(max_cycles=10_000)
-    seen = _interpreted_ops(monkeypatch)
+    seen = _dispatch_one_ops(monkeypatch)
     sim = Simulator(config.with_(dense_loop=False), ops_program(ops))
     got = sim.run(max_cycles=10_000)
     assert not seen  # every op took a fused lane
@@ -441,15 +478,15 @@ def _cilk_fib(engine: str, mem_backend: str) -> dict:
     """Fork-join fib(8) work stealing across 8 cores."""
     from repro.apps.cilk_fib import build_cilk_fib
 
-    return _run_unmonitored(lambda env: build_cilk_fib(env, n=8), engine,
-                            mem_backend=mem_backend)
+    return _run_app(lambda env: build_cilk_fib(env, n=8), engine,
+                    mem_backend=mem_backend)
 
 
 def _fig15_500(engine: str, mem_backend: str) -> dict:
     """The Fig. 15 radiosity cell: global fence, 500-cycle memory."""
     builder, _native = _app_builders(0.25)["radiosity"]
-    return _run_unmonitored(lambda env: builder(env, FenceKind.GLOBAL),
-                            engine, mem_latency=500, mem_backend=mem_backend)
+    return _run_app(lambda env: builder(env, FenceKind.GLOBAL),
+                    engine, mem_latency=500, mem_backend=mem_backend)
 
 
 SMOKE_WORKLOADS = {
