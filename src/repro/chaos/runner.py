@@ -163,6 +163,7 @@ def _run_case(
     label: str,
     scope: str,
     patterns=None,
+    watch_only: bool = False,
     sinks=(),
     base_budget: int = 400_000,
     escalations: int = 3,
@@ -175,11 +176,13 @@ def _run_case(
     supervised attempt gets a fresh config, :class:`Env`, handle,
     :class:`ChaosEngine` and :class:`OrderingChecker`; with ``patterns``
     (delay-set ordering requirements) a :class:`DelayPairChecker` shadows
-    every core too, and each of ``sinks`` (zero-argument monitor
-    factories, e.g. :class:`~repro.sim.trace.OrderEventLog`) is built
-    fresh and fed the same event stream.  Returns ``(report, outcome,
-    sinks)``: the flattened :class:`ChaosReport`, the supervisor's
-    outcome and the final attempt's sink instances.
+    every core too -- judged like the ordering checker, or with
+    ``watch_only`` only recorded in ``pair_violated`` -- and each of
+    ``sinks`` (zero-argument monitor factories, e.g.
+    :class:`~repro.sim.trace.OrderEventLog`) is built fresh and fed the
+    same event stream.  Returns ``(report, outcome, sinks)``: the
+    flattened :class:`ChaosReport`, the supervisor's outcome and the
+    final attempt's sink instances.
     """
     scen = SCENARIOS[scenario]
     state: dict = {}
@@ -213,6 +216,9 @@ def _run_case(
     )
     checker: OrderingChecker = state["checker"]
     pair_checker = state["pair_checker"]
+    judges = [checker]
+    if pair_checker is not None and not watch_only:
+        judges.append(pair_checker)
     report = ChaosReport(
         algo=label,
         scenario=scenario,
@@ -222,8 +228,7 @@ def _run_case(
         attempts=len(outcome.attempts),
         events=checker.events_seen,
         fences_checked=checker.fences_checked,
-        violations=checker.violation_count
-        + (pair_checker.violation_count if pair_checker else 0),
+        violations=sum(j.violation_count for j in judges),
         injected=state["engine"].summary(),
     )
     if pair_checker is not None:
@@ -234,8 +239,7 @@ def _run_case(
     else:
         report.cycles = outcome.result.cycles
         if report.violations:
-            recorded = checker.violations + (
-                pair_checker.violations if pair_checker else [])
+            recorded = [v for j in judges for v in j.violations]
             report.status = "violations"
             report.detail = "\n".join(v.render() for v in recorded[:10])
         else:
@@ -293,6 +297,7 @@ def run_plan_case(
     escalations: int = 3,
     on_attempt=None,
     mem_backend: str = "mesi",
+    watch_only: bool = False,
 ) -> ChaosReport:
     """Run an arbitrary guest builder under one chaos scenario.
 
@@ -305,11 +310,21 @@ def run_plan_case(
     :class:`~repro.chaos.invariants.DelayPairChecker` shadows every
     core alongside the ordering checker; the case is judged by the
     supervisor, both checkers, and the handle's own ``check()``.
+
+    With ``watch_only`` the patterns are watched, not judged: the
+    report still lists the ones the run violated in ``pair_violated``,
+    but pair violations stay out of ``status``, ``detail`` and
+    ``violations``, so the case is judged -- ``check()`` included --
+    as a judged run monitoring only the patterns it kept would be.  The
+    whole-program synthesizer runs its hand battery this way, learning
+    the calibrated monitor spec and the hand verdict from one run per
+    cell.
     """
     report, _outcome, _sinks = _run_case(
         builder, scenario, seed, label=label, scope="plan",
-        patterns=patterns, base_budget=base_budget, escalations=escalations,
-        on_attempt=on_attempt, mem_backend=mem_backend,
+        patterns=patterns, watch_only=watch_only, base_budget=base_budget,
+        escalations=escalations, on_attempt=on_attempt,
+        mem_backend=mem_backend,
     )
     return report
 

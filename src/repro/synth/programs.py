@@ -25,7 +25,10 @@ beyond either exhaustive oracle.  This module closes both gaps:
   with the :class:`~repro.chaos.invariants.DelayPairChecker` watching
   the delay-set ordering requirements, judged by rejection sampling
   with an explicit confidence figure calibrated against the mutation
-  battery's observed kill rate.
+  battery's observed kill rate.  The monitor spec is calibrated on the
+  hand placement's own battery, which runs once: the runs that show
+  which patterns the hand fences trip also judge the hand placement
+  (:func:`hand_battery`).
 
 Every synthesized placement must statically enforce the same
 delay-pair pattern floor as the hand-written one; the chaos oracle
@@ -596,6 +599,41 @@ def plan_scope(entry: AppEntry, assignment: dict) -> FenceKind:
     return entry.hand_scope
 
 
+def _run_battery(entry: AppEntry, plan: FencePlan, scope: FenceKind,
+                 patterns: set, scenarios, seeds, base_budget: int,
+                 escalations: int = 3, on_progress=None,
+                 watch_only: bool = False) -> tuple[dict, set]:
+    """Run every (scenario, seed) cell of one placement's battery.
+
+    Returns ``(verdict, violated)``: the rejection-sampling verdict
+    (``runs``, ``failures``, ``ok``) and the union of the delay patterns
+    the cells' :class:`~repro.chaos.invariants.DelayPairChecker` saw
+    violated.  ``watch_only`` keeps those violations out of the verdict
+    (see :func:`repro.chaos.runner.run_plan_case`).
+    """
+    def builder(env, emit_branches):
+        return entry.chaos_build(env, plan, scope, emit_branches)
+
+    runs, failures, violated = 0, [], set()
+    for scenario in scenarios:
+        for seed in seeds:
+            rep = run_plan_case(
+                builder, scenario, seed, patterns=patterns,
+                label=entry.name, base_budget=base_budget,
+                escalations=escalations, watch_only=watch_only)
+            runs += 1
+            violated.update(tuple(p) for p in rep.pair_violated)
+            if on_progress is not None:
+                on_progress()
+            if not rep.ok:
+                failures.append({
+                    "scenario": scenario, "seed": seed,
+                    "status": rep.status,
+                    "detail": rep.detail.splitlines()[0] if rep.detail else "",
+                })
+    return {"runs": runs, "failures": failures, "ok": not failures}, violated
+
+
 def chaos_validate(entry: AppEntry, plan: FencePlan, scope: FenceKind,
                    patterns: set, scenarios, seeds,
                    base_budget: int = 600_000, escalations: int = 3,
@@ -607,32 +645,16 @@ def chaos_validate(entry: AppEntry, plan: FencePlan, scope: FenceKind,
     ordering checker *and* the delay-pair checker watching, and judges
     the run by both checkers plus the workload's own invariants.
     """
-    def builder(env, emit_branches):
-        return entry.chaos_build(env, plan, scope, emit_branches)
-
-    runs, failures = 0, []
-    for scenario in scenarios:
-        for seed in seeds:
-            rep = run_plan_case(
-                builder, scenario, seed, patterns=patterns,
-                label=entry.name, base_budget=base_budget,
-                escalations=escalations)
-            runs += 1
-            if on_progress is not None:
-                on_progress()
-            if not rep.ok:
-                failures.append({
-                    "scenario": scenario, "seed": seed,
-                    "status": rep.status,
-                    "detail": rep.detail.splitlines()[0] if rep.detail else "",
-                })
-    return {"runs": runs, "failures": failures, "ok": not failures}
+    verdict, _violated = _run_battery(
+        entry, plan, scope, patterns, scenarios, seeds,
+        base_budget, escalations, on_progress)
+    return verdict
 
 
-def calibrate_patterns(entry: AppEntry, candidates: set, scenarios, seeds,
-                       base_budget: int = 600_000,
-                       on_progress=None) -> tuple[set, set]:
-    """Differential monitor spec: drop patterns the *hand* build trips.
+def hand_battery(entry: AppEntry, candidates: set, scenarios, seeds,
+                 base_budget: int = 600_000,
+                 on_progress=None) -> tuple[set, set, dict]:
+    """One chaos battery of the hand placement: calibrated spec + verdict.
 
     The static ``hand_enforced`` set generalises from one recorded path
     per thread, but a chaos cell can drive the workload down paths the
@@ -643,22 +665,23 @@ def calibrate_patterns(entry: AppEntry, candidates: set, scenarios, seeds,
     is the ordering contract the hand fences actually maintain -- the
     spec synthesized placements and mutants are then held to, the same
     differential move the kernel oracle makes with allowed-outcome
-    sets.  Returns ``(monitored, discarded)``.
-    """
-    def builder(env, emit_branches):
-        return entry.chaos_build(env, FencePlan.hand(), entry.hand_scope,
-                                 emit_branches)
+    sets.
 
-    violated: set = set()
-    for scenario in scenarios:
-        for seed in seeds:
-            rep = run_plan_case(
-                builder, scenario, seed, patterns=candidates,
-                label=entry.name, base_budget=base_budget)
-            violated.update(tuple(p) for p in rep.pair_violated)
-            if on_progress is not None:
-                on_progress()
-    return candidates - violated, violated
+    The candidates are watched, not judged, so the same runs also give
+    the hand verdict.  That verdict is exactly what judging the hand
+    placement again with the calibrated spec would give: the cells are
+    deterministic replays, the delay-pair checker flags each pattern
+    independently of the others, and every pattern one of these runs
+    trips is calibrated out, so a second pass's pair checker could
+    never fire and its verdict would rest on the supervisor, the
+    ordering checker and ``check()`` alone -- which is what a
+    watch-only run is judged by.  Returns ``(monitored, discarded,
+    hand_verdict)``.
+    """
+    verdict, violated = _run_battery(
+        entry, FencePlan.hand(), entry.hand_scope, candidates, scenarios,
+        seeds, base_budget, on_progress=on_progress, watch_only=True)
+    return candidates - violated, violated, verdict
 
 
 def chaos_mutants(entry: AppEntry, analysis: AppAnalysis) -> list[dict]:
@@ -812,8 +835,9 @@ def run_app_synth_case(
             f"delay-pair floor -- weakening bug")
 
     # calibrate the runtime monitor spec against the hand build before
-    # judging anything with it (see calibrate_patterns)
-    patterns, discarded = calibrate_patterns(
+    # judging anything with it; the same runs judge the hand placement
+    # (see hand_battery)
+    patterns, discarded, hand_verdict = hand_battery(
         entry, analysis.hand_enforced, scenarios, seeds,
         base_budget=base_budget, on_progress=on_progress)
 
@@ -831,9 +855,6 @@ def run_app_synth_case(
     scope = plan_scope(entry, assignment)
     synth_plan = FencePlan(dict(assignment), default="none")
 
-    hand_verdict = chaos_validate(
-        entry, FencePlan.hand(), entry.hand_scope, patterns,
-        scenarios, seeds, base_budget=base_budget, on_progress=on_progress)
     synth_verdict = chaos_validate(
         entry, synth_plan, scope, patterns,
         scenarios, seeds, base_budget=base_budget, on_progress=on_progress)
