@@ -3,7 +3,9 @@
 Commands:
 
 * ``fig12`` / ``fig13`` / ``fig14`` / ``fig15`` / ``fig16`` — rerun one
-  of the paper's figures and print the comparison table.
+  of the paper's figures, print its table and judge the paper's claims
+  about it (:data:`repro.campaign.figures.CLAIMS`, at ``--scale 1.0``);
+  exits non-zero on a broken claim.
 * ``hwcost`` — print the Section VI-E hardware bill of materials.
 * ``litmus <file>`` — run a textual litmus test (see
   :mod:`repro.litmus.dsl`) and report the observed outcomes.
@@ -54,8 +56,10 @@ over N crash-isolated worker processes (default ``auto``: one per CPU,
 capped) and ``--cache-dir``/``--no-cache`` to control result
 memoisation.  Parallelism and caching never change any number in
 any table — only how fast it appears.  The
-figure commands are thin wrappers over the same cell drivers the
-pytest-benchmark targets use; ``--scale`` shrinks or grows workloads.
+figure commands and ``campaign --figures`` share one path
+(:mod:`repro.campaign.figures`); ``--scale`` shrinks or grows
+workloads, and ``campaign --figures all`` at scale 1.0 writes
+``figures-report.json``.
 Simulations run on the event-driven engine; the per-cycle reference
 loop is the oracle of ``verify --engines dense`` and the ``perf``
 gate.  ``--mem-backend`` picks the
@@ -77,6 +81,7 @@ from .analysis.report import (
     failure_counts,
     format_table,
     render_failure_counts,
+    write_report,
 )
 from .core.hwcost import estimate_cost
 from .sim.config import MemoryModel, SimConfig
@@ -203,35 +208,51 @@ def _run_jobs(jobs, ns, label: str):
 
 
 def _run_figures(ns, figures: list[str], backend: str, label: str) -> int:
-    """Run the figures' cells as one campaign and print each table.
+    """Run the figures' cells as one campaign; print each table and claims.
 
     One campaign for every requested figure, so cells shared across
-    figures (the default-machine runs) simulate once.  The figbackend
-    report is written only when every one of its cells is ok.
+    figures (the default-machine runs) simulate once.  Each figure's
+    claim rows follow its table, and a broken row fails the command.
+    The figbackend report is written only when every one of its cells
+    is ok; ``figures-report.json`` only from a run of every figure, on
+    the claims' machine, with every cell ok.
     """
-    from .campaign import assemble_figure, figure_jobs
+    from .campaign import figures as fig
 
     per_figure = {
-        figure: figure_jobs(figure, ns.scale, mem_backend=backend)
+        figure: fig.figure_jobs(figure, ns.scale, mem_backend=backend)
         for figure in figures
     }
     result = _run_jobs([j for jobs in per_figure.values() for j in jobs],
                        ns, label)
+    status = 0 if result.ok else 1
     outcomes = iter(result.outcomes)
+    runs = {}
     for figure, jobs in per_figure.items():
         mine = [next(outcomes) for _ in jobs]
         results = [o.result for o in mine]
-        print(assemble_figure(figure, jobs, results))
+        runs[figure] = (jobs, results)
+        print(fig.assemble_figure(figure, jobs, results))
+        claims = fig.figure_claims(figure, jobs, results)
+        if claims:
+            print(fig.format_claims(figure, claims))
+        for row in fig.broken_claims(claims):
+            print(f"CLAIM {row['verdict']} {figure} {row['subject']}: "
+                  f"{row['expr']} = {row['value']}, bound {row['bound']}",
+                  file=sys.stderr)
+            status = 1
         if figure == "figbackend" and all(o.ok for o in mine):
-            from .campaign import backend_compare_report, write_backend_compare_report
-
-            report = backend_compare_report(jobs, results)
-            write_backend_compare_report(report, ns.backend_out)
+            report = fig.backend_compare_report(jobs, results)
+            write_report(report, ns.backend_out)
             print(f"report written to {ns.backend_out}", file=sys.stderr)
+    if (result.ok and set(figures) == set(fig.FIGURES)
+            and ns.scale == fig.CLAIMS_SCALE and backend == fig.CLAIMS_BACKEND):
+        write_report(fig.figures_report(runs), fig.FIGURES_REPORT_PATH)
+        print(f"report written to {fig.FIGURES_REPORT_PATH}", file=sys.stderr)
     for outcome in result.failures:
         print(f"\nFAIL {outcome.job.label()}: {outcome.status}\n{outcome.error}",
               file=sys.stderr)
-    return 0 if result.ok else 1
+    return status
 
 
 def cmd_figure(figure: str, ns) -> int:
@@ -396,7 +417,6 @@ def cmd_verify(ns) -> int:
         assemble_verify_report,
         format_verify_failures,
         format_verify_report,
-        write_verify_report,
     )
 
     modes = ns.verify_modes.split(",") if ns.verify_modes else None
@@ -418,7 +438,7 @@ def cmd_verify(ns) -> int:
     print(format_verify_report(report))
     for line in format_verify_failures(report):
         print(line, file=sys.stderr)
-    write_verify_report(report, ns.verify_out)
+    write_report(report, ns.verify_out)
     print(f"report written to {ns.verify_out}", file=sys.stderr)
     if report["ok"]:
         n_cases = sum(len(t["modes"]) for t in report["tests"].values())
@@ -438,7 +458,6 @@ def cmd_synth_apps(ns) -> int:
         assemble_app_synth_report,
         format_app_synth_failures,
         format_app_synth_report,
-        write_app_synth_report,
     )
 
     backend = _single_backend(ns)
@@ -463,7 +482,7 @@ def cmd_synth_apps(ns) -> int:
     print(format_app_synth_report(report))
     for line in format_app_synth_failures(report):
         print(line, file=sys.stderr)
-    write_app_synth_report(report, ns.app_synth_out)
+    write_report(report, ns.app_synth_out)
     print(f"report written to {ns.app_synth_out}", file=sys.stderr)
     if report["ok"]:
         t = report["totals"]
@@ -484,7 +503,6 @@ def cmd_synth(ns) -> int:
         assemble_synth_report,
         format_synth_failures,
         format_synth_report,
-        write_synth_report,
     )
 
     if ns.synth_apps:
@@ -505,7 +523,7 @@ def cmd_synth(ns) -> int:
     print(format_synth_report(report))
     for line in format_synth_failures(report):
         print(line, file=sys.stderr)
-    write_synth_report(report, ns.synth_out)
+    write_report(report, ns.synth_out)
     print(f"report written to {ns.synth_out}", file=sys.stderr)
     if report["ok"]:
         t = report["totals"]
@@ -520,12 +538,7 @@ def cmd_synth(ns) -> int:
 
 # ------------------------------------------------------------------------ perf
 def cmd_perf(ns) -> int:
-    from .analysis.simperf import (
-        GATE_WORKLOAD,
-        divergent_cells,
-        run_perf,
-        write_report,
-    )
+    from .analysis.simperf import GATE_WORKLOAD, divergent_cells, run_perf
 
     backends = _parse_backends(ns)
     if backends is None:

@@ -5,8 +5,9 @@ road to cheap work stealing: relax the deque's semantics so tasks may
 be extracted more than once ("idempotent work stealing") and the
 expensive store-load fence in ``take`` disappears altogether.  S-Fence
 instead keeps exactly-once semantics and makes the fence cheap; the
-two are complementary, and `benchmarks/bench_idempotent.py` compares
-them head-to-head on the spanning-tree workload.
+two are complementary, and
+``tests/test_idempotent_wsq.py::test_scoping_helps_either_deque``
+compares them head-to-head on the spanning-tree workload.
 
 This is the idempotent **LIFO** extraction variant: the deque state is
 one *anchor* word packing ``(size, tag)``; the owner's ``put`` writes

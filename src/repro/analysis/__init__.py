@@ -1,22 +1,13 @@
-"""Experiment drivers and paper-style reporting."""
+"""Experiment drivers and reporting."""
 
-from .report import (
-    ascii_series,
-    format_table,
-    paper_vs_measured,
-    speedup_row,
-    stacked_bar_rows,
-)
+from .report import format_table, write_report
 from .speedup import RunPoint, measure, normalized_series, traditional_vs_scoped
 
 __all__ = [
     "RunPoint",
-    "ascii_series",
     "format_table",
     "measure",
     "normalized_series",
-    "paper_vs_measured",
-    "speedup_row",
-    "stacked_bar_rows",
     "traditional_vs_scoped",
+    "write_report",
 ]

@@ -1,12 +1,13 @@
-"""Paper-style ASCII reporting: measured numbers next to paper values.
+"""Reporting: ASCII tables, campaign progress, committed JSON reports.
 
-Every benchmark target regenerates one table or figure of the paper;
-these helpers print them uniformly so EXPERIMENTS.md and the bench
-output read the same way.
+Every command prints its tables with :func:`format_table`, streams
+campaign progress through :class:`StreamAggregator`, and writes its
+committed report with :func:`write_report`.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from collections.abc import Iterable, Sequence
@@ -32,41 +33,6 @@ def format_table(
     for row in str_rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def paper_vs_measured(
-    title: str,
-    rows: Iterable[tuple[str, object, object]],
-    paper_label: str = "paper",
-    measured_label: str = "measured",
-) -> str:
-    """Three-column comparison table."""
-    return format_table(
-        ["metric", paper_label, measured_label],
-        [(name, paper, measured) for name, paper, measured in rows],
-        title=title,
-    )
-
-
-def speedup_row(name: str, trad_cycles: int, scoped_cycles: int) -> tuple[str, str, str]:
-    return (
-        name,
-        str(trad_cycles),
-        f"{scoped_cycles} ({trad_cycles / scoped_cycles:.3f}x)",
-    )
-
-
-def stacked_bar_rows(series: list[dict]) -> list[tuple[str, str, str, str]]:
-    """Rows for a Figure 13-16 style stacked normalized-time chart."""
-    return [
-        (
-            s["label"],
-            f"{s['normalized_time']:.3f}",
-            f"{s['fence_stalls']:.3f}",
-            f"{s['others']:.3f}",
-        )
-        for s in series
-    ]
 
 
 def progress_line(
@@ -200,13 +166,9 @@ def render_failure_counts(counts: dict[str, int]) -> str:
     return " ".join(f"{group}={n}" for group, n in counts.items())
 
 
-def ascii_series(values: Sequence[float], width: int = 40, label_fmt: str = "{:.3f}") -> list[str]:
-    """Tiny horizontal bar chart (one line per value)."""
-    if not values:
-        return []
-    peak = max(values) or 1.0
-    lines = []
-    for v in values:
-        bar = "#" * max(1, int(round(width * v / peak)))
-        lines.append(f"{label_fmt.format(v):>8} |{bar}")
-    return lines
+def write_report(report: dict, path: str) -> None:
+    """Write a committed report as stable JSON: sorted keys, 2-space
+    indent, trailing newline, so an unchanged report is byte-identical."""
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")

@@ -33,7 +33,6 @@ gate is judged on.
 
 from __future__ import annotations
 
-import json
 import time
 
 from ..sim.config import MEM_BACKENDS, SimConfig
@@ -166,9 +165,3 @@ def divergent_cells(report: dict) -> list[str]:
     return [f"{GATE_WORKLOAD}[{backend}]"
             for backend, cell in report["backends"].items()
             if not cell["identical"]]
-
-
-def write_report(report: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -57,7 +57,6 @@ from .figures import (
     backend_compare_report,
     figure_jobs,
     run_figure_cell,
-    write_backend_compare_report,
 )
 from .jobs import (
     Job,
@@ -113,5 +112,4 @@ __all__ = [
     "set_process_fingerprint",
     "synth_jobs",
     "verify_jobs",
-    "write_backend_compare_report",
 ]

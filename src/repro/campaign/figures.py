@@ -10,6 +10,11 @@ is the serial loop order, so ``--parallel`` changes wall-clock time and
 nothing else.  App cells of different figures that are the same
 simulation (:func:`cell_key`) share one run per process.
 
+The paper's claims about each figure are data too (:data:`CLAIMS`):
+:func:`figure_claims` judges them against the same cell results, and
+:func:`figures_report` folds every cell and verdict into the committed
+``figures-report.json``.
+
 Cell parameters are plain data (names, levels, scale factors); the
 builder callables live in module-level registries and are resolved
 inside the executing process, never pickled.
@@ -17,8 +22,11 @@ inside the executing process, never pickled.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import SimpleNamespace
+
 from ..analysis.report import format_table
-from ..analysis.speedup import measure, normalized_series, ratio
+from ..analysis.speedup import RunPoint, measure, normalized_series, ratio
 from ..isa.instructions import FenceKind
 from ..runtime.lang import Env
 from ..sim.config import SimConfig
@@ -174,10 +182,14 @@ def cell_cost(params: dict) -> float:
 #: same simulations as Fig. 13's T and S cells.
 _APP_FIGURES = ("fig13", "fig15", "fig16", "figbackend")
 
-#: the fields of a measured point each app figure keeps in its payload
-_FULL_POINT = ("cycles", "fence_stall_cycles", "fence_stall_fraction")
+#: the fields of a measured point (:func:`_app_point`), and the ones
+#: each app figure keeps in its payload
+_POINT = ("cycles", "fence_stall_cycles", "fence_stall_fraction",
+          "avg_rob_occupancy")
+_FULL_POINT = _POINT[:3]
 _PAYLOAD_FIELDS = {"fig13": _FULL_POINT, "figbackend": _FULL_POINT,
-                   "fig15": ("cycles",), "fig16": ("cycles",)}
+                   "fig15": ("cycles",),
+                   "fig16": ("cycles", "avg_rob_occupancy")}
 
 
 def _resolve_scope(spec: str | None, native: FenceKind) -> FenceKind:
@@ -208,12 +220,12 @@ def cell_key(params: dict) -> tuple | None:
 
 
 def _app_point(key: tuple) -> tuple:
-    """``(cycles, fence stall cycles, fence stall fraction)`` of one key.
+    """The :data:`_POINT` fields of one key's run.
 
     Memoised per process (campaign warm slot ``figure-points``), so every
     cell sharing the key -- inline, or in the same pool worker, which the
     chunk planner arranges (:func:`repro.campaign.jobs.job_affinity`) --
-    simulates once.  Only the three numbers are kept, never the run, and
+    simulates once.  Only these numbers are kept, never the run, and
     an entry is stored only after the app's ``check()`` passed: a failing
     cell raises again for every job that shares its key.  The memo sits
     here and not in :func:`~repro.analysis.speedup.measure`, whose
@@ -228,7 +240,8 @@ def _app_point(key: tuple) -> tuple:
         builder, _native = _app_builders(scale)[app]
         run = measure(lambda env: builder(env, scope), cfg)
         point = memo[key] = (run.cycles, run.fence_stall_cycles,
-                             run.fence_stall_fraction)
+                             run.fence_stall_fraction,
+                             run.stats_summary["avg_rob_occupancy"])
     return point
 
 
@@ -237,7 +250,7 @@ def run_figure_cell(params: dict) -> dict:
     figure = params["figure"]
     key = cell_key(params)
     if key is not None:
-        point = dict(zip(_FULL_POINT, _app_point(key)))
+        point = dict(zip(_POINT, _app_point(key)))
         return {name: point[name] for name in _PAYLOAD_FIELDS[figure]}
     scale = params["scale"]
     cfg = SimConfig(mem_backend=params.get("mem_backend", "mesi"))
@@ -327,7 +340,7 @@ def assemble_figure(figure: str, jobs: list[Job], results: list[dict | None]) ->
                 cell = _get(cells, app=app, label=label, scope=scope, spec=spec)
                 if cell is None:
                     continue
-                points.append(_point_from_cell(label, cell))
+                points.append(RunPoint(label, **cell))
             if not points:
                 rows.append((app, "n/a", "n/a", "n/a", "n/a"))
                 continue
@@ -364,15 +377,182 @@ def assemble_figure(figure: str, jobs: list[Job], results: list[dict | None]) ->
     raise KeyError(f"unknown figure {figure!r}")
 
 
-def _point_from_cell(label: str, cell: dict):
-    from ..analysis.speedup import RunPoint
+# --------------------------------------------------------------------- claims
+@dataclass(frozen=True)
+class Claim:
+    """A paper claim about one row (``subject``) of a figure: ``bound``
+    holds for the value ``x`` of the cell expression ``expr``.  Both read
+    the names :func:`_claim_names` gives the row; ``paper`` is what the
+    paper reports."""
 
-    return RunPoint(
-        label=label,
-        cycles=cell["cycles"],
-        fence_stall_cycles=cell["fence_stall_cycles"],
-        fence_stall_fraction=cell["fence_stall_fraction"],
+    subject: str
+    expr: str
+    bound: str
+    paper: str
+
+
+#: claims are judged only on the cells their bounds were set on: the
+#: default (MESI) machine at full scale.  Elsewhere a row reads ``n/a``.
+CLAIMS_SCALE = 1.0
+CLAIMS_BACKEND = "mesi"
+
+_FIG12_PEAK = {"dekker": "1.14", "wsq": "1.30", "msn": "1.20", "harris": "1.26"}
+_FIG13_S = {"pst": "0.90", "ptc": "0.957", "barnes": "0.805", "radiosity": "0.842"}
+#: pst/ptc steal schedules diverge between T and S runs: 2 % slack there
+_FIG13_S_BOUND = {"pst": "x <= T.cycles * 1.02", "ptc": "x <= T.cycles * 1.02",
+                  "barnes": "x <= T.cycles", "radiosity": "x <= T.cycles"}
+
+#: every figure's claims.  Names per figure: fig12/fig15/fig16 ``curve``
+#: (T/S speedup at each level of the sweep), fig16 also ``occupancy``
+#: (the S run's average ROB occupancy at each size); fig13 ``T``, ``S``,
+#: ``Tp`` (T+), ``Sp`` (S+); fig14 ``CS`` (class scope), ``SS`` (set
+#: scope).  The cells carry their payload fields as attributes.
+CLAIMS: dict[str, tuple[Claim, ...]] = {
+    "fig12": tuple(row for bench, peak in _FIG12_PEAK.items() for row in (
+        Claim(bench, "curve.index(max(curve))", "x >= 1", "rises from workload 1"),
+        Claim(bench, "curve[-1]", "x < max(curve)", "falls toward workload 6"),
+        Claim(bench, "max(curve)", "1.05 <= x <= 1.5", f"peak ~{peak}x"),
+        Claim(bench, "min(curve)", "x >= 0.99", "S-Fence never loses"),
+    )),
+    "fig13": tuple(row for app, bound in _FIG13_S_BOUND.items() for row in (
+        Claim(app, "S.cycles", bound, f"S = {_FIG13_S[app]} T"),
+        Claim(app, "S.fence_stall_cycles", "x <= T.fence_stall_cycles",
+              "scoping removes stalls"),
+        Claim(app, "Tp.cycles", "x <= T.cycles * 1.05", "speculation helps T"),
+    )) + (
+        Claim("barnes", "T.fence_stall_fraction", "0.30 <= x <= 0.50", "0.388"),
+        Claim("barnes", "S.fence_stall_fraction",
+              "x <= 0.6 * T.fence_stall_fraction", "S removes 40-50 % of stalls"),
+        Claim("radiosity", "T.cycles / S.cycles", "1.10 <= x <= 1.35", "1.19x"),
+        Claim("ptc", "T.cycles / S.cycles", "x <= 1.15", "small (1.045x)"),
+    ),
+    "fig14": tuple(row for bench in ("msn", "harris", "pst", "ptc") for row in (
+        Claim(bench, "SS.cycles / CS.cycles", "x <= 1.02", "set scope slightly better"),
+        Claim(bench, "SS.cycles / CS.cycles", "x >= 0.85", "difference not significant"),
+    )),
+    "fig15": (
+        Claim("barnes", "curve[2]", "x > curve[0]", "grows with latency"),
+        Claim("radiosity", "curve[2]", "x > curve[0]", "grows with latency"),
+        Claim("pst", "curve[2] - curve[0]", "x < 0.10", "flat"),
+    ),
+    "fig16": tuple(row for app in ("radiosity", "pst", "ptc") for row in (
+        Claim(app, "max(curve) - min(curve)", "x < 0.15", "stable"),
+        Claim(app, "occupancy[-1]", "x < 80", "< 80 ROB entries used"),
+    )),
+}
+
+_EVAL_GLOBALS = {"__builtins__": {}, "max": max, "min": min}
+
+
+def _cell_ns(cell: dict | None) -> SimpleNamespace | None:
+    return SimpleNamespace(**cell) if cell is not None else None
+
+
+def _complete(values: list) -> list | None:
+    return None if any(v is None for v in values) else values
+
+
+def _claim_names(figure: str, subject: str, cells: dict) -> dict:
+    """The names a claim about ``subject`` reads; ``None`` = missing cell."""
+    if figure == "fig12":
+        curve = []
+        for level in _FIG12_LEVELS:
+            t = _get(cells, bench=subject, level=level, scoped=False)
+            s = _get(cells, bench=subject, level=level, scoped=True)
+            curve.append(ratio(t and t["cycles"], s and s["cycles"]))
+        return {"curve": _complete(curve)}
+    if figure == "fig13":
+        return {label.replace("+", "p"): _cell_ns(
+                    _get(cells, app=subject, label=label, scope=scope, spec=spec))
+                for label, scope, spec in _FIG13_CONFIGS}
+    if figure == "fig14":
+        return {name: _cell_ns(_get(cells, bench=subject, scope=scope))
+                for name, scope in (("CS", "class"), ("SS", "set"))}
+    param, values, _title = _SWEEPS[figure]
+    pairs = [[_get(cells, app=subject, param=param, value=value, scope=scope)
+              for scope in ("global", None)] for value in values]
+    names = {"curve": _complete([ratio(t and t["cycles"], s and s["cycles"])
+                                 for t, s in pairs])}
+    if figure == "fig16":
+        names["occupancy"] = _complete([s and s["avg_rob_occupancy"]
+                                        for _t, s in pairs])
+    return names
+
+
+def _judge(claim: Claim, names: dict) -> tuple[object, str]:
+    """``(value, verdict)``: a row whose cells are missing never passes."""
+    used = set(compile(claim.expr, "<claim>", "eval").co_names)
+    used |= set(compile(claim.bound, "<bound>", "eval").co_names)
+    if any(names[n] is None for n in used & names.keys()):
+        return None, "missing"
+    # both strings are module data (CLAIMS), never user input
+    x = eval(claim.expr, _EVAL_GLOBALS, names)
+    held = eval(claim.bound, _EVAL_GLOBALS, {**names, "x": x})
+    return x, "pass" if held else "FAIL"
+
+
+def figure_claims(figure: str, jobs: list[Job], results: list[dict | None]) -> list[dict]:
+    """Judge ``figure``'s :data:`CLAIMS` against its cell results.
+
+    One row per claim, with its ``value`` and ``verdict``: ``pass``,
+    ``FAIL``, ``missing`` (a cell it reads failed or did not run) or
+    ``n/a`` (the cells are not the ones the bounds were set on).  Pure,
+    like :func:`assemble_figure`, so a warm cache judges identically.
+    """
+    params = jobs[0].params if jobs else {}
+    judged = (params.get("scale") == CLAIMS_SCALE
+              and params.get("mem_backend") == CLAIMS_BACKEND)
+    cells = _cell_map(jobs, results)
+    rows = []
+    for claim in CLAIMS.get(figure, ()):
+        value, verdict = _judge(claim, _claim_names(figure, claim.subject, cells))
+        rows.append({"subject": claim.subject, "expr": claim.expr,
+                     "bound": claim.bound, "paper": claim.paper,
+                     "value": value, "verdict": verdict if judged else "n/a"})
+    return rows
+
+
+def broken_claims(rows: list[dict]) -> list[dict]:
+    """The rows that fail their bound or miss a cell."""
+    return [r for r in rows if r["verdict"] in ("FAIL", "missing")]
+
+
+def format_claims(figure: str, rows: list[dict]) -> str:
+    def shown(value):
+        return f"{value:.3f}" if isinstance(value, float) else (
+            "n/a" if value is None else value)
+
+    return format_table(
+        ["subject", "claim", "value", "bound", "paper", "verdict"],
+        [(r["subject"], r["expr"], shown(r["value"]), r["bound"], r["paper"],
+          r["verdict"]) for r in rows],
+        title=f"{figure} claims (judged at scale {CLAIMS_SCALE}, "
+              f"{CLAIMS_BACKEND})",
     )
+
+
+# ------------------------------------------------------ figures report
+FIGURES_REPORT_PATH = "figures-report.json"
+
+
+def figures_report(runs: dict[str, tuple[list[Job], list[dict | None]]]) -> dict:
+    """Every cell payload and claim verdict of a full figure campaign
+    (``runs``: figure -> ``(jobs, results)``), for the committed
+    :data:`FIGURES_REPORT_PATH`; pure, so a warm cache reproduces it."""
+    figures = {}
+    for figure, (jobs, results) in runs.items():
+        claims = figure_claims(figure, jobs, results)
+        figures[figure] = {
+            "cells": [{"cell": job.label(), "result": result}
+                      for job, result in zip(jobs, results)],
+            "claims": claims,
+        }
+    return {
+        "scale": CLAIMS_SCALE,
+        "mem_backend": CLAIMS_BACKEND,
+        "figures": figures,
+        "claims_ok": not any(broken_claims(f["claims"]) for f in figures.values()),
+    }
 
 
 # ---------------------------------------------- backend comparison report
@@ -422,12 +602,3 @@ def backend_compare_report(jobs: list[Job], results: list[dict | None]) -> dict:
             c is not None for e in apps.values() for c in e["configs"].values()
         ),
     }
-
-
-def write_backend_compare_report(report: dict,
-                                 path: str = BACKEND_REPORT_PATH) -> None:
-    import json
-
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

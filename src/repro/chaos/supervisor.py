@@ -14,10 +14,14 @@ Failure classification:
 * **deadlock** -- the simulator proved no core can ever progress
   (:class:`DeadlockError`).  Deterministic; never retried.
 * **livelock** -- two consecutive attempts exhausted different budgets
-  while retiring the *same* total instruction count: more cycles bought
-  zero forward progress, so no budget will finish the run.
+  and ended with the *same* progress (per core: ops dispatched, ROB and
+  store-buffer depth), although the longer one ran past every pending
+  wake-up the shorter one ended on: more cycles bought zero forward
+  progress, so no budget will finish the run.  A core still waiting out
+  a stall longer than the budget gap (a long compute, a slow memory
+  access) is not livelocked, so the ladder escalates instead.
 * **budget** -- the escalation ladder ran out while the run was still
-  retiring instructions; likely just slow, rerun with a bigger base.
+  progressing; likely just slow, rerun with a bigger base.
 * **guest-crash** -- the guest program itself raised (e.g. a stolen
   garbage value indexing a table after a fence-broken publish).
   Deterministic; for the synthesizer's mutation battery this is prime
@@ -51,7 +55,7 @@ class Attempt:
     budget: int
     outcome: str          # "ok" / "deadlock" / "cycle-limit"
     cycles: int           # cycles consumed (== budget unless "ok")
-    instructions: int     # total instructions retired across cores
+    instructions: int     # total ops dispatched across cores
 
 
 class ChaosFailure(RuntimeError):
@@ -121,7 +125,8 @@ def run_supervised(
             on_attempt(attempt)
 
     budget = base_budget
-    prev_instructions: int | None = None
+    prev_progress: tuple | None = None
+    prev_wake_up: int | None = None
     last_diag: SimDiagnostic | None = None
 
     for rung in range(escalations + 1):
@@ -144,7 +149,9 @@ def run_supervised(
             last_diag = diag
             insns = diag.total_instructions if diag is not None else -1
             record(Attempt(budget, "cycle-limit", budget, insns))
-            if prev_instructions is not None and insns == prev_instructions:
+            progress = diag.progress if diag is not None else None
+            waiting = prev_wake_up is not None and prev_wake_up >= budget
+            if progress is not None and progress == prev_progress and not waiting:
                 outcome.failure = ChaosFailure(
                     FailureKind.LIVELOCK,
                     f"no forward progress between budgets "
@@ -154,7 +161,8 @@ def run_supervised(
                     attempts=tuple(attempts),
                 )
                 break
-            prev_instructions = insns
+            prev_progress = progress
+            prev_wake_up = diag.last_wake_up if diag is not None else None
             budget *= factor
         except Exception as exc:  # guest code raised mid-run
             record(Attempt(budget, "guest-crash", -1, -1))

@@ -5,9 +5,10 @@ When a run dies -- deadlock, livelock, cycle budget -- a bare message
 simulator this stateful.  :func:`capture` snapshots everything a
 post-mortem needs from each core: ROB head and depth, store-buffer
 occupancy (including fence-held stores), the open scope stacks (FSS and
-FSS'), the overflow counter, the cid -> FSB-entry mapping table, and --
-when ``SimConfig.retire_log_len`` enables the ring buffer -- the last N
-retired ops.  The snapshot rides on :class:`~repro.sim.simulator.DeadlockError`
+FSS'), the overflow counter, the cid -> FSB-entry mapping table, the
+cycle of the next pending event, and -- when ``SimConfig.retire_log_len``
+enables the ring buffer -- the last N retired ops.  The snapshot rides
+on :class:`~repro.sim.simulator.DeadlockError`
 and :class:`~repro.sim.simulator.CycleLimitError` as ``exc.diagnostic``
 and renders to a readable report via :meth:`SimDiagnostic.render`.
 
@@ -43,6 +44,7 @@ class CoreSnapshot:
     blocked_until: int
     mapping: dict[int, int]         # cid -> FSB entry
     last_retired: tuple = ()        # (cycle, kind, addr) ring, oldest first
+    next_event_cycle: int | None = None  # pending wake-up (None: none pending)
 
     def render(self) -> str:
         lines = [
@@ -62,10 +64,11 @@ class CoreSnapshot:
         )
         if self.mapping:
             lines.append(f"  mapping table: {self.mapping}")
-        if self.outstanding_misses or self.blocked_until:
+        if self.outstanding_misses or self.blocked_until or self.next_event_cycle:
             lines.append(
                 f"  outstanding_misses={self.outstanding_misses}"
                 f" blocked_until={self.blocked_until}"
+                f" next_event={self.next_event_cycle}"
             )
         if self.last_retired:
             ops = ", ".join(f"@{c}:{k}{'' if a in (-1, None) else f'[{a}]'}"
@@ -90,6 +93,23 @@ class SimDiagnostic:
     def total_instructions(self) -> int:
         return sum(c.instructions for c in self.cores)
 
+    @property
+    def progress(self) -> tuple:
+        """Per core: ops dispatched, and ops still in the ROB and store
+        buffer.  A longer replay of the same run that ends with equal
+        progress dispatched nothing and retired or drained nothing."""
+        return tuple((c.instructions, c.rob_depth, c.sb_depth) for c in self.cores)
+
+    @property
+    def last_wake_up(self) -> int | None:
+        """The latest pending wake-up of any running core, if any.
+
+        A run cut off before this cycle may still be waiting out a
+        stall (a long compute, a memory access), not stuck.
+        """
+        return max((c.next_event_cycle for c in self.running_cores
+                    if c.next_event_cycle is not None), default=None)
+
     def render(self) -> str:
         head = f"[{self.reason} @ cycle {self.cycle}] " \
                f"{len(self.running_cores)}/{len(self.cores)} cores still running"
@@ -97,8 +117,9 @@ class SimDiagnostic:
         return head + ("\n" + body if body else "")
 
 
-def snapshot_core(core) -> CoreSnapshot:
-    """Capture one core's state (duck-typed against ``cpu.core.Core``)."""
+def snapshot_core(core, cycle: int) -> CoreSnapshot:
+    """Capture one core's state at ``cycle`` (duck-typed against
+    ``cpu.core.Core``); every earlier cycle has been ticked."""
     tracker = core.tracker
     sb_entries = list(core.sb.entries())
     rob_head = None
@@ -123,6 +144,7 @@ def snapshot_core(core) -> CoreSnapshot:
         blocked_until=core._blocked_until,
         mapping=tracker.mapping.mappings(),
         last_retired=tuple(core.retire_log) if core.retire_log is not None else (),
+        next_event_cycle=None if core.finished else core.next_event_cycle(cycle - 1),
     )
 
 
@@ -131,5 +153,5 @@ def capture(cores, cycle: int, reason: str) -> SimDiagnostic:
     return SimDiagnostic(
         reason=reason,
         cycle=cycle,
-        cores=[snapshot_core(c) for c in cores],
+        cores=[snapshot_core(c, cycle) for c in cores],
     )

@@ -55,8 +55,6 @@ from .report import (
     format_synth_failures,
     format_synth_report,
     run_synth_case,
-    write_app_synth_report,
-    write_synth_report,
 )
 from .search import SynthesisError, SynthesisResult, synthesize
 from .sites import MODES, FenceSite, apply_placement, fence_sites
@@ -84,6 +82,4 @@ __all__ = [
     "run_synth_case",
     "synth_entry",
     "synthesize",
-    "write_app_synth_report",
-    "write_synth_report",
 ]

@@ -17,8 +17,6 @@ failure lines.
 
 from __future__ import annotations
 
-import json
-
 from ..analysis.report import format_table
 from ..core.semantics import reference_allowed_outcomes
 from ..litmus.dsl import LitmusTest, abstract_threads, parse_litmus, stmt_kind
@@ -291,12 +289,6 @@ def format_synth_failures(report: dict) -> list[str]:
     return lines
 
 
-def write_synth_report(report: dict, path: str = REPORT_PATH) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 # ----------------------------------------------------- whole-program report
 APP_REPORT_PATH = "app-synth-report.json"
 
@@ -428,9 +420,3 @@ def format_app_synth_failures(report: dict) -> list[str]:
             f"ENGINE FAILURE app-synth:{f['name']}: {f['status']}\n{f['error']}"
         )
     return lines
-
-
-def write_app_synth_report(report: dict, path: str = APP_REPORT_PATH) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

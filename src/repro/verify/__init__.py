@@ -25,7 +25,6 @@ from .runner import (
     format_verify_report,
     seed_offsets,
     verify_case,
-    write_verify_report,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "format_verify_report",
     "seed_offsets",
     "verify_case",
-    "write_verify_report",
 ]

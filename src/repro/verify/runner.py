@@ -31,7 +31,6 @@ back into one machine-readable report (``verify-report.json``).
 
 from __future__ import annotations
 
-import json
 import random
 
 from ..analysis.report import format_table
@@ -289,9 +288,3 @@ def format_verify_failures(report: dict) -> list[str]:
             f"{f['status']}\n{f['error']}"
         )
     return lines
-
-
-def write_verify_report(report: dict, path: str = REPORT_PATH) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -5,14 +5,10 @@ import pytest
 from repro.algorithms.workloads import build_wsq_workload
 from repro.analysis.report import (
     StreamAggregator,
-    ascii_series,
     failure_counts,
     format_table,
-    paper_vs_measured,
     progress_line,
     render_failure_counts,
-    speedup_row,
-    stacked_bar_rows,
 )
 from repro.analysis.speedup import (
     RunPoint,
@@ -64,31 +60,6 @@ def test_format_table_alignment():
     assert lines[0] == "T"
     assert "long_header" in lines[1]
     assert len(lines) == 5
-
-
-def test_paper_vs_measured():
-    out = paper_vs_measured("Fig X", [("speedup", "1.23x", "1.19x")])
-    assert "paper" in out and "measured" in out and "1.19x" in out
-
-
-def test_speedup_row():
-    name, t, s = speedup_row("wsq", 2000, 1600)
-    assert name == "wsq"
-    assert "1.250x" in s
-
-
-def test_stacked_bar_rows():
-    rows = stacked_bar_rows(
-        [{"label": "T", "normalized_time": 1.0, "fence_stalls": 0.4, "others": 0.6}]
-    )
-    assert rows == [("T", "1.000", "0.400", "0.600")]
-
-
-def test_ascii_series():
-    lines = ascii_series([1.0, 0.5])
-    assert len(lines) == 2
-    assert lines[0].count("#") == 2 * lines[1].count("#")
-    assert ascii_series([]) == []
 
 
 def test_normalized_series_zero_cycle_baseline():

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import write_report
 from repro.campaign import ResultCache, app_synth_jobs, run_campaign
 from repro.chaos.supervisor import FailureKind, run_supervised
 from repro.synth.programs import (
@@ -35,7 +36,7 @@ from repro.synth.programs import (
     run_mutation_battery,
     weaken_slots,
 )
-from repro.synth.report import assemble_app_synth_report, write_app_synth_report
+from repro.synth.report import assemble_app_synth_report
 
 REPORT = Path(__file__).resolve().parents[1] / "app-synth-report.json"
 
@@ -191,7 +192,7 @@ def test_warm_rerun_report_is_byte_identical(tmp_path):
                               cache=ResultCache(tmp_path / "cache"))
         rep = assemble_app_synth_report(result.outcomes, smoke=True)
         path = tmp_path / f"report{i}.json"
-        write_app_synth_report(rep, str(path))
+        write_report(rep, str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 

@@ -87,6 +87,36 @@ def test_livelock_detected_on_equal_progress():
     assert "42 instructions" in str(outcome.failure)
 
 
+def test_stall_longer_than_the_budget_gap_is_not_livelock():
+    """A 300-cycle compute outlasts the 100 -> 200 rung gap with no new
+    dispatch, but its completion is still pending at cycle 200: the
+    ladder must escalate, not call it livelock."""
+    outcome = run_supervised(lambda: make_sim(n_ops=2, op_cycles=300),
+                             base_budget=100, raise_on_failure=False)
+    assert outcome.ok, outcome.failure
+    assert [a.instructions for a in outcome.attempts[:2]] == [1, 1]
+    assert [a.outcome for a in outcome.attempts][-1] == "ok"
+
+
+def test_retiring_without_dispatch_is_progress():
+    """Equal dispatch counts, but the ROB drained between the rungs."""
+    depths = iter([5, 3, 1, 0])
+
+    def build():
+        class Draining:
+            def run(self, max_cycles):
+                diag = _diag(42)
+                diag.cores[0].rob_depth = next(depths)
+                raise CycleLimitError("over budget", diagnostic=diag)
+
+        return Draining()
+
+    outcome = run_supervised(build, base_budget=100, escalations=3,
+                             raise_on_failure=False)
+    assert outcome.failure.kind is FailureKind.BUDGET
+    assert len(outcome.attempts) == 4
+
+
 def test_budget_exhaustion_when_still_progressing():
     insns = iter([10, 20, 30, 40, 50])
 

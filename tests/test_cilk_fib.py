@@ -8,9 +8,10 @@ from repro.runtime.lang import Env
 from repro.sim.config import MemoryModel, SimConfig
 
 
-def run(n=9, scope=FenceKind.CLASS, n_threads=8, **cfg):
+def run(n=9, scope=FenceKind.CLASS, n_threads=8, work=10, **cfg):
     env = Env(SimConfig(**cfg))
-    inst = build_cilk_fib(env, n=n, scope=scope, n_threads=n_threads)
+    inst = build_cilk_fib(env, n=n, scope=scope, n_threads=n_threads,
+                          work_per_task=work)
     res = env.run(inst.program, max_cycles=10_000_000)
     inst.check()
     return res, inst
@@ -60,3 +61,14 @@ def test_scoped_fences_help():
     trad, _ = run(n=10, scope=FenceKind.GLOBAL)
     scoped, _ = run(n=10, scope=FenceKind.CLASS)
     assert scoped.stats.fence_stall_cycles <= trad.stats.fence_stall_cycles
+
+
+def test_fine_grain_spends_more_at_fences_than_coarse():
+    """Sec. II-A's THE-protocol observation: at 5-cycle tasks fences eat
+    a large share, more than at 800-cycle tasks, and scoping still helps."""
+    fine_t, _ = run(n=10, scope=FenceKind.GLOBAL, work=5)
+    fine_s, _ = run(n=10, scope=FenceKind.CLASS, work=5)
+    coarse_t, _ = run(n=10, scope=FenceKind.GLOBAL, work=800)
+    assert fine_t.stats.fence_stall_fraction > 0.15
+    assert fine_t.stats.fence_stall_fraction > coarse_t.stats.fence_stall_fraction
+    assert fine_s.stats.fence_stall_cycles <= fine_t.stats.fence_stall_cycles

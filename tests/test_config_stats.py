@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.isa.instructions import Compute
+from repro.isa.program import ops_program
 from repro.sim.config import MemoryModel, SimConfig, TABLE_III
+from repro.sim.simulator import run_program
 from repro.sim.stats import CoreStats, SimStats
 
 
@@ -16,6 +19,9 @@ def test_table_iii_defaults():
     assert cfg.fsb_entries == 4
     assert cfg.fss_entries == 4
     assert cfg.memory_model is MemoryModel.RMO
+    # the machine runs: a 1000-cycle compute takes at least 1000 cycles
+    result = run_program(ops_program([[Compute(1000)]]), cfg)
+    assert result.cycles >= 1000
 
 
 def test_derived_geometry():

@@ -95,3 +95,29 @@ def test_line_of():
     assert hier.line_of(0) == 0
     assert hier.line_of(wpl - 1) == 0
     assert hier.line_of(wpl) == 1
+
+
+def test_false_sharing_costs_coherence_latency():
+    """Two cores ping-ponging on the *same* line pay coherence latency
+    that separate lines do not -- why the apps pad records to a line."""
+    from repro.isa.program import Program
+    from repro.runtime.lang import Env
+    from repro.sim.simulator import Simulator
+
+    def run(shared_line: bool) -> int:
+        cfg = SimConfig(n_cores=2)
+        env = Env(cfg)
+        region = env.array("fs.region", 2 * cfg.words_per_line)
+
+        def thread(index):
+            def body(tid):
+                for i in range(150):
+                    yield region.store(index, i)
+                    yield region.load(index)
+            return body
+
+        other = 1 if shared_line else cfg.words_per_line
+        program = Program([thread(0), thread(other)])
+        return Simulator(cfg, program, memory=env.memory).run().cycles
+
+    assert run(shared_line=True) > run(shared_line=False) * 1.2

@@ -109,3 +109,26 @@ def test_pst_idempotent_executes_fewer_fences():
     standard = run(None)
     idem = run(lambda env, name, cap, scope: IL(env, name, cap, scope))
     assert idem.stats.fences < standard.stats.fences
+
+
+def test_scoping_helps_either_deque():
+    """Scoping vs removal (Sec. VII) on pst at 128 vertices: removing the
+    take fence runs fewer fences, and scoping helps either deque."""
+    from repro.algorithms.idempotent_wsq import IdempotentLifo as IL
+
+    def run(scope, idempotent):
+        factory = None
+        if idempotent:
+            factory = lambda env, name, cap, sc: IL(env, name, cap, sc)  # noqa: E731
+        env = Env(SimConfig())
+        inst = build_pst(env, n_vertices=128, extra_edges=128, scope=scope,
+                         deque_factory=factory)
+        res = env.run(inst.program, max_cycles=30_000_000)
+        inst.check()
+        return res
+
+    cl_t, cl_s, id_t, id_s = (run(scope, idem) for idem in (False, True)
+                              for scope in (FenceKind.GLOBAL, FenceKind.CLASS))
+    assert id_t.stats.fences < cl_t.stats.fences
+    assert cl_s.cycles <= cl_t.cycles * 1.02
+    assert id_s.cycles <= id_t.cycles * 1.02

@@ -22,13 +22,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import write_report
 from repro.campaign import (
     ResultCache,
     backend_compare_report,
     figure_jobs,
     run_campaign,
     verify_jobs,
-    write_backend_compare_report,
 )
 from repro.litmus.corpus import CORPUS
 from repro.verify.modes import FENCE_MODES
@@ -122,14 +122,14 @@ def test_three_way_report_reproduces_byte_identically_warm(tmp_path):
             cfgs["SiSd"]["cycles"] / cfgs["S-Fence"]["cycles"]
         )
     cold_path = tmp_path / "cold.json"
-    write_backend_compare_report(report, cold_path)
+    write_report(report, cold_path)
 
     # the warm pass serves every cell from cache and must not move a byte
     warm = run_campaign(jobs, parallel=0,
                         cache=ResultCache(tmp_path / "bc"))
     assert warm.executed == 0 and warm.cached == len(jobs)
     warm_path = tmp_path / "warm.json"
-    write_backend_compare_report(
+    write_report(
         backend_compare_report(jobs, warm.results()), warm_path)
     assert warm_path.read_bytes() == cold_path.read_bytes()
 
@@ -142,7 +142,7 @@ def test_committed_three_way_report_is_current(tmp_path):
     result = run_campaign(jobs, parallel=0)
     assert result.ok
     fresh = tmp_path / "fresh.json"
-    write_backend_compare_report(
+    write_report(
         backend_compare_report(jobs, result.results()), fresh)
     assert fresh.read_bytes() == committed.read_bytes(), (
         "backend-compare-report.json is stale -- regenerate with "

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.analysis.report import write_report
 from repro.campaign import (
     Job,
     ResultCache,
@@ -17,7 +18,7 @@ from repro.campaign import (
     synth_jobs,
 )
 from repro.synth.cost import SMOKE_PROBE_OFFSETS
-from repro.synth.report import assemble_synth_report, write_synth_report
+from repro.synth.report import assemble_synth_report
 from repro.synth.sites import MODES
 
 #: the cheap single-entry job list the cache tests sweep
@@ -72,7 +73,7 @@ def test_warm_rerun_report_is_byte_identical(tmp_path):
         result = run_campaign(jobs, parallel=0, cache=ResultCache(tmp_path / "c"))
         report = assemble_synth_report(result.outcomes, smoke=True)
         path = tmp_path / f"report{i}.json"
-        write_synth_report(report, str(path))
+        write_report(report, str(path))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
