@@ -289,8 +289,8 @@ def cmd_litmus(path: str, model_name: str, mem_backend: str = "mesi") -> int:
         print(f"litmus: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     try:
-        # statement parsing is partly lazy (thread bodies are parsed as
-        # the guest generators execute), so run under the same guard
+        # statements are matched when the sweep compiles the test, so
+        # run under the same guard
         test = parse_litmus(source)
         run = run_litmus(test, MemoryModel(model_name), mem_backend=mem_backend)
     except LitmusParseError as exc:

@@ -80,6 +80,21 @@ _EV_SB = 1
 class Core:
     """One out-of-order core executing one guest thread."""
 
+    # slotted: a core carries more attributes than an instance's inline
+    # value cache holds, so without slots every hot-loop attribute read
+    # is a dict lookup, and every simulation pays the dict's growth
+    __slots__ = (
+        "core_id", "config", "memory", "hierarchy", "stats", "rob", "sb",
+        "_rob_q", "_sb_q", "tracker", "predictor", "_events", "_ev_seq",
+        "_gen", "_gen_done", "_pending_op", "_last_result",
+        "_blocking_entry", "_blocked_until", "_spec_fence_groups",
+        "_mem_seq", "_next_fence_id", "_outstanding_misses",
+        "_sb_hold_until", "_idle_deltas", "_width", "_rob_cap", "_mshrs",
+        "_sb_cap", "_retire_width", "_scoped", "_at_dispatch", "_hot",
+        "_in_window", "_sc", "_skip_until", "finished", "finish_cycle",
+        "stall_reason", "chaos", "monitor", "retire_log",
+    )
+
     def __init__(
         self,
         core_id: int,

@@ -1,10 +1,12 @@
 """Litmus tests validating the relaxed functional memory model."""
 
 from .dsl import (
+    CompiledLitmus,
     LitmusParseError,
     LitmusRun,
     LitmusTest,
     build_program,
+    compile_litmus,
     parse_litmus,
     run_litmus,
 )
@@ -20,6 +22,7 @@ from .tests import (
 )
 
 __all__ = [
+    "CompiledLitmus",
     "DEFAULT_OFFSETS",
     "LitmusParseError",
     "LitmusResult",
@@ -27,6 +30,7 @@ __all__ = [
     "LitmusTest",
     "build_program",
     "coherence_rr",
+    "compile_litmus",
     "explore",
     "iriw",
     "load_buffering",

@@ -16,6 +16,10 @@ Litmus tests read much better as columns than as Python closures::
     result = run_litmus(test)     # explores timing offsets
     assert not result.condition_observed
 
+A sweep compiles the test once (:func:`compile_litmus`: config,
+variable addresses, pre-built ops, register order) and instantiates it
+per offset pair (:func:`build_program`: fresh memory, delay closures).
+
 Statement forms (one row per pipeline step, threads separated by ``|``):
 
 * ``var = N``            -- store the literal N
@@ -36,8 +40,19 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ..isa.instructions import Compute, Fence, FenceKind, WAIT_BOTH, WAIT_LOADS, WAIT_STORES
+from ..isa.instructions import (
+    WAIT_BOTH,
+    WAIT_LOADS,
+    WAIT_STORES,
+    Compute,
+    Fence,
+    FenceKind,
+    Load,
+    Op,
+    Store,
+)
 from ..isa.program import Program
+from ..runtime.address_space import AddressSpace
 from ..runtime.lang import Env
 from ..sim.config import MemoryModel, SimConfig
 from .tests import DEFAULT_OFFSETS, LitmusResult
@@ -138,7 +153,7 @@ def litmus_variables(test: LitmusTest) -> set[str]:
     return out
 
 
-def _parse_fence(suffixes: str, flagged: bool) -> Fence:
+def _parse_fence(suffixes: str) -> Fence:
     kind = FenceKind.GLOBAL
     waits = WAIT_BOTH
     for suffix in filter(None, suffixes.split(".")):
@@ -155,68 +170,125 @@ def _parse_fence(suffixes: str, flagged: bool) -> Fence:
     return Fence(kind, waits)
 
 
-def build_program(test: LitmusTest, env: Env, delays: list[int]) -> tuple[Program, dict]:
-    """Instantiate the test in ``env`` with per-thread delay values."""
-    variables = {}
+@dataclass(frozen=True)
+class CompiledLitmus:
+    """A litmus test compiled for one sweep: everything but the delays.
 
-    def var_of(name: str):
-        if name not in variables:
-            variables[name] = env.var(
-                name, init=test.init.get(name, 0), flagged=name in test.flagged
-            )
-        return variables[name]
+    ``threads`` holds one ``(op, register)`` step per statement:
+    ``(None, None)`` for ``delay``, ``(op, None)`` for a store or fence,
+    and ``(load, register)`` for a load.  The ops are built once and
+    shared by every run of the sweep (the simulator never mutates an op
+    or keys on its identity).  ``init_writes`` are the ``(address,
+    value)`` words each fresh memory starts with, and ``registers`` the
+    sorted load registers, the order outcome tuples report them in.
+    """
 
-    # match every statement once, materialising all variables up front
-    # so inits apply before any run; the thread bodies then dispatch on
-    # the pre-parsed tuples instead of re-matching in every simulation
-    parsed: list[list[tuple]] = []
-    for row in test.threads:
-        steps = []
-        for stmt in row:
+    name: str
+    config: SimConfig
+    threads: tuple[tuple[tuple[Op | None, str | None], ...], ...]
+    init_writes: tuple[tuple[int, int], ...]
+    registers: tuple[str, ...]
+
+
+def compile_litmus(
+    test: LitmusTest,
+    model: MemoryModel = MemoryModel.RMO,
+    n_cores: int | None = None,
+    dense_loop: bool = False,
+    mem_backend: str = "mesi",
+) -> CompiledLitmus:
+    """Match every statement, allocate the variables and build the ops.
+
+    Variables get addresses in first-use order, exactly as
+    :meth:`repro.runtime.lang.Env.var` would hand them out, so every
+    address and cache set is what a per-run allocation gives.  A
+    statement that is no store, load, fence or ``delay`` raises
+    :class:`LitmusParseError` here, before any simulation.
+    """
+    config = SimConfig(
+        n_cores=n_cores or max(2, test.n_threads), memory_model=model,
+        dense_loop=dense_loop, mem_backend=mem_backend)
+    space = AddressSpace(config.mem_size_words, config.words_per_line)
+    addrs: dict[str, int] = {}
+    init_writes: list[tuple[int, int]] = []
+
+    def addr_of(name: str) -> int:
+        addr = addrs.get(name)
+        if addr is None:
+            addr = addrs[name] = space.alloc(name, 1)
+            if test.init.get(name, 0):
+                init_writes.append((addr, test.init[name]))
+        return addr
+
+    threads = []
+    registers: set[str] = set()
+    for stmts in test.threads:
+        steps: list[tuple[Op | None, str | None]] = []
+        for stmt in stmts:
             store = _STORE_RE.match(stmt)
             load = _LOAD_RE.match(stmt)
-            # ``r0 = 1`` matches both forms and materialises both names,
+            # ``r0 = 1`` matches both forms and allocates both names,
             # which places every later variable: keep this order
-            stored = var_of(store.group(1)) if store else None
-            loaded = var_of(load.group(2)) if load else None
+            stored = addr_of(store.group(1)) if store else None
+            loaded = addr_of(load.group(2)) if load else None
             if stmt == "delay":
-                steps.append(("delay",))
+                steps.append((None, None))
             elif store:
-                steps.append(("store", stored, int(store.group(2))))
+                var = store.group(1)
+                steps.append((Store(stored, int(store.group(2)),
+                                    flagged=var in test.flagged, name=var), None))
             elif load:
-                steps.append(("load", loaded, load.group(1)))
+                var, reg = load.group(2), load.group(1)
+                steps.append((Load(loaded, flagged=var in test.flagged, name=var), reg))
+                registers.add(reg)
             else:
                 fence = _FENCE_RE.match(stmt)
-                steps.append(("fence", fence.group(1)) if fence else ("bad", stmt))
-        parsed.append(steps)
+                if fence is None:
+                    raise LitmusParseError(f"cannot parse statement {stmt!r}")
+                steps.append((_parse_fence(fence.group(1)), None))
+        threads.append(tuple(steps))
+    return CompiledLitmus(test.name, config, tuple(threads),
+                          tuple(init_writes), tuple(sorted(registers)))
 
+
+def build_program(
+    compiled: CompiledLitmus, delays: list[int]
+) -> tuple[Env, Program, dict[str, int]]:
+    """Instantiate a compiled test with per-thread delay values.
+
+    Returns a fresh :class:`~repro.runtime.lang.Env` holding the init
+    values, the program to run in it (``env.run(program)``) and the
+    register dict its loads fill.  Nothing is shared between two
+    instantiations but the compiled, immutable ops.
+    """
+    env = Env(compiled.config)
+    write = env.memory.write_global
+    for addr, value in compiled.init_writes:
+        write(addr, value)
     registers: dict[str, int] = {}
 
-    def make_thread(steps: list[tuple], delay: int):
+    def make_thread(steps, delay: int):
+        pause = Compute(delay) if delay else None
+
         def body(tid: int):
-            if delay:
-                yield Compute(delay)
-            for step in steps:
-                kind = step[0]
-                if kind == "delay":
-                    if delay:
-                        yield Compute(delay)
-                elif kind == "store":
-                    yield step[1].store(step[2])
-                elif kind == "load":
-                    registers[step[2]] = yield step[1].load()
-                elif kind == "fence":
-                    yield _parse_fence(step[1], True)
+            if pause is not None:
+                yield pause
+            for op, reg in steps:
+                if op is None:
+                    if pause is not None:
+                        yield pause
+                elif reg is None:
+                    yield op
                 else:
-                    raise LitmusParseError(f"cannot parse statement {step[1]!r}")
+                    registers[reg] = yield op
 
         return body
 
     fns = [
         make_thread(steps, delays[t % len(delays)])
-        for t, steps in enumerate(parsed)
+        for t, steps in enumerate(compiled.threads)
     ]
-    return Program(fns, name=test.name), registers
+    return env, Program(fns, name=compiled.name), registers
 
 
 def abstract_threads(test: LitmusTest) -> list[list[tuple]]:
@@ -248,7 +320,7 @@ def abstract_threads(test: LitmusTest) -> list[list[tuple]]:
                 continue
             m = _FENCE_RE.match(stmt)
             if m:
-                fence = _parse_fence(m.group(1), True)
+                fence = _parse_fence(m.group(1))
                 scope = "set" if fence.kind is FenceKind.SET else "global"
                 ops.append(("fence", fence.waits, scope))
                 continue
@@ -276,14 +348,14 @@ def outcomes_matching(
     """
     if not condition:
         return []
-    matched = []
-    for outcome in sorted(outcomes, key=str):
-        env = dict(zip(register_names, outcome))
+    # compiled once per call, not once per outcome
+    code = compile(condition, "<exists>", "eval")
+    no_builtins = {"__builtins__": {}}
+    return [
+        outcome for outcome in sorted(outcomes, key=str)
         if eval(  # noqa: S307 - test-author expression
-            condition, {"__builtins__": {}}, env
-        ):
-            matched.append(outcome)
-    return matched
+            code, no_builtins, dict(zip(register_names, outcome)))
+    ]
 
 
 @dataclass
@@ -293,25 +365,10 @@ class LitmusRun:
     test: LitmusTest
     outcomes: set[tuple]
     condition_observed: bool
+    #: register names in the order outcome tuples report them: sorted,
+    #: matching the reference/explorer allowed sets
+    register_names: list[str]
     total_cycles: int = 0  # summed over all explored offset pairs
-
-    @property
-    def register_names(self) -> list[str]:
-        """Register names in the order outcome tuples are reported.
-
-        Sorted, matching both :func:`run_litmus` (which records
-        ``tuple(registers[r] for r in sorted(registers))``) and the
-        reference/explorer allowed sets -- it used to return program
-        order, which mislabelled the columns of any test whose loads
-        are not already alphabetical (MP's ``rw`` poll, for one).
-        """
-        names: set[str] = set()
-        for stmts in self.test.threads:
-            for stmt in stmts:
-                m = _LOAD_RE.match(stmt)
-                if m:
-                    names.add(m.group(1))
-        return sorted(names)
 
     def matching_outcomes(self) -> list[tuple]:
         """The observed outcomes satisfying the ``exists`` condition.
@@ -332,24 +389,20 @@ def run_litmus(
     dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> LitmusRun:
-    """Explore timing offsets; evaluate the ``exists`` condition."""
+    """Explore timing offsets; evaluate the ``exists`` condition.
+
+    The test compiles once; each offset pair only instantiates it
+    (:func:`build_program`) and runs a fresh simulator.
+    """
     offsets = offsets or DEFAULT_OFFSETS
-    cores = n_cores or max(2, test.n_threads)
+    compiled = compile_litmus(test, model, n_cores, dense_loop, mem_backend)
+    names = compiled.registers
     outcomes: set[tuple] = set()
     total_cycles = 0
-    reg_names: list[str] | None = None
     for d0 in offsets:
         for d1 in offsets:
-            env = Env(SimConfig(
-                n_cores=cores, memory_model=model, dense_loop=dense_loop,
-                mem_backend=mem_backend))
-            program, registers = build_program(test, env, [d0, d1])
-            res = env.run(program, max_cycles=2_000_000)
-            total_cycles += res.cycles
-            if reg_names is None:
-                reg_names = sorted(registers)
-            outcomes.add(tuple(registers.get(r) for r in reg_names))
-    observed = bool(
-        outcomes_matching(test.condition, reg_names or [], outcomes)
-    )
-    return LitmusRun(test, outcomes, observed, total_cycles)
+            env, program, registers = build_program(compiled, [d0, d1])
+            total_cycles += env.run(program, max_cycles=2_000_000).cycles
+            outcomes.add(tuple(registers.get(r) for r in names))
+    observed = bool(outcomes_matching(test.condition, names, outcomes))
+    return LitmusRun(test, outcomes, observed, list(names), total_cycles)

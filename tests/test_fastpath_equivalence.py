@@ -50,7 +50,12 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import ops_program
 from repro.litmus.corpus import CORPUS
-from repro.litmus.dsl import build_program, parse_litmus, run_litmus
+from repro.litmus.dsl import (
+    build_program,
+    compile_litmus,
+    parse_litmus,
+    run_litmus,
+)
 from repro.runtime.lang import Env, reset_cids
 from repro.sim.config import MemoryModel, SimConfig
 from repro.sim.simulator import DeadlockError, Simulator
@@ -127,14 +132,15 @@ def _run_litmus_pairs(test, engine: str, n_cores: int) -> dict:
 
     Keyed by ``(d0, d1)``: the registers, total cycles and every
     per-core stats counter of that pair's run -- the same grid
-    :func:`run_litmus` explores, observed at the stats level, so a
-    mis-accounted idle span cannot hide behind unchanged outcomes.
+    :func:`run_litmus` explores, compiled once and instantiated per
+    pair as it does, observed at the stats level, so a mis-accounted
+    idle span cannot hide behind unchanged outcomes.
     """
+    compiled = compile_litmus(test, n_cores=n_cores, **ENGINES[engine])
     runs = {}
     for d0 in OFFSETS:
         for d1 in OFFSETS:
-            env = Env(SimConfig(n_cores=n_cores, **ENGINES[engine]))
-            program, registers = build_program(test, env, [d0, d1])
+            env, program, registers = build_program(compiled, [d0, d1])
             res = env.run(program, max_cycles=2_000_000)
             runs[d0, d1] = {
                 "registers": dict(registers),

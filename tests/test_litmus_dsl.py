@@ -4,12 +4,11 @@ import pytest
 
 from repro.litmus.dsl import (
     LitmusParseError,
-    build_program,
+    compile_litmus,
     parse_litmus,
     run_litmus,
 )
-from repro.runtime.lang import Env
-from repro.sim.config import MemoryModel, SimConfig
+from repro.sim.config import MemoryModel
 
 FAST = [0, 1, 40, 150, 320]
 
@@ -71,19 +70,20 @@ def test_parse_rejects_empty():
 
 
 def test_bad_statement_rejected_at_run_time():
+    # parsing accepts any cell; the sweep's compile step rejects it
     t = parse_litmus("x <- 1 | r0 = x")
-    env = Env(SimConfig(n_cores=2))
-    program, _ = build_program(t, env, [0, 0])
     with pytest.raises(LitmusParseError):
-        env.run(program)
+        compile_litmus(t)
+    with pytest.raises(LitmusParseError):
+        run_litmus(t, MemoryModel.RMO, [0])
 
 
 def test_bad_fence_suffix():
     t = parse_litmus("fence.bogus | r0 = x")
-    env = Env(SimConfig(n_cores=2))
-    program, _ = build_program(t, env, [0, 0])
     with pytest.raises(LitmusParseError):
-        env.run(program)
+        compile_litmus(t)
+    with pytest.raises(LitmusParseError):
+        run_litmus(t, MemoryModel.RMO, [0])
 
 
 # ------------------------------------------------------------------- running

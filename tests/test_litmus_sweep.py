@@ -1,0 +1,175 @@
+"""Compile-once litmus sweeps against a build-everything-per-pair reference.
+
+:func:`run_litmus` compiles a test once (config, variable addresses,
+ops, register order) and instantiates it per offset pair.  These tests
+hold that path to a reference that builds everything afresh for every
+pair -- config, ``Env``, variables through ``Env.var``, and thread
+bodies that match each statement as they run -- and check that two
+instantiations of one compiled test share nothing a run can change: no
+memory word and no register leaks from one offset pair to the next.
+"""
+
+import dataclasses
+
+import pytest
+
+from repro.isa.instructions import (
+    WAIT_BOTH,
+    WAIT_LOADS,
+    WAIT_STORES,
+    Compute,
+    Fence,
+    FenceKind,
+    Load,
+    Store,
+)
+from repro.isa.program import Program
+from repro.litmus.corpus import CORPUS
+from repro.litmus.dsl import (
+    build_program,
+    compile_litmus,
+    parse_litmus,
+    run_litmus,
+    stmt_kind,
+)
+from repro.runtime.lang import Env
+from repro.sim.config import MEM_BACKENDS, MemoryModel, SimConfig
+from repro.verify.modes import FENCE_MODES, apply_fence_mode
+
+OFFSETS = [0, 1, 40]
+MAX_CYCLES = 2_000_000
+
+_FENCE_KINDS = {"set": FenceKind.SET, "class": FenceKind.CLASS}
+_FENCE_WAITS = {"ss": WAIT_STORES, "ll": WAIT_LOADS}
+
+
+def _reference_fence(stmt: str) -> Fence:
+    kind, waits = FenceKind.GLOBAL, WAIT_BOTH
+    for suffix in stmt.split(".")[1:]:
+        kind = _FENCE_KINDS.get(suffix, kind)
+        waits = _FENCE_WAITS.get(suffix, waits)
+    return Fence(kind, waits)
+
+
+def _reference_program(test, env: Env, delays: list[int]):
+    """``test`` instantiated in ``env`` with no compiled products.
+
+    Every variable is allocated through ``Env.var`` in statement order
+    before the run; the thread bodies classify each statement and build
+    its op only when they reach it.
+    """
+    variables = {}
+    for stmts in test.threads:
+        for stmt in stmts:
+            kind = stmt_kind(stmt)
+            if kind in ("store", "load"):
+                lhs, _, rhs = (part.strip() for part in stmt.partition("="))
+                name = lhs if kind == "store" else rhs
+                if name not in variables:
+                    variables[name] = env.var(
+                        name, init=test.init.get(name, 0),
+                        flagged=name in test.flagged)
+    registers = {}
+
+    def thread(stmts, delay):
+        def body(tid):
+            if delay:
+                yield Compute(delay)
+            for stmt in stmts:
+                kind = stmt_kind(stmt)
+                lhs, _, rhs = (part.strip() for part in stmt.partition("="))
+                if kind == "delay":
+                    if delay:
+                        yield Compute(delay)
+                elif kind == "store":
+                    yield variables[lhs].store(int(rhs))
+                elif kind == "load":
+                    registers[lhs] = yield variables[rhs].load()
+                else:
+                    yield _reference_fence(stmt)
+
+        return body
+
+    fns = [thread(stmts, delays[t % len(delays)])
+           for t, stmts in enumerate(test.threads)]
+    return Program(fns, name=test.name), registers
+
+
+def _reference_sweep(test, backend: str) -> tuple[set, int]:
+    """Outcomes and summed cycles, everything rebuilt for every pair."""
+    outcomes, cycles = set(), 0
+    for d0 in OFFSETS:
+        for d1 in OFFSETS:
+            env = Env(SimConfig(
+                n_cores=max(2, test.n_threads), memory_model=MemoryModel.RMO,
+                mem_backend=backend))
+            program, registers = _reference_program(test, env, [d0, d1])
+            cycles += env.run(program, max_cycles=MAX_CYCLES).cycles
+            outcomes.add(tuple(registers[r] for r in sorted(registers)))
+    return outcomes, cycles
+
+
+@pytest.mark.parametrize("backend", MEM_BACKENDS)
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_sweep_matches_fresh_per_pair_reference(entry, backend):
+    """Every fence-mode variant the verify matrix runs: same outcome set
+    and same total cycles as rebuilding everything per pair."""
+    for mode in FENCE_MODES:
+        test = apply_fence_mode(parse_litmus(entry.source), mode)
+        run = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
+        outcomes, cycles = _reference_sweep(test, backend)
+        assert run.outcomes == outcomes, f"{entry.name}[{mode}] outcomes"
+        assert run.total_cycles == cycles, f"{entry.name}[{mode}] cycles"
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_compiled_layout_matches_env_allocation(entry):
+    """Addresses, flag bits, init words and register order are what a
+    per-run ``Env`` allocation gives, so every cache set is unchanged."""
+    for mode in FENCE_MODES:
+        test = apply_fence_mode(parse_litmus(entry.source), mode)
+        compiled = compile_litmus(test)
+        env = Env(compiled.config)
+        _, registers = _reference_program(test, env, [0])
+        compiled_vars = {
+            op.name: (op.addr, op.flagged)
+            for steps in compiled.threads for op, _ in steps
+            if isinstance(op, (Load, Store))
+        }
+        env_vars = {
+            name: (base, name in test.flagged)
+            for name, (base, _) in env.space.regions().items()
+        }
+        assert compiled_vars == env_vars, f"{entry.name}[{mode}]"
+        fresh = build_program(compiled, [0])[0]
+        assert fresh.memory.snapshot() == env.memory.snapshot()
+        loads = {s.partition("=")[0].strip()
+                 for stmts in test.threads for s in stmts
+                 if stmt_kind(s) == "load"}
+        assert compiled.registers == tuple(sorted(loads))
+
+
+def _observe(env, program, registers):
+    res = env.run(program, max_cycles=MAX_CYCLES)
+    return (dict(registers), res.cycles,
+            [dataclasses.asdict(c) for c in res.stats.cores])
+
+
+@pytest.mark.parametrize("backend", MEM_BACKENDS)
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_instantiations_share_no_state(entry, backend):
+    """Two instances of one compiled test are independent runs: the
+    second starts from the init values with no register set, whether it
+    was built before or after the first one ran, and both produce the
+    same registers, cycles and per-core counters."""
+    compiled = compile_litmus(parse_litmus(entry.source), mem_backend=backend)
+    for delays in ([0, 0], [1, 40], [40, 0]):
+        first = build_program(compiled, delays)
+        second = build_program(compiled, delays)
+        pristine = second[0].memory.snapshot()
+        ran_first = _observe(*first)
+        assert second[2] == {}, f"registers leaked at delays {delays}"
+        assert second[0].memory.snapshot() == pristine, (
+            f"memory leaked at delays {delays}")
+        assert _observe(*second) == ran_first
+        assert _observe(*build_program(compiled, delays)) == ran_first
