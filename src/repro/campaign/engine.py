@@ -77,7 +77,7 @@ from multiprocessing.connection import wait as _conn_wait
 
 from .cache import ResultCache, set_process_fingerprint
 from .chaosinfra import InfraFaultPlan, fault_on_receive, fault_pre_job
-from .jobs import Job, execute_job, job_affinity, job_cost
+from .jobs import Job, execute_job, follower_cost, job_affinity, job_cost
 from .resilience import DegradationLadder, RetryPolicy, TRANSIENT_STATUSES
 
 #: outcome statuses (job-level; a chaos job whose *case* deadlocked is
@@ -189,8 +189,8 @@ def plan_chunks(
     """Size-aware chunks of the pending job indices.
 
     Submission order is preserved inside every chunk and, for jobs
-    without affinity, across chunks (adjacent verify cells of the same
-    test share a worker's warm parse), the
+    without affinity, across chunks (adjacent litmus cells share a
+    worker's warm parse), the
     per-chunk cost aims at ``total / (parallel * CHUNKS_PER_WORKER)``
     so many tiny jobs batch together while a single expensive job --
     one chaos storm rung costs an order of magnitude more than a litmus
@@ -199,8 +199,9 @@ def plan_chunks(
 
     Jobs sharing a :func:`~repro.campaign.jobs.job_affinity` travel in
     the chunk of the first of them, so the worker's warm memo serves the
-    rest; they add nothing to that chunk's cost.  A job list without
-    affinities is cut into contiguous chunks.
+    rest; each adds its :func:`~repro.campaign.jobs.follower_cost` to
+    that chunk's cost.  A job list without affinities is cut into
+    contiguous chunks.
     """
     if not pending:
         return []
@@ -216,7 +217,8 @@ def plan_chunks(
         else:
             leaders[key] = [index]
             units.append(leaders[key])
-    costs = [job_cost(jobs[unit[0]]) for unit in units]
+    costs = [job_cost(jobs[unit[0]]) + sum(follower_cost(jobs[i]) for i in unit[1:])
+             for unit in units]
     if target_cost is None:
         target_cost = sum(costs) / max(1, parallel * CHUNKS_PER_WORKER)
     target_cost = max(target_cost, 1e-9)

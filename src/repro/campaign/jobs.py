@@ -129,37 +129,66 @@ def job_cost(job: Job) -> float:
 
 
 def job_affinity(job: Job):
-    """Jobs with equal non-``None`` affinity share one simulation.
+    """Jobs with equal non-``None`` affinity share simulations.
 
-    App figure cells return their :func:`repro.campaign.figures.cell_key`;
-    the chunk planner keeps such jobs in one worker, whose warm memo
-    then serves every one after the first.  Everything else returns
-    ``None`` and is chunked on cost alone.
+    App figure cells return their :func:`repro.campaign.figures.cell_key`
+    and verify cells their :func:`repro.verify.runner.case_run_key`; the
+    chunk planner keeps such jobs in one worker, whose warm memo then
+    serves every one after the first.  Everything else returns ``None``
+    and is chunked on cost alone.
     """
-    if job.kind != "figure":
-        return None
-    from .figures import cell_key
+    if job.kind == "figure":
+        from .figures import cell_key
 
-    return cell_key(job.params)
+        return cell_key(job.params)
+    if job.kind == "verify":
+        from ..verify.runner import case_run_key
+
+        return case_run_key(job.params)
+    return None
+
+
+def follower_cost(job: Job) -> float:
+    """What a job adds to the chunk of the first job sharing its affinity.
+
+    A figure cell reads its leader's measured point and costs nothing.
+    A verify cell shares only the offset pairs its sweeps have in common
+    with its leader's (the seed-0 grid; later seeds draw grids keyed on
+    the cell's own fence mode), so it is charged in full.
+    """
+    return 0.0 if job.kind == "figure" else job_cost(job)
 
 
 # ------------------------------------------------------------- warm worker state
 #: per-process memo for pure, param-keyed intermediate products (parsed
-#: litmus tests, DPOR explorations, measured figure points).  Persistent pool workers keep this
-#: warm across the jobs of a campaign; entries are keyed by the full
-#: defining content, so within one process a hit can never be stale --
-#: the campaign's code cannot change under a running worker, and a new
-#: campaign (new fingerprint) starts new workers.
+#: litmus tests, DPOR explorations, litmus runs, measured figure
+#: points).  Persistent pool workers keep this warm across the jobs of a
+#: campaign; entries are keyed by the full defining content, so within
+#: one process a hit can never be stale -- the campaign's code cannot
+#: change under a running worker, and a new campaign (new fingerprint)
+#: starts new workers.
 _WARM: dict[str, dict] = {}
 
 
 def warm_slot(name: str) -> dict:
-    """The named per-process warm-cache dict (created on first use)."""
+    """The named per-process warm-cache dict (created on first use).
+
+    A hit is only as fresh as the code that filled the entry.  Code
+    that patches the simulator inside a running process (a test, a
+    mutation check) must :func:`clear_warm_state` first, or it reads
+    results simulated without its patch; the test suite clears the
+    memos before every test.
+    """
     return _WARM.setdefault(name, {})
 
 
 def clear_warm_state() -> None:
-    """Drop every warm memo (tests use this to measure cold paths)."""
+    """Drop every warm memo.
+
+    Tests call it to measure cold paths, and before every test (an
+    autouse fixture), so no test reads a run another test simulated,
+    perhaps under a patched simulator.
+    """
     _WARM.clear()
 
 

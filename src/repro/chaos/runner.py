@@ -344,8 +344,27 @@ def run_probe_case(
     changes the hash.
     """
     builder, scope = _algorithm_case(algo, seed)
+    return probe_builder(builder, scenario, seed, label=algo, scope=scope,
+                         base_budget=base_budget, mem_backend=mem_backend)
+
+
+def probe_builder(
+    builder,
+    scenario: str,
+    seed: int,
+    label: str,
+    scope: FenceKind,
+    base_budget: int = 400_000,
+    mem_backend: str = "mesi",
+) -> dict:
+    """:func:`run_probe_case` for an arbitrary guest builder.
+
+    Two builders whose probes agree ran the same event stream, event
+    for event: the whole-program synthesizer's guard that a plan builds
+    exactly the hand program rests on this.
+    """
     report, outcome, (log,) = _run_case(
-        builder, scenario, seed, label=algo, scope=scope.value,
+        builder, scenario, seed, label=label, scope=scope.value,
         sinks=(OrderEventLog,), base_budget=base_budget,
         mem_backend=mem_backend,
     )

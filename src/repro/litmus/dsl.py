@@ -190,6 +190,19 @@ class CompiledLitmus:
     registers: tuple[str, ...]
 
 
+def litmus_config(
+    test: LitmusTest,
+    model: MemoryModel = MemoryModel.RMO,
+    n_cores: int | None = None,
+    dense_loop: bool = False,
+    mem_backend: str = "mesi",
+) -> SimConfig:
+    """The machine one litmus test runs on: Table III, at least two cores."""
+    return SimConfig(
+        n_cores=n_cores or max(2, test.n_threads), memory_model=model,
+        dense_loop=dense_loop, mem_backend=mem_backend)
+
+
 def compile_litmus(
     test: LitmusTest,
     model: MemoryModel = MemoryModel.RMO,
@@ -205,9 +218,7 @@ def compile_litmus(
     statement that is no store, load, fence or ``delay`` raises
     :class:`LitmusParseError` here, before any simulation.
     """
-    config = SimConfig(
-        n_cores=n_cores or max(2, test.n_threads), memory_model=model,
-        dense_loop=dense_loop, mem_backend=mem_backend)
+    config = litmus_config(test, model, n_cores, dense_loop, mem_backend)
     space = AddressSpace(config.mem_size_words, config.words_per_line)
     addrs: dict[str, int] = {}
     init_writes: list[tuple[int, int]] = []
@@ -381,6 +392,23 @@ class LitmusRun:
         )
 
 
+def run_content_key(test: LitmusTest, config: SimConfig) -> tuple:
+    """What one offset pair's run of ``test`` under ``config`` depends on.
+
+    The config, the thread statements, the init values and the flagged
+    set; not the test's name, which no run reads, nor its ``exists``
+    clause, which only judges the outcomes afterwards.  Variants that
+    rewrite to the same program (SB with its fences stripped is SB)
+    share a key, and so their runs.
+    """
+    return (
+        config,
+        tuple(tuple(stmts) for stmts in test.threads),
+        tuple(sorted(test.init.items())),
+        tuple(sorted(test.flagged)),
+    )
+
+
 def run_litmus(
     test: LitmusTest,
     model: MemoryModel = MemoryModel.RMO,
@@ -392,17 +420,31 @@ def run_litmus(
     """Explore timing offsets; evaluate the ``exists`` condition.
 
     The test compiles once; each offset pair only instantiates it
-    (:func:`build_program`) and runs a fresh simulator.
+    (:func:`build_program`) and runs a fresh simulator.  A run is a
+    pure function of :func:`run_content_key` and its two delays, so
+    each pair's ``(cycles, outcome)`` is memoised per process in the
+    campaign warm slot ``litmus-runs``: a pair any earlier sweep in
+    this process simulated is not simulated again, and ``outcomes``
+    and ``total_cycles`` come out exactly as if it were.
     """
+    from ..campaign.jobs import warm_slot
+
     offsets = offsets or DEFAULT_OFFSETS
     compiled = compile_litmus(test, model, n_cores, dense_loop, mem_backend)
     names = compiled.registers
+    runs = warm_slot("litmus-runs").setdefault(
+        run_content_key(test, compiled.config), {})
     outcomes: set[tuple] = set()
     total_cycles = 0
     for d0 in offsets:
         for d1 in offsets:
-            env, program, registers = build_program(compiled, [d0, d1])
-            total_cycles += env.run(program, max_cycles=2_000_000).cycles
-            outcomes.add(tuple(registers.get(r) for r in names))
+            run = runs.get((d0, d1))
+            if run is None:
+                env, program, registers = build_program(compiled, [d0, d1])
+                run = runs[d0, d1] = (
+                    env.run(program, max_cycles=2_000_000).cycles,
+                    tuple(registers.get(r) for r in names))
+            total_cycles += run[0]
+            outcomes.add(run[1])
     observed = bool(outcomes_matching(test.condition, names, outcomes))
     return LitmusRun(test, outcomes, observed, list(names), total_cycles)

@@ -98,6 +98,26 @@ class Cache:
         self._sets[si].remove(line)
         return True
 
+    def invalidate_all_except(self, keep: set[int]) -> int:
+        """Flash-clear every resident line not in ``keep``; returns how many.
+
+        One pass over the presence map, leaving exactly the state that
+        :meth:`invalidate` on each dropped line (in any order) leaves:
+        the kept lines hold their sets and their recency order.
+        """
+        where = self._where
+        sets = self._sets
+        if not keep:
+            dropped = len(where)
+            for si in where.values():
+                sets[si].clear()
+            where.clear()
+            return dropped
+        dropped = [line for line in where if line not in keep]
+        for line in dropped:
+            sets[where.pop(line)].remove(line)
+        return len(dropped)
+
     def resident_lines(self) -> set[int]:
         """All currently resident line ids (for tests)."""
         return set(self._where)

@@ -63,6 +63,10 @@ class SiSdHierarchy(CoherenceBackend):
             for c in range(config.n_cores)
         ]
         self.llc = Cache(config.l2_lines, config.l2_assoc, name="sisd-llc")
+        # latency constants hoisted out of the per-access config chase
+        self._l1_lat = config.l1_latency
+        self._l2_lat = config.l2_latency
+        self._mem_lat = config.mem_latency
         #: per-core dirty-line sets; always a subset of the core's
         #: resident lines (eviction retires the dirty bit via write-back)
         self.dirty: list[set[int]] = [set() for _ in range(config.n_cores)]
@@ -84,21 +88,20 @@ class SiSdHierarchy(CoherenceBackend):
     # ------------------------------------------------------------------ access
     def access(self, core: int, addr: int, is_write: bool, stats: CoreStats) -> int:
         """Perform one timed access; returns the latency in cycles."""
-        cfg = self.config
         line = self.line_of(addr)
         l1 = self.l1[core]
 
         if l1.touch(line):
             stats.l1_hits += 1
-            latency = cfg.l1_latency
+            latency = self._l1_lat
         else:
             stats.l1_misses += 1
             if self.llc.touch(line):
                 stats.l2_hits += 1
-                latency = cfg.l2_latency
+                latency = self._l2_lat
             else:
                 stats.l2_misses += 1
-                latency = cfg.mem_latency
+                latency = self._mem_lat
                 self.llc.fill(line)
             self._fill_l1(core, line)
         if is_write:
@@ -108,6 +111,42 @@ class SiSdHierarchy(CoherenceBackend):
         if fault is not None:
             latency = max(1, fault(core, addr, is_write, latency))
         return latency
+
+    def load_timed(self, core: int, addr: int, stats: CoreStats) -> tuple[bool, int]:
+        """``(was_resident_in_l1, latency)`` for one read, in one walk.
+
+        Exactly ``(resident_in_l1(), access())``: the L1 ``touch``
+        doubles as the residency probe, and a missed line goes into
+        each level with ``fill_absent`` (the touch just proved it
+        absent; the LLC fill cannot evict from an L1).
+        """
+        line = (addr >> self._line_shift if self._line_shift is not None
+                else addr // self._words_per_line)
+        resident = self.l1[core].touch(line)
+        if resident:
+            stats.l1_hits += 1
+            latency = self._l1_lat
+        else:
+            stats.l1_misses += 1
+            llc = self.llc
+            if llc.touch(line):
+                stats.l2_hits += 1
+                latency = self._l2_lat
+            else:
+                stats.l2_misses += 1
+                latency = self._mem_lat
+                llc.fill_absent(line)
+            victim = self.l1[core].fill_absent(line)
+            dirty = self.dirty[core]
+            if victim is not None and victim in dirty:
+                # _fill_l1's lazy downgrade
+                dirty.discard(victim)
+                llc.fill(victim)
+                self.counters["eviction_writebacks"] += 1
+        fault = self.fault
+        if fault is not None:
+            latency = max(1, fault(core, addr, False, latency))
+        return resident, latency
 
     def _fill_l1(self, core: int, line: int) -> None:
         victim = self.l1[core].fill(line)
@@ -132,9 +171,8 @@ class SiSdHierarchy(CoherenceBackend):
             dirty.clear()
 
         if waits & WAIT_LOADS:
-            for line in sorted(l1.resident_lines() - dirty):
-                l1.invalidate(line)
-                invalidated += 1
+            # the flash-clear: every clean line's valid bit in one pass
+            invalidated = l1.invalidate_all_except(dirty)
 
         if waits & WAIT_STORES and waits & WAIT_LOADS:
             sync_kind = "full"
@@ -150,7 +188,7 @@ class SiSdHierarchy(CoherenceBackend):
         self.counters["self_invalidations"] += invalidated
         # write-throughs pipeline into one LLC round trip; invalidation
         # is a local flash-clear of valid bits and costs nothing
-        latency = self.config.l2_latency if downgraded else 0
+        latency = self._l2_lat if downgraded else 0
         return SyncOutcome(sync_kind, latency, invalidated, downgraded)
 
     # ---------------------------------------------------------------- warm-up

@@ -21,10 +21,12 @@ still never returns an unsound or locally non-minimal placement --
 the bound only shapes which corners of the lattice get measured; the
 golden suite pins the outcome.)
 
-Every measurement is memoised per process in the campaign warm slot,
-keyed by the variant's full content and the offset grid, so persistent
-pool workers and the in-process test suite never pay for the same
-probe twice.
+Probes keep no memo of their own: every offset pair a probe sweeps is
+memoised by :func:`~repro.litmus.dsl.run_litmus` itself (the warm slot
+``litmus-runs``, keyed by the variant's content and the two delays), so
+a probe of a variant any earlier sweep in the process ran -- a probe
+repeated by the search, or the verify matrix's run of the same program
+-- simulates nothing.
 """
 
 from __future__ import annotations
@@ -39,36 +41,17 @@ PROBE_OFFSETS = [0, 1, 40, 150]
 SMOKE_PROBE_OFFSETS = [0, 40]
 
 
-def variant_key(test: LitmusTest) -> tuple:
-    """Full-content key of one concrete variant (memoisation-safe)."""
-    return (
-        test.name,
-        tuple(tuple(stmts) for stmts in test.threads),
-        tuple(sorted(test.init.items())),
-        tuple(sorted(test.flagged)),
-        test.condition,
-    )
-
-
 def placement_cycles(
     variant: LitmusTest, offsets: list[int], mem_backend: str = "mesi"
 ) -> int:
     """Total simulated cycles of one variant over the offset grid.
 
-    The coherence backend is part of the memo key: cost is a timing
+    The coherence backend is part of the run key: cost is a timing
     quantity, and the same placement stalls differently when every sync
     point pays SI/SD work instead of riding free on invalidations.
     """
-    from ..campaign.jobs import warm_slot
-
-    memo = warm_slot("synth-cycles")
-    key = (variant_key(variant), tuple(offsets), mem_backend)
-    cycles = memo.get(key)
-    if cycles is None:
-        run = run_litmus(variant, MemoryModel.RMO, list(offsets),
-                         mem_backend=mem_backend)
-        cycles = memo[key] = run.total_cycles
-    return cycles
+    return run_litmus(variant, MemoryModel.RMO, list(offsets),
+                      mem_backend=mem_backend).total_cycles
 
 
 def site_estimates(

@@ -37,8 +37,10 @@ from ..analysis.report import format_table
 from ..core.semantics import reference_allowed_outcomes
 from ..litmus.dsl import (
     abstract_threads,
+    litmus_config,
     outcomes_matching,
     parse_litmus,
+    run_content_key,
     run_litmus,
 )
 from ..sim.config import MemoryModel
@@ -105,6 +107,22 @@ def _case_products(source: str, mode: str):
         reference = reference_allowed_outcomes(threads, init)
         entry = memo[(source, mode)] = (test, variant, exploration, reference)
     return entry
+
+
+def case_run_key(params: dict) -> tuple:
+    """The run-memo key one verify cell's sweeps simulate under.
+
+    :func:`~repro.litmus.dsl.run_content_key` of the cell's fence-mode
+    variant on the cell's engine and backend.  Cells with equal keys run
+    the same program (SB has no fences, so its ``orig`` and ``none``
+    cells are one program), and every offset pair their sweeps have in
+    common is simulated once per process.
+    """
+    variant = apply_fence_mode(parse_litmus(params["source"]), params["mode"])
+    config = litmus_config(
+        variant, MemoryModel.RMO, dense_loop=params["engine"] == "dense",
+        mem_backend=params.get("backend", "mesi"))
+    return run_content_key(variant, config)
 
 
 def verify_case(params: dict) -> dict:

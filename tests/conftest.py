@@ -4,8 +4,20 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign.jobs import clear_warm_state
 from repro.runtime.lang import Env
 from repro.sim.config import MemoryModel, SimConfig
+
+
+@pytest.fixture(autouse=True)
+def _cold_warm_memos():
+    """Every test starts with empty per-process memos.
+
+    Litmus runs, DPOR explorations and figure points are memoised by
+    content for the process's lifetime; a test that patches the
+    simulator must never read a run another test cached.
+    """
+    clear_warm_state()
 
 
 @pytest.fixture

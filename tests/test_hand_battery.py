@@ -15,7 +15,8 @@ import dataclasses
 
 import pytest
 
-from repro.chaos.runner import run_plan_case
+from repro.chaos.runner import probe_builder, run_plan_case
+from repro.isa.instructions import FenceKind
 from repro.runtime.harness import FencePlan
 from repro.synth import programs
 from repro.synth.programs import (
@@ -121,3 +122,30 @@ def test_app_synth_runs_each_hand_cell_once(monkeypatch):
         "runs": 1, "failures": [], "ok": True}
     # mutants and the synthesized placement still run their own cells
     assert len(cells) > 1
+
+
+def test_synthesized_ptc_placement_builds_the_hand_program(ptc):
+    """ptc synthesizes its hand placement, so the synthesizer reuses the
+    hand battery and hand cost run for it.  Both plans must build the
+    same program: one chaos cell's full monitor event stream agrees."""
+    entry, analysis = ptc
+    assignment = programs.weaken_slots(entry, analysis)
+    scope = programs.plan_scope(entry, assignment)
+    assert programs.builds_hand_program(entry, analysis, assignment, scope)
+    plans = (FencePlan.hand(), FencePlan(dict(assignment), default="none"))
+    probes = [
+        probe_builder(
+            lambda env, br, plan=plan: entry.chaos_build(env, plan, scope, br),
+            "drain", 0, label=entry.name, scope=scope)
+        for plan in plans
+    ]
+    assert probes[0]["events"] > 0
+    assert probes[0] == probes[1]
+    # one slot off the hand mode is another program
+    slot = next(iter(assignment))
+    assert not programs.builds_hand_program(
+        entry, analysis, {**assignment, slot: "full"}, scope)
+    dropped = {s: m for s, m in assignment.items() if s != slot}
+    assert not programs.builds_hand_program(entry, analysis, dropped, scope)
+    assert not programs.builds_hand_program(
+        entry, analysis, assignment, FenceKind.SET)

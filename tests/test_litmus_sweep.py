@@ -95,9 +95,10 @@ def _reference_program(test, env: Env, delays: list[int]):
     return Program(fns, name=test.name), registers
 
 
-def _reference_sweep(test, backend: str) -> tuple[set, int]:
-    """Outcomes and summed cycles, everything rebuilt for every pair."""
-    outcomes, cycles = set(), 0
+def _reference_sweep(test, backend: str) -> tuple[set, list, int]:
+    """Outcomes, register names and summed cycles, everything rebuilt
+    for every pair."""
+    outcomes, names, cycles = set(), [], 0
     for d0 in OFFSETS:
         for d1 in OFFSETS:
             env = Env(SimConfig(
@@ -105,8 +106,9 @@ def _reference_sweep(test, backend: str) -> tuple[set, int]:
                 mem_backend=backend))
             program, registers = _reference_program(test, env, [d0, d1])
             cycles += env.run(program, max_cycles=MAX_CYCLES).cycles
-            outcomes.add(tuple(registers[r] for r in sorted(registers)))
-    return outcomes, cycles
+            names = sorted(registers)
+            outcomes.add(tuple(registers[r] for r in names))
+    return outcomes, names, cycles
 
 
 @pytest.mark.parametrize("backend", MEM_BACKENDS)
@@ -117,7 +119,7 @@ def test_sweep_matches_fresh_per_pair_reference(entry, backend):
     for mode in FENCE_MODES:
         test = apply_fence_mode(parse_litmus(entry.source), mode)
         run = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
-        outcomes, cycles = _reference_sweep(test, backend)
+        outcomes, _, cycles = _reference_sweep(test, backend)
         assert run.outcomes == outcomes, f"{entry.name}[{mode}] outcomes"
         assert run.total_cycles == cycles, f"{entry.name}[{mode}] cycles"
 

@@ -192,3 +192,62 @@ def test_release_is_idempotent():
     second = h.fence(0, "fence.ss", WAIT_STORES, stats)
     assert first.downgraded == 1 and first.latency == h.config.l2_latency
     assert second.downgraded == 0 and second.latency == 0
+
+
+def _state(h: SiSdHierarchy):
+    """Everything a later access can observe: per-set recency, dirty
+    bits and counters."""
+    caches = [*h.l1, h.llc]
+    return ([list(c._sets) for c in caches], [dict(c._where) for c in caches],
+            [set(d) for d in h.dirty], dict(h.counters))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_load_timed_is_resident_then_access(seed):
+    """The fused load walk equals the two-call pair on a twin backend,
+    step for step: result, per-core counters and every cache's state."""
+    rng = random.Random(f"sisd-load:{seed}")
+    # a 32-line LLC as well, so its evictions and recency are observable
+    config = _small_config().with_(l2_kb=2)
+    fused, pair = SiSdHierarchy(config), SiSdHierarchy(config)
+    stats = {h: [CoreStats(core_id=c) for c in range(N_CORES)]
+             for h in (fused, pair)}
+    for _ in range(N_STEPS):
+        core = rng.randrange(N_CORES)
+        addr = rng.randrange(ADDR_RANGE)
+        roll = rng.random()
+        if roll < 0.5:
+            got = fused.load_timed(core, addr, stats[fused][core])
+            want = (pair.resident_in_l1(core, addr),
+                    pair.access(core, addr, False, stats[pair][core]))
+            assert got == want
+        elif roll < 0.85:
+            for h in (fused, pair):
+                h.access(core, addr, True, stats[h][core])
+        else:
+            waits = rng.choice((WAIT_LOADS, WAIT_STORES, WAIT_BOTH))
+            assert (fused.fence(core, "fence", waits, stats[fused][core])
+                    == pair.fence(core, "fence", waits, stats[pair][core]))
+        assert _state(fused) == _state(pair)
+        assert stats[fused] == stats[pair]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_flash_invalidation_equals_per_line_invalidation(seed):
+    """``invalidate_all_except`` leaves what one ``invalidate`` per
+    dropped line leaves, and counts the same lines."""
+    rng = random.Random(f"sisd-flash:{seed}")
+    flash, per_line = (SiSdHierarchy(_small_config()).l1[0] for _ in range(2))
+    for _ in range(N_STEPS):
+        line = rng.randrange(ADDR_RANGE // 8)
+        for cache in (flash, per_line):
+            cache.fill(line)
+        if rng.random() < 0.2:
+            resident = flash.resident_lines()
+            keep = set(rng.sample(sorted(resident), rng.randrange(len(resident) + 1)))
+            dropped = sorted(resident - keep)
+            for victim in dropped:
+                per_line.invalidate(victim)
+            assert flash.invalidate_all_except(keep) == len(dropped)
+            assert flash._sets == per_line._sets
+            assert flash._where == per_line._where
