@@ -107,12 +107,6 @@ class Cache:
         """
         where = self._where
         sets = self._sets
-        if not keep:
-            dropped = len(where)
-            for si in where.values():
-                sets[si].clear()
-            where.clear()
-            return dropped
         dropped = [line for line in where if line not in keep]
         for line in dropped:
             sets[where.pop(line)].remove(line)

@@ -608,6 +608,13 @@ def builds_hand_program(entry: AppEntry, analysis: AppAnalysis,
     recorded slot the hand mode, whose kind is the hand scope, gives
     every call the same fence.  The hand battery's verdict and the hand
     cost run then stand for the synthesized placement too.
+
+    It reads only the slots the recording reached, and the synthesized
+    plan elides every other slot while the hand plan fences it, so it
+    holds only if the recording reaches every slot the chaos and cost
+    builds fence -- a slot behind a CAS retry included.
+    ``tests/test_hand_battery.py`` checks that on every battery cell
+    and cost build of each app it holds for.
     """
     return (scope is entry.hand_scope
             and MODE_KIND.get(entry.hand_mode) is entry.hand_scope

@@ -6,17 +6,24 @@ and judges the hand placement from the same chaos runs
 monitor's watch-only mode in :func:`repro.chaos.runner.run_plan_case`,
 and on the merged battery giving exactly what the old two passes gave:
 a judging calibration pass, then ``chaos_validate`` with the calibrated
-spec.  These tests pin both, plus a guard that each hand cell runs once.
+spec.  These tests pin both, plus a guard that each hand cell runs once,
+and guards that where the synthesized placement is the hand placement
+(whose battery verdict and cost run the synthesizer then reuses) both
+plans build the same program.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.chaos.runner import probe_builder, run_plan_case
 from repro.isa.instructions import FenceKind
+from repro.mem.memory import SharedMemory
 from repro.runtime.harness import FencePlan
 from repro.synth import programs
 from repro.synth.programs import (
@@ -24,10 +31,16 @@ from repro.synth.programs import (
     CHAOS_SEEDS,
     analyze_app,
     app_entry,
+    builds_hand_program,
     chaos_validate,
     hand_battery,
+    measure_app_cycles,
     run_app_synth_case,
 )
+
+APP_SYNTH_REPORT = Path(__file__).resolve().parents[1] / "app-synth-report.json"
+#: apps whose synthesized placement is the hand placement
+HAND_PROGRAM_APPS = ("ptc", "harris-list")
 
 
 @pytest.fixture(scope="module")
@@ -124,28 +137,95 @@ def test_app_synth_runs_each_hand_cell_once(monkeypatch):
     assert len(cells) > 1
 
 
-def test_synthesized_ptc_placement_builds_the_hand_program(ptc):
-    """ptc synthesizes its hand placement, so the synthesizer reuses the
-    hand battery and hand cost run for it.  Both plans must build the
-    same program: one chaos cell's full monitor event stream agrees."""
+class _CountingPlan(FencePlan):
+    """A plan that counts the fence calls each slot receives."""
+
+    def __init__(self, modes=None, default="hand"):
+        super().__init__(modes, default)
+        self.calls: Counter = Counter()
+
+    def fence(self, slot, *args, **kwargs):
+        self.calls[slot] += 1
+        return super().fence(slot, *args, **kwargs)
+
+
+def _committed_placements() -> dict:
+    cases = json.loads(APP_SYNTH_REPORT.read_text())["cases"]
+    return {name: (case["synthesized"], FenceKind(case["scope"]))
+            for name, case in cases.items()}
+
+
+def test_hand_program_is_synthesized_for_ptc_and_harris_list_only():
+    """The apps the synthesizer reuses the hand results for; a new one
+    needs a case in the test below."""
+    reused = {
+        name for name, (assignment, scope) in _committed_placements().items()
+        if builds_hand_program(app_entry(name), analyze_app(app_entry(name)),
+                               assignment, scope)
+    }
+    assert reused == set(HAND_PROGRAM_APPS)
+
+
+@pytest.mark.parametrize("name", HAND_PROGRAM_APPS)
+def test_synthesized_placement_builds_the_hand_program(name, monkeypatch):
+    """Where the committed synthesized placement is the hand placement,
+    the synthesizer reuses the hand battery and hand cost run for it.
+
+    The predicate reads only the recorded slots, and the synthesized
+    plan elides every other slot, so it holds only if the recording
+    reaches every slot the hand build fences.  Every battery cell,
+    contended ones included (a failed CAS sends a thread down its retry
+    path), and the cost build must fence only recorded slots, and each
+    cell's full monitor event stream must agree between the two plans.
+    """
+    entry = app_entry(name)
+    analysis = analyze_app(entry)
+    assignment, scope = _committed_placements()[name]
+    assert builds_hand_program(entry, analysis, assignment, scope)
+    failed_cas = []
+    cas = SharedMemory.cas
+
+    def counting_cas(self, *args):
+        ok = cas(self, *args)
+        failed_cas.append(not ok)
+        return ok
+
+    monkeypatch.setattr(SharedMemory, "cas", counting_cas)
+    retried = []
+    for scenario in CHAOS_SCENARIOS:
+        for seed in CHAOS_SEEDS:
+            hand = _CountingPlan()
+            probes = []
+            for plan in (hand, FencePlan(dict(assignment), default="none")):
+                del failed_cas[:]
+                probes.append(probe_builder(
+                    lambda env, br, plan=plan: entry.chaos_build(
+                        env, plan, scope, br),
+                    scenario, seed, label=name, scope=scope))
+            cell = (scenario, seed)
+            assert probes[0]["events"] > 0, cell
+            assert probes[0] == probes[1], cell
+            assert set(hand.calls) <= set(analysis.slots), cell
+            if any(failed_cas):
+                retried.append(cell)
+    assert retried, "no battery cell took a retry path"
+    hand = _CountingPlan()
+    cycles = measure_app_cycles(entry, hand, scope)
+    assert cycles is not None
+    assert set(hand.calls) <= set(analysis.slots)
+    assert cycles == measure_app_cycles(
+        entry, FencePlan(dict(assignment), default="none"), scope)
+
+
+def test_builds_hand_program_rejects_any_other_placement(ptc):
     entry, analysis = ptc
-    assignment = programs.weaken_slots(entry, analysis)
-    scope = programs.plan_scope(entry, assignment)
-    assert programs.builds_hand_program(entry, analysis, assignment, scope)
-    plans = (FencePlan.hand(), FencePlan(dict(assignment), default="none"))
-    probes = [
-        probe_builder(
-            lambda env, br, plan=plan: entry.chaos_build(env, plan, scope, br),
-            "drain", 0, label=entry.name, scope=scope)
-        for plan in plans
-    ]
-    assert probes[0]["events"] > 0
-    assert probes[0] == probes[1]
+    assignment = {slot: entry.hand_mode for slot in analysis.slots}
+    assert builds_hand_program(entry, analysis, assignment, entry.hand_scope)
     # one slot off the hand mode is another program
     slot = next(iter(assignment))
-    assert not programs.builds_hand_program(
-        entry, analysis, {**assignment, slot: "full"}, scope)
+    assert not builds_hand_program(
+        entry, analysis, {**assignment, slot: "full"}, entry.hand_scope)
     dropped = {s: m for s, m in assignment.items() if s != slot}
-    assert not programs.builds_hand_program(entry, analysis, dropped, scope)
-    assert not programs.builds_hand_program(
+    assert not builds_hand_program(entry, analysis, dropped, entry.hand_scope)
+    assert not builds_hand_program(
         entry, analysis, assignment, FenceKind.SET)
