@@ -60,9 +60,10 @@ figure commands and ``campaign --figures`` share one path
 (:mod:`repro.campaign.figures`); ``--scale`` shrinks or grows
 workloads, and ``campaign --figures all`` at scale 1.0 writes
 ``figures-report.json``.
-Simulations run on the event-driven engine; the per-cycle reference
-loop is the oracle of ``verify --engines dense`` and the ``perf``
-gate.  ``--mem-backend`` picks the
+Simulations run on the event-driven engine.  The per-cycle reference
+loop runs the same core tick on every cycle, so ``verify --engines
+dense`` and the ``perf`` gate check the event scheduler's wake-ups and
+skips against it.  ``--mem-backend`` picks the
 coherence backend timing model (``mesi`` invalidation-based directory
 coherence, the default, or ``sisd`` self-invalidation/self-downgrade);
 ``verify`` and ``perf`` accept a comma-separated list and sweep every

@@ -1,13 +1,14 @@
 """Approximate out-of-order core with S-Fence support.
 
 One :class:`Core` per simulated hardware thread.  Each cycle
-(:meth:`tick`) the core, in order:
+(:meth:`tick`, the one per-cycle step both simulation engines run) the
+core, in order:
 
 1. applies completions scheduled for this cycle (loads, CAS, branches,
-   store-buffer drains),
+   store-buffer drains), then completes the speculatively issued
+   fences whose scope condition now holds,
 2. retires up to ``retire_width`` instructions from the ROB head
-   (stores move into the store buffer; speculatively issued fences
-   re-check their scope condition here),
+   (stores move into the store buffer),
 3. issues at most one buffered store to the cache write port,
 4. dispatches up to ``dispatch_width`` new ops pulled from the guest
    generator, applying their *functional* effect immediately and their
@@ -256,7 +257,19 @@ class Core:
 
     # ------------------------------------------------------------------- tick
     def tick(self, cycle: int) -> bool:
-        """Advance one cycle; returns True if any state changed."""
+        """Advance one cycle; returns True if any state changed.
+
+        The core's one tick, run by both engines: the dense loop ticks
+        every core on every cycle, the event scheduler only the cores
+        due (architecture §9).  Completions, retire and store issue are
+        inlined; dispatch is :meth:`_dispatch_lanes`.  A no-progress
+        tick records its stall-counter deltas for :meth:`account_idle`'s
+        replay.  A progress tick publishes the probe-skip hint
+        ``_skip_until``, which only the event scheduler reads: the
+        dense loop ticks the probes it covers, and the wake-up
+        soundness battery (tests/test_fastpath_soundness.py) checks
+        each one against the hint.
+        """
         if self.finished:
             return False
         stats = self.stats
@@ -267,36 +280,180 @@ class Core:
         self.stall_reason = None
         progress = False
 
-        if self._events:
-            progress |= self._apply_completions(cycle)
+        # Completions: the maturity test runs every tick, so the loop
+        # set-up is only paid when an event is actually due; mask-0 load completions (unscoped straight-
+        # line code) reduce complete_mem to one checked decrement, and
+        # the open-fence countdown is skipped when no fence is open
+        # (both are exact: the skipped calls are no-ops).
+        events = self._events
+        if events and events[0][0] <= cycle:
+            progress = True
+            mon = self.monitor
+            tracker = self.tracker
+            fsb = tracker.fsb
+            groups = self._spec_fence_groups
+            core_id = self.core_id
+            while events and events[0][0] <= cycle:
+                ev = _heappop(events)
+                if ev[2] == _EV_ROB:
+                    entry = ev[3]
+                    entry.done = True
+                    ekind = entry.kind
+                    if ekind == K_LOAD:
+                        mask = entry.fsb_mask
+                        if mask:
+                            tracker.complete_mem(mask, is_load=True)
+                        else:
+                            fsb.total_loads -= 1
+                            if fsb.total_loads < 0:
+                                # record_complete's underflow check
+                                raise RuntimeError(
+                                    "FSB completion without matching dispatch"
+                                )
+                        if groups:
+                            self._fence_countdown(mask, True, entry.seq)
+                        if entry.value:
+                            self._outstanding_misses -= 1
+                        if mon is not None:
+                            mon.on_mem_complete(core_id, cycle, entry.seq, True)
+                    elif ekind == K_CAS:
+                        tracker.complete_mem(entry.fsb_mask, is_load=False)
+                        if groups:
+                            self._fence_countdown(entry.fsb_mask, False, entry.seq)
+                        if mon is not None:
+                            mon.on_mem_complete(core_id, cycle, entry.seq, False)
+                    elif ekind == K_BRANCH:
+                        if entry.value:  # mispredict flag stored in .value
+                            tracker.squash()
+                            if mon is not None:
+                                mon.on_squash(
+                                    core_id, cycle,
+                                    tracker.fss.items(),
+                                    tracker.overflow_count,
+                                )
+                        else:
+                            tracker.confirm_speculation()
+                else:  # _EV_SB: store drain completed -> globally visible
+                    sbe = ev[3]
+                    self.memory.drain_store(core_id, sbe.addr)
+                    tracker.complete_mem(sbe.fsb_mask, is_load=False, in_sb=True)
+                    if groups:
+                        self._fence_countdown(sbe.fsb_mask, False, sbe.op_seq)
+                    self.sb.remove(sbe)
+                    if mon is not None:
+                        mon.on_store_drain(core_id, cycle, sbe.op_seq)
         if self._spec_fence_groups:
             progress |= self._try_complete_open_fences(cycle)
-        if self._rob_q:
-            progress |= self._retire(cycle)
-        if self._sb_q:
-            progress |= self._issue_store(cycle)
-        progress |= self._dispatch_lanes(cycle)
+        rob_q = self._rob_q
+        sb_q = self._sb_q
+        # Retire, then store issue.  Retire only does work when the
+        # head entry is done (a store head may also insert into the SB,
+        # but only once done): the guard skips the loop set-up on the
+        # many ticks spent waiting on a head.
+        sb = self.sb
+        if rob_q and rob_q[0].done:
+            retire_log = self.retire_log
+            n = self._retire_width
+            while n and rob_q:
+                head = rob_q[0]
+                if not head.done:
+                    break
+                if head.kind == K_STORE and not head.in_sb:
+                    if len(sb_q) >= self._sb_cap:
+                        stats.sb_full_stalls += 1
+                        break
+                    sbe = sb.insert(head.addr, head.fsb_mask)
+                    sbe.op_seq = head.seq
+                    self.tracker.store_retired(head.fsb_mask)
+                rob_q.popleft()
+                if retire_log is not None:
+                    retire_log.append((cycle, KIND_NAMES[head.kind], head.addr))
+                n -= 1
+                progress = True
+        # with every buffered store already in flight nothing can issue
+        # (and no chaos hook is consulted): skip the lookup
+        if sb.waiting and cycle >= self._sb_hold_until:
+            entry = sb.next_issuable()
+            if entry is not None:
+                chaos = self.chaos
+                hold = (chaos.drain_delay(self.core_id, cycle)
+                        if chaos is not None else 0)
+                if hold > 0:
+                    # chaos: delay the drain (the store stays buffered)
+                    self._sb_hold_until = cycle + hold
+                else:
+                    done = self.hierarchy.completion_cycle(
+                        cycle, self.core_id, entry.addr, True, stats
+                    )
+                    sb.mark_inflight(entry, done)
+                    self._ev_seq += 1
+                    _heappush(self._events, (done, self._ev_seq, _EV_SB, entry))
+                    progress = True
+        if self._dispatch_lanes(cycle):
+            progress = True
 
-        stats.rob_occupancy_sum += len(self._rob_q)
+        stats.rob_occupancy_sum += len(rob_q)
         stats.rob_occupancy_samples += 1
 
-        if self._gen_done and self._pending_op is None and not self._rob_q and not self._sb_q:
+        if (not rob_q and not sb_q and self._gen_done
+                and self._pending_op is None):
             self.finished = True
             self.finish_cycle = cycle
             stats.cycles = cycle
             return True
         if not progress:
-            # A no-progress tick is a pure function of (state, cycle),
-            # and state cannot change before the next wake-up event, so
-            # the counters it bumped repeat identically every skipped
-            # cycle; record them for account_idle's exact replay.
             self._idle_deltas = (
                 stats.fence_stall_cycles - pre_fence,
                 stats.rob_full_stalls - pre_rob_full,
                 stats.sb_full_stalls - pre_sb_full,
                 stats.mshr_stalls - pre_mshr,
             )
-        return progress
+            return False
+        # Publish the probe-skip hint: the earliest cycle the next tick
+        # could possibly progress at, when every tick before it is
+        # provably a no-progress probe whose stall deltas are known now.
+        # Preconditions shared by both cases -- nothing but dispatch can
+        # act: no open fence groups, no retirable ROB head (the head
+        # only becomes done via a completion event), and no issuable
+        # buffered store (store-buffer state only changes via drain
+        # events, which live in the same event heap; the chaos guard
+        # keeps the write-port throttle out of the proof).
+        self._skip_until = 0
+        if (not self._spec_fence_groups
+                and not (rob_q and rob_q[0].done)
+                and (not sb_q
+                     or (self.chaos is None
+                         and self.sb.next_issuable() is None))):
+            events = self._events
+            if self._blocked_until > cycle + 1:
+                # dependent-chain block: the blocked dispatch path
+                # returns before any stall counter, so the skipped
+                # probes are zero-delta
+                e = self._blocked_until
+                if events and events[0][0] < e:
+                    e = events[0][0]
+                if e > cycle + 1:
+                    self._skip_until = e
+                    self._idle_deltas = (0, 0, 0, 0)
+            elif events:
+                op = self._pending_op
+                if (op is not None and op.__class__ is Fence
+                        and not (self._in_window and op.speculable)
+                        and len(rob_q) < self._rob_cap
+                        and not self.tracker.fence_ready(op.kind, op.waits)):
+                    # pending non-speculative fence waiting on its FSB
+                    # column, which only completions/drains can clear:
+                    # each skipped probe is exactly one fence stall
+                    e = events[0][0]
+                    if e > cycle + 1:
+                        self._skip_until = e
+                        self._idle_deltas = (1, 0, 0, 0)
+        return True
+
+    # the name the block-compiling engine gave this tick; the
+    # end-to-end benchmark's tracer (benchmarks/e2e/layers.py) wraps
+    # it by name, so it stays an alias until the next benchmark change
+    tick_compiled = tick
 
     def account_idle(self, delta: int) -> None:
         """Attribute ``delta`` skipped cycles to this core's stats.
@@ -321,77 +478,7 @@ class Core:
         if d_mshr:
             stats.mshr_stalls += d_mshr * delta
 
-    # ------------------------------------------------------------- completions
-    def _apply_completions(self, cycle: int) -> bool:
-        progress = False
-        events = self._events
-        heappop = heapq.heappop
-        while events and events[0][0] <= cycle:
-            _, _, kind, payload = heappop(events)
-            progress = True
-            if kind == _EV_ROB:
-                entry: RobEntry = payload  # type: ignore[assignment]
-                entry.done = True
-                if entry.kind == K_LOAD:
-                    self.tracker.complete_mem(entry.fsb_mask, is_load=True)
-                    self._fence_countdown(entry.fsb_mask, True, entry.seq)
-                    if entry.value:
-                        self._outstanding_misses -= 1
-                    if self.monitor is not None:
-                        self.monitor.on_mem_complete(self.core_id, cycle, entry.seq, True)
-                elif entry.kind == K_CAS:
-                    self.tracker.complete_mem(entry.fsb_mask, is_load=False)
-                    self._fence_countdown(entry.fsb_mask, False, entry.seq)
-                    if self.monitor is not None:
-                        self.monitor.on_mem_complete(self.core_id, cycle, entry.seq, False)
-                elif entry.kind == K_BRANCH:
-                    if entry.value:  # mispredict flag stored in .value
-                        self.tracker.squash()
-                        if self.monitor is not None:
-                            self.monitor.on_squash(
-                                self.core_id, cycle,
-                                self.tracker.fss.items(),
-                                self.tracker.overflow_count,
-                            )
-                    else:
-                        self.tracker.confirm_speculation()
-            else:  # _EV_SB: store drain completed -> becomes globally visible
-                sbe = payload
-                self.memory.drain_store(self.core_id, sbe.addr)
-                self.tracker.complete_mem(sbe.fsb_mask, is_load=False, in_sb=True)
-                self._fence_countdown(sbe.fsb_mask, False, sbe.op_seq)
-                self.sb.remove(sbe)
-                if self.monitor is not None:
-                    self.monitor.on_store_drain(self.core_id, cycle, sbe.op_seq)
-        return progress
-
-    # ------------------------------------------------------------------ retire
-    def _retire(self, cycle: int) -> bool:
-        progress = False
-        rob_q = self._rob_q
-        retire_log = self.retire_log
-        for _ in range(self.config.retire_width):
-            if not rob_q:
-                break
-            head = rob_q[0]
-            if not head.done:
-                # incomplete load/CAS, or a speculatively issued fence
-                # still waiting for its countdown (completed in
-                # _try_complete_open_fences)
-                break
-            if head.kind == K_STORE and not head.in_sb:
-                if self.sb.full:
-                    self.stats.sb_full_stalls += 1
-                    break
-                sbe = self.sb.insert(head.addr, head.fsb_mask)
-                sbe.op_seq = head.seq
-                self.tracker.store_retired(head.fsb_mask)
-            rob_q.popleft()
-            if retire_log is not None:
-                retire_log.append((cycle, KIND_NAMES[head.kind], head.addr))
-            progress = True
-        return progress
-
+    # ------------------------------------------------------------------ fences
     def _fence_countdown(self, mask: int, is_load: bool, seq: int) -> None:
         """A memory op completed: notify the open speculative fences.
 
@@ -474,27 +561,6 @@ class Core:
         if self._spec_fence_groups:
             return self._spec_fence_groups[-1][0]
         return None
-
-    # ------------------------------------------------------------- store drain
-    def _issue_store(self, cycle: int) -> bool:
-        if cycle < self._sb_hold_until:
-            return False  # chaos: write port throttled
-        entry = self.sb.next_issuable()
-        if entry is None:
-            return False
-        if self.chaos is not None:
-            # chaos: delay the drain (the store stays buffered, which is
-            # always safe -- visibility is only ever postponed)
-            hold = self.chaos.drain_delay(self.core_id, cycle)
-            if hold > 0:
-                self._sb_hold_until = cycle + hold
-                return False
-        done = self.hierarchy.completion_cycle(
-            cycle, self.core_id, entry.addr, True, self.stats
-        )
-        self.sb.mark_inflight(entry, done)
-        self._schedule(done, _EV_SB, entry)
-        return True
 
     # ---------------------------------------------------------------- dispatch
     def _dispatch_one(self, op: Op, cycle: int, dispatched: int) -> bool:
@@ -623,214 +689,16 @@ class Core:
             self.stall_reason = "rob_full"  # implicit-ordering stall, not a fence
         return False
 
-    # ---------------------------------------------------------- event engine
-    def tick_compiled(self, cycle: int) -> bool:
-        """Advance one cycle under the event engine.
-
-        Observationally identical to :meth:`tick` (the dense reference
-        loop's tick) -- same phase order, same stall attribution, same
-        idle-delta recording; the differential suites
-        (tests/test_fastpath_equivalence.py) police byte-identity.
-        Dispatch is shared: both ticks call :meth:`_dispatch_lanes`.
-        What differs is mechanical: completions, retire and store issue
-        are inlined copies of the dense tick's methods, and a progress
-        tick publishes the probe-skip hint the scheduler uses to replay
-        provably blocked ticks as idle.  The end-to-end benchmark's
-        tracer wraps this method by name.
-        """
-        if self.finished:
-            return False
-        stats = self.stats
-        pre_fence = stats.fence_stall_cycles
-        pre_rob_full = stats.rob_full_stalls
-        pre_sb_full = stats.sb_full_stalls
-        pre_mshr = stats.mshr_stalls
-        self.stall_reason = None
-        progress = False
-
-        # Completions, inlined from _apply_completions: the maturity
-        # test runs every tick, so the call is only paid when an event
-        # is actually due; mask-0 load completions (unscoped straight-
-        # line code) reduce complete_mem to one checked decrement, and
-        # the open-fence countdown is skipped when no fence is open
-        # (both are exact: the skipped calls are no-ops).
-        events = self._events
-        if events and events[0][0] <= cycle:
-            progress = True
-            mon = self.monitor
-            tracker = self.tracker
-            fsb = tracker.fsb
-            groups = self._spec_fence_groups
-            core_id = self.core_id
-            while events and events[0][0] <= cycle:
-                ev = _heappop(events)
-                if ev[2] == _EV_ROB:
-                    entry = ev[3]
-                    entry.done = True
-                    ekind = entry.kind
-                    if ekind == K_LOAD:
-                        mask = entry.fsb_mask
-                        if mask:
-                            tracker.complete_mem(mask, is_load=True)
-                        else:
-                            fsb.total_loads -= 1
-                            if fsb.total_loads < 0:
-                                # record_complete's underflow check
-                                raise RuntimeError(
-                                    "FSB completion without matching dispatch"
-                                )
-                        if groups:
-                            self._fence_countdown(mask, True, entry.seq)
-                        if entry.value:
-                            self._outstanding_misses -= 1
-                        if mon is not None:
-                            mon.on_mem_complete(core_id, cycle, entry.seq, True)
-                    elif ekind == K_CAS:
-                        tracker.complete_mem(entry.fsb_mask, is_load=False)
-                        if groups:
-                            self._fence_countdown(entry.fsb_mask, False, entry.seq)
-                        if mon is not None:
-                            mon.on_mem_complete(core_id, cycle, entry.seq, False)
-                    elif ekind == K_BRANCH:
-                        if entry.value:  # mispredict flag stored in .value
-                            tracker.squash()
-                            if mon is not None:
-                                mon.on_squash(
-                                    core_id, cycle,
-                                    tracker.fss.items(),
-                                    tracker.overflow_count,
-                                )
-                        else:
-                            tracker.confirm_speculation()
-                else:  # _EV_SB: store drain completed -> globally visible
-                    sbe = ev[3]
-                    self.memory.drain_store(core_id, sbe.addr)
-                    tracker.complete_mem(sbe.fsb_mask, is_load=False, in_sb=True)
-                    if groups:
-                        self._fence_countdown(sbe.fsb_mask, False, sbe.op_seq)
-                    self.sb.remove(sbe)
-                    if mon is not None:
-                        mon.on_store_drain(core_id, cycle, sbe.op_seq)
-        if self._spec_fence_groups:
-            progress |= self._try_complete_open_fences(cycle)
-        rob_q = self._rob_q
-        sb_q = self._sb_q
-        # _retire and _issue_store, inlined (the dense tick keeps the
-        # methods as the reference).  Retire only does work when the
-        # head entry is done (a store head may also insert into the SB,
-        # but only once done): the guard skips the loop set-up on the
-        # many ticks spent waiting on a head.
-        sb = self.sb
-        if rob_q and rob_q[0].done:
-            retire_log = self.retire_log
-            n = self._retire_width
-            while n and rob_q:
-                head = rob_q[0]
-                if not head.done:
-                    break
-                if head.kind == K_STORE and not head.in_sb:
-                    if len(sb_q) >= self._sb_cap:
-                        stats.sb_full_stalls += 1
-                        break
-                    sbe = sb.insert(head.addr, head.fsb_mask)
-                    sbe.op_seq = head.seq
-                    self.tracker.store_retired(head.fsb_mask)
-                rob_q.popleft()
-                if retire_log is not None:
-                    retire_log.append((cycle, KIND_NAMES[head.kind], head.addr))
-                n -= 1
-                progress = True
-        # with every buffered store already in flight nothing can issue
-        # (and _issue_store would consult no chaos hook): skip the lookup
-        if sb.waiting and cycle >= self._sb_hold_until:
-            entry = sb.next_issuable()
-            if entry is not None:
-                chaos = self.chaos
-                hold = (chaos.drain_delay(self.core_id, cycle)
-                        if chaos is not None else 0)
-                if hold > 0:
-                    # chaos: delay the drain (the store stays buffered)
-                    self._sb_hold_until = cycle + hold
-                else:
-                    done = self.hierarchy.completion_cycle(
-                        cycle, self.core_id, entry.addr, True, stats
-                    )
-                    sb.mark_inflight(entry, done)
-                    self._ev_seq += 1
-                    _heappush(self._events, (done, self._ev_seq, _EV_SB, entry))
-                    progress = True
-        if self._dispatch_lanes(cycle):
-            progress = True
-
-        stats.rob_occupancy_sum += len(rob_q)
-        stats.rob_occupancy_samples += 1
-
-        if (not rob_q and not sb_q and self._gen_done
-                and self._pending_op is None):
-            self.finished = True
-            self.finish_cycle = cycle
-            stats.cycles = cycle
-            return True
-        if not progress:
-            self._idle_deltas = (
-                stats.fence_stall_cycles - pre_fence,
-                stats.rob_full_stalls - pre_rob_full,
-                stats.sb_full_stalls - pre_sb_full,
-                stats.mshr_stalls - pre_mshr,
-            )
-            return False
-        # Publish the probe-skip hint: the earliest cycle the next tick
-        # could possibly progress at, when every tick before it is
-        # provably a no-progress probe whose stall deltas are known now.
-        # Preconditions shared by both cases -- nothing but dispatch can
-        # act: no open fence groups, no retirable ROB head (the head
-        # only becomes done via a completion event), and no issuable
-        # buffered store (store-buffer state only changes via drain
-        # events, which live in the same event heap; the chaos guard
-        # keeps the write-port throttle out of the proof).
-        self._skip_until = 0
-        if (not self._spec_fence_groups
-                and not (rob_q and rob_q[0].done)
-                and (not sb_q
-                     or (self.chaos is None
-                         and self.sb.next_issuable() is None))):
-            events = self._events
-            if self._blocked_until > cycle + 1:
-                # dependent-chain block: the blocked dispatch path
-                # returns before any stall counter, so the skipped
-                # probes are zero-delta
-                e = self._blocked_until
-                if events and events[0][0] < e:
-                    e = events[0][0]
-                if e > cycle + 1:
-                    self._skip_until = e
-                    self._idle_deltas = (0, 0, 0, 0)
-            elif events:
-                op = self._pending_op
-                if (op is not None and op.__class__ is Fence
-                        and not (self._in_window and op.speculable)
-                        and len(rob_q) < self._rob_cap
-                        and not self.tracker.fence_ready(op.kind, op.waits)):
-                    # pending non-speculative fence waiting on its FSB
-                    # column, which only completions/drains can clear:
-                    # each skipped probe is exactly one fence stall
-                    e = events[0][0]
-                    if e > cycle + 1:
-                        self._skip_until = e
-                        self._idle_deltas = (1, 0, 0, 0)
-        return True
-
     # ------------------------------------------------------- dispatch lanes
     def _dispatch_lanes(self, cycle: int) -> bool:
         """Dispatch up to ``dispatch_width`` ops; the core's one dispatch path.
 
-        Both ticks call it: the dense loop's :meth:`tick` and the event
-        engine's :meth:`tick_compiled`, monitored or not, under every
-        memory model.  Loads and stores (plain, set-scope flagged and
-        ``serialize``), computes, scope delimiters and non-speculative
-        fences run inlined lanes over state hoisted into locals; CAS,
-        branches, probes and speculatively issued fences go through
-        :meth:`_dispatch_one`.  The lanes emit the monitor events in op
+        :meth:`tick` calls it under both engines, monitored or not,
+        under every memory model.  Loads and stores (plain, set-scope
+        flagged and ``serialize``), computes, scope delimiters and
+        non-speculative fences run inlined lanes over state hoisted
+        into locals; CAS, branches, probes and speculatively issued
+        fences go through :meth:`_dispatch_one`.  The lanes emit the monitor events in op
         order behind one hoisted ``mon`` test, and gate loads and stores
         on SC's all-prior-ops-complete rule through one hoisted bool
         (:meth:`_sc_ready`'s check, with the same stall reason).

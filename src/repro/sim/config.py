@@ -121,11 +121,13 @@ class SimConfig:
 
     # --- Execution engine ----------------------------------------------------
     # Run the reference per-cycle loop that ticks every core on every
-    # cycle instead of the event-driven scheduler.  Both engines produce
-    # byte-identical results (cycles, stats, retire logs, monitor event
-    # streams -- see tests/test_fastpath_equivalence.py); the dense loop
-    # is the oracle those suites and ``verify --engines dense`` check
-    # the fast path against, and the baseline the perf harness times.
+    # cycle instead of the event-driven scheduler.  Both engines run the
+    # same tick (Core.tick) and produce byte-identical results (cycles,
+    # stats, retire logs, monitor event streams -- see
+    # tests/test_fastpath_equivalence.py); the dense loop is the oracle
+    # those suites and ``verify --engines dense`` check the scheduler's
+    # wake-ups, probe-skip, chaining and idle replay against, and the
+    # baseline the perf harness times.
     dense_loop: bool = False
 
     # --- Limits ---------------------------------------------------------------

@@ -5,13 +5,12 @@ stats counters, retire logs, monitor event streams, timelines --
 tests/test_fastpath_equivalence.py is the differential suite):
 
 * **Dense reference loop** (``SimConfig.dense_loop=True``): every core
-  is ticked on every cycle, in core-index order (``Core.tick``).
-  Trivially correct and trivially slow at 300-cycle memory latencies;
-  kept as the oracle for what the fast path adds -- its scheduling
-  (wake-ups, probe-skip, chaining, idle replay) and its inlined
-  completion, retire and store-issue copies -- which the differential
-  suites and ``verify --engines dense`` check, and as the baseline the
-  perf harness times it against.
+  is ticked on every cycle, in core-index order.  Trivially correct and
+  trivially slow at 300-cycle memory latencies; kept as the oracle for
+  what the fast path adds -- its scheduling (wake-ups, probe-skip,
+  chaining, idle replay) -- which the differential suites and
+  ``verify --engines dense`` check, and as the baseline the perf
+  harness times it against.
 
 * **Event-driven fast path** (the default): each core sleeps between
   ticks on which it can make progress.  After a no-progress tick the
@@ -20,15 +19,15 @@ tests/test_fastpath_equivalence.py is the differential suite):
   holds; see docs/architecture.md §9) and the scheduler jumps it
   straight there, attributing the skipped span to stall accounting
   (``Core.account_idle``) and to the timeline as an explicit
-  skipped-span marker.  Cores run the fused tick
-  (``Core.tick_compiled``), whose probe-skip hint and same-core
-  chaining cut the remaining blocked probes and heap round trips.
+  skipped-span marker.  The probe-skip hint a progress tick publishes
+  and same-core chaining cut the remaining blocked probes and heap
+  round trips.
 
-Both ticks dispatch through the same fused lanes
-(``Core._dispatch_lanes``), monitored or not, under every memory model,
-so dispatch is not checked by engine agreement: the verify oracle, the
-chaos ordering checkers (which observe the lanes' monitor events) and
-the committed goldens and pinned probe digests check it.
+Both engines run the same per-cycle step (``Core.tick``), so nothing
+inside a tick -- completions, retire, store issue, the fused dispatch
+lanes -- is checked by engine agreement: the verify oracle, the chaos
+ordering checkers (which observe the monitor events) and the committed
+goldens and pinned probe digests check it.
 
 Equivalence rests on two invariants, both enforced by tests:
 
@@ -152,7 +151,11 @@ class Simulator:
 
     # ---------------------------------------------------------- dense engine
     def _run_dense(self, limit: int) -> None:
-        """Reference loop: tick every core on every cycle."""
+        """Reference loop: tick every core on every cycle.
+
+        The probe-skip hint (``Core._skip_until``) is ignored: the loop
+        runs every probe the hint would have replayed as idle.
+        """
         cores = self.cores
         timeline = self.timeline
         cycle = 0
@@ -200,8 +203,8 @@ class Simulator:
         accounted lazily at deadlock/cycle-limit time, since only then
         is the span known.
 
-        Cores run the fused tick (``Core.tick_compiled``), which
-        enables two shortcuts.  *Probe-skip*: a progress tick may prove
+        Two shortcuts go beyond waking cores on their events.
+        *Probe-skip*: a progress tick of ``Core.tick`` may prove
         that every tick up to some later cycle is a blocked probe with
         known stall deltas, and the scheduler replays that span as
         idle.  *Same-core chaining*: when the core just ticked is due
@@ -218,7 +221,7 @@ class Simulator:
         wake = [0] * n
         last_tick = [0] * n
         # pre-bound tick methods: shaves a lookup per tick
-        ticks = [c.tick_compiled for c in cores]
+        ticks = [c.tick for c in cores]
         heap = [(0, i) for i in range(n) if not cores[i].finished]
         unfinished = len(heap)
         while heap and unfinished:
@@ -241,8 +244,8 @@ class Simulator:
                         nxt = cycle + 1
                         # probe-skip hint: every tick in [cycle+1, skip)
                         # is a provably blocked probe with known stall
-                        # deltas (see Core.tick_compiled), so replay it
-                        # as idle instead of ticking
+                        # deltas (see Core.tick), so replay it as idle
+                        # instead of ticking
                         skip = core._skip_until
                         if skip > nxt and skip < limit and timeline is None:
                             core.account_idle(skip - nxt)

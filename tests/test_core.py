@@ -1,5 +1,7 @@
 """Behavioural tests of the out-of-order core (single core unless noted)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.isa.instructions import (
@@ -253,6 +255,33 @@ def test_sisd_sync_event_follows_fence_pass():
     at = kinds.index("fence_pass")
     assert kinds[at + 1] == "coherence_sync"
     assert "coherence_sync" not in kinds[:at]
+
+
+def test_unscoped_load_completion_counts_down_open_fence():
+    """Completion phase: a mask-0 load completion counts down open fences.
+
+    Under in-window speculation a global fence dispatches behind an
+    in-flight unscoped load (FSB mask 0) and waits for it.  The load's
+    completion must count the fence's group down, or the fence never
+    completes and its held store never drains.
+    """
+    res = run_ops([Load(4096), Fence(FenceKind.GLOBAL), Store(8192, 1)],
+                  in_window_speculation=True)
+    assert res.memory.read_global(8192) == 1
+
+
+def test_retire_width_bounds_each_cycle():
+    """Retire phase: at most ``retire_width`` ops leave the ROB a cycle.
+
+    Sixteen completed scope delimiters queue behind a missing load; once
+    the load completes they drain from the ROB head, ``retire_width``
+    per cycle.
+    """
+    ops = [Load(4096)] + [FsStart(1), FsEnd(1)] * 8
+    sim = Simulator(SimConfig(n_cores=1, retire_log_len=32), ops_program([ops]))
+    sim.run()
+    per_cycle = Counter(cycle for cycle, _, _ in sim.cores[0].retire_log)
+    assert max(per_cycle.values()) == sim.config.retire_width
 
 
 def test_instruction_count():

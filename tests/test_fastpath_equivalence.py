@@ -1,12 +1,11 @@
 """Differential equivalence: dense loop vs event fast path.
 
 The event engine's entire claim is that skipping no-progress ticks
-(wake-ups, probe-skip, same-core chaining) and its inlined copies of
-completion, retire and store issue are unobservable.  Dispatch itself
-is shared: both ticks call the same fused lanes, so these suites check
-the scheduler and those copies, not dispatch (which the verify oracle,
-the chaos checkers and the pinned probe digests of
-tests/test_campaign_determinism.py check).  These tests run the
+(wake-ups, probe-skip, same-core chaining, idle replay) is
+unobservable.  Both engines run the same per-cycle step (``Core.tick``),
+so these suites check the scheduler, not what happens inside a tick
+(which the verify oracle, the chaos checkers and the pinned probe
+digests of tests/test_campaign_determinism.py check).  These tests run the
 same workloads under both engines and assert *byte-identical*
 results at every level the simulator exposes: final memory contents,
 every per-core stats counter, retire logs, the full monitor event
@@ -517,23 +516,36 @@ def test_smoke_workload_equivalence(workload, backend):
 def test_duplicate_load_completion_raises(engine):
     """A completion without a matching dispatch fails loudly.
 
-    An unscoped load (FSB mask 0) has its completion event duplicated;
-    the second completion must trip the FSB underflow check in both
-    engines (the event engine's mask-0 shortcut included) rather than
-    drive the load counter negative.
+    An unscoped load (FSB mask 0) has its completion event duplicated
+    right after the tick that dispatches it; each engine's loop must
+    then reach the second completion and trip the FSB underflow check
+    (the tick's mask-0 shortcut included) rather than drive the load
+    counter negative.
     """
     sim = Simulator(SimConfig(n_cores=1, **ENGINES[engine]),
                     ops_program([[Load(4096), Compute(400)]]))
     core = sim.cores[0]
-    core.bind(sim.program.spawn()[0])
-    tick = core.tick if engine == "dense" else core.tick_compiled
-    tick(0)
-    cycle, seq, kind, entry = next(e for e in core._events
-                                   if getattr(e[3], "addr", None) == 4096)
-    core._schedule(cycle, kind, entry)
+    duplicated = []
+
+    class DuplicatingCore(type(core)):
+        __slots__ = ()
+
+        def tick(self, cycle):
+            progress = super().tick(cycle)
+            if not duplicated:
+                at, seq, kind, entry = next(
+                    e for e in self._events
+                    if getattr(e[3], "addr", None) == 4096)
+                self._schedule(at, kind, entry)
+                duplicated.append(at)
+            return progress
+
+    # same slot layout, so the core can switch class; both engines look
+    # ``tick`` up on the core when they start
+    core.__class__ = DuplicatingCore
     with pytest.raises(RuntimeError, match="without matching dispatch"):
-        for c in range(1, cycle + 2):
-            tick(c)
+        sim.run()
+    assert duplicated
 
 
 def test_overflow_mask_reaches_reactivated_scope():

@@ -8,6 +8,13 @@ no-progress tick recorded (``_idle_deltas``) -- the three properties
 that make skipping those ticks, and replaying their accounting via
 ``account_idle``, byte-identical to running them.
 
+The probe-skip hint gets the same three checks: after a progress tick
+that publishes ``_skip_until > cycle + 1``, every tick before
+``_skip_until`` makes no progress, leaves the core's state as the
+progress tick left it, and bumps exactly the ``_idle_deltas`` published
+with the hint -- the span the event scheduler replays as idle without
+ticking it.
+
 The checker drives the *dense* loop and verifies the contract at every
 single no-progress tick, across workloads chosen to stall on every
 wake-up source: fences over long memory misses (event heap), store
@@ -18,6 +25,8 @@ wake-up must mean the core never progresses again.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import pytest
 
@@ -47,8 +56,20 @@ def _snapshot(core):
     )
 
 
-def check_wakeup_contract(sim: Simulator, limit: int = 300_000) -> int:
-    """Dense-tick ``sim`` verifying the contract; returns checked ticks."""
+def _assert_frozen(core, ticked, pre, snap, deltas, where: str) -> None:
+    """One tick a claim covers: no progress, no state change, the deltas."""
+    assert not ticked, f"{where}: progressed"
+    assert _snapshot(core) == snap, f"{where}: mutated observable state"
+    got = tuple(a - b for a, b in zip(_counters(core), pre))
+    assert got == deltas, f"{where}: stall-counter deltas {got} != {deltas}"
+
+
+def check_wakeup_contract(sim: Simulator, limit: int = 300_000) -> Counter:
+    """Dense-tick ``sim`` verifying the contract and the probe-skip hint.
+
+    Returns how many ticks were checked: ``"wake"`` ticks before a
+    reported wake-up, ``"skip"`` ticks inside a published skip span.
+    """
     gens = sim.program.spawn()
     for core, gen in zip(sim.cores, gens):
         core.bind(gen)
@@ -57,7 +78,8 @@ def check_wakeup_contract(sim: Simulator, limit: int = 300_000) -> int:
 
     cores = sim.cores
     pending: dict[int, tuple] = {}  # core -> (wake, snapshot, deltas)
-    checked = 0
+    hints: dict[int, tuple] = {}  # core -> (skip_until, snapshot, deltas)
+    checked = Counter()
     cycle = 0
     while cycle < limit:
         progress = False
@@ -73,22 +95,25 @@ def check_wakeup_contract(sim: Simulator, limit: int = 300_000) -> int:
             if claim is not None:
                 wake, snap, deltas = claim
                 if wake is None or cycle < wake:
-                    checked += 1
-                    assert not ticked, (
-                        f"core {i} progressed at cycle {cycle}, strictly "
-                        f"before its reported wake-up {wake}"
-                    )
-                    assert _snapshot(core) == snap, (
-                        f"core {i} mutated observable state at cycle {cycle} "
-                        f"while asleep until {wake}"
-                    )
-                    got = tuple(a - b for a, b in zip(_counters(core), pre))
-                    assert got == deltas, (
-                        f"core {i} stall-counter deltas {got} at cycle "
-                        f"{cycle} != recorded idle deltas {deltas}"
-                    )
+                    checked["wake"] += 1
+                    _assert_frozen(core, ticked, pre, snap, deltas,
+                                   f"core {i} at cycle {cycle}, strictly "
+                                   f"before its reported wake-up {wake}")
                 else:
                     pending.pop(i, None)
+            hint = hints.get(i)
+            if hint is not None:
+                until, snap, deltas = hint
+                if cycle < until:
+                    checked["skip"] += 1
+                    _assert_frozen(core, ticked, pre, snap, deltas,
+                                   f"core {i} at cycle {cycle}, inside its "
+                                   f"probe-skip span ending at {until}")
+                else:
+                    del hints[i]
+            if ticked and not core.finished and core._skip_until > cycle + 1:
+                hints[i] = (core._skip_until, _snapshot(core),
+                            core._idle_deltas)
             if not ticked and not core.finished:
                 pending[i] = (
                     core.next_event_cycle(cycle), _snapshot(core),
@@ -107,6 +132,11 @@ def check_wakeup_contract(sim: Simulator, limit: int = 300_000) -> int:
     raise AssertionError(f"workload did not finish within {limit} cycles")
 
 
+def _assert_checked(checked: Counter) -> None:
+    """Every workload exercises both claims: wake-ups and skip spans."""
+    assert checked["wake"] > 0 and checked["skip"] > 0, dict(checked)
+
+
 # ------------------------------------------------------------------- workloads
 def test_fence_and_memory_event_sources():
     """Fences over cold misses: event-heap and drain wake-ups."""
@@ -115,7 +145,7 @@ def test_fence_and_memory_event_sources():
          Store(64 * i + 16384, 7), Fence(FenceKind.GLOBAL), Load(64 * i + 24576)]
         for i in range(4)
     ])
-    assert check_wakeup_contract(Simulator(SimConfig(n_cores=4), prog)) > 0
+    _assert_checked(check_wakeup_contract(Simulator(SimConfig(n_cores=4), prog)))
 
 
 def test_store_buffer_pressure_source():
@@ -125,7 +155,7 @@ def test_store_buffer_pressure_source():
         for t in range(2)
     ])
     cfg = SimConfig(n_cores=2, sb_size=2)
-    assert check_wakeup_contract(Simulator(cfg, prog)) > 0
+    _assert_checked(check_wakeup_contract(Simulator(cfg, prog)))
 
 
 def test_mshr_and_compute_sources():
@@ -136,7 +166,7 @@ def test_mshr_and_compute_sources():
         for t in range(2)
     ])
     cfg = SimConfig(n_cores=2, mshrs=2)
-    assert check_wakeup_contract(Simulator(cfg, prog)) > 0
+    _assert_checked(check_wakeup_contract(Simulator(cfg, prog)))
 
 
 @pytest.mark.parametrize("n_threads", (2, 4))
@@ -151,7 +181,7 @@ def test_workload_cross_core(n_threads):
         n_threads=n_threads,
     )
     sim = env.simulator(handle.program)
-    assert check_wakeup_contract(sim, limit=3_000_000) > 0
+    _assert_checked(check_wakeup_contract(sim, limit=3_000_000))
     handle.check()
 
 
@@ -168,5 +198,5 @@ def test_chaos_drain_hold_source():
     engine = ChaosEngine(
         FaultPlan(seed=5, drain_stall_prob=0.3, drain_stall_cycles=50)
     ).install(sim)
-    assert check_wakeup_contract(sim, limit=3_000_000) > 0
+    _assert_checked(check_wakeup_contract(sim, limit=3_000_000))
     assert engine.counts["drain_stall"] > 0
