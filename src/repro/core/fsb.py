@@ -37,17 +37,25 @@ class FenceScopeBits:
             raise ValueError("need at least 2 FSB entries (one reserved for set scope)")
         self.n_entries = n_entries
         self.set_entry = n_entries - 1
-        self.pending_loads = [0] * n_entries
-        self.pending_stores = [0] * n_entries
-        # totals across *all* memory ops, flagged or not: these implement
-        # the traditional (global-scope) fence check.
-        self.total_loads = 0
-        self.total_stores = 0
+        self.pending_loads: list[int] = []
+        self.pending_stores: list[int] = []
         # store-buffer-side columns: stores that have *retired* into the
         # store buffer and not yet drained.  A fence that reached the ROB
         # head (in-window speculation) only has these left to wait for --
         # every older load has completed by in-order retirement.
-        self.sb_pending_stores = [0] * n_entries
+        self.sb_pending_stores: list[int] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear every column, in place: the owning core aliases the lists."""
+        zeros = [0] * self.n_entries
+        self.pending_loads[:] = zeros
+        self.pending_stores[:] = zeros
+        self.sb_pending_stores[:] = zeros
+        # totals across *all* memory ops, flagged or not: these implement
+        # the traditional (global-scope) fence check.
+        self.total_loads = 0
+        self.total_stores = 0
         self.sb_total_stores = 0
 
     @property

@@ -30,6 +30,11 @@ class ScopeStack:
             raise ValueError("FSS capacity must be >= 1")
         self.capacity = capacity
         self._items: list[int] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the stack."""
+        self._items.clear()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -74,6 +79,3 @@ class ScopeStack:
     def restore_from(self, other: "ScopeStack") -> None:
         """Copy ``other``'s contents into this stack (FSS <- FSS')."""
         self._items = list(other._items)
-
-    def clear(self) -> None:
-        self._items.clear()

@@ -38,7 +38,13 @@ class MappingTable:
         # the designated fallback when FSB entries run out (entry 0)
         self.shared_entry = 0
         self._map: dict[int, int] = {}
-        self._free: list[int] = list(range(n_fsb_class_entries - 1, -1, -1))
+        self._free: list[int] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every mapping; every class entry is free again."""
+        self._map.clear()
+        self._free[:] = range(self.n_fsb_class_entries - 1, -1, -1)
 
     def lookup(self, cid: int) -> int | None:
         return self._map.get(cid)

@@ -63,6 +63,14 @@ class ScopeTracker:
         self.fss = ScopeStack(config.fss_entries)
         self.shadow_fss = ScopeStack(config.fss_entries)
         self.mapping = MappingTable(config.mapping_entries, config.fsb_entries - 1)
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the state of a core that has dispatched nothing."""
+        self.fsb.reset()
+        self.fss.reset()
+        self.shadow_fss.reset()
+        self.mapping.reset()
         self.overflow_count = 0
         self.shadow_overflow_count = 0
         self.spec_depth = 0  # unresolved predicted branches in flight

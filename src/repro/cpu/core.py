@@ -108,7 +108,6 @@ class Core:
         self.config = config
         self.memory = memory
         self.hierarchy = hierarchy
-        self.stats = stats
         self.rob = ReorderBuffer(config.rob_size)
         self.sb = StoreBuffer(config.sb_size, config.memory_model.sb_fifo)
         # hot-loop aliases: both containers are stable objects, and the
@@ -124,24 +123,6 @@ class Core:
         else:
             self.predictor = None
         self._events: list[tuple[int, int, int, object]] = []
-        self._ev_seq = 0
-        self._gen: Generator[Op, object, object] | None = None
-        self._gen_done = True
-        self._pending_op: Op | None = None
-        self._last_result: object = None
-        self._blocking_entry: RobEntry | None = None  # CAS serialization
-        self._blocked_until = 0  # compute chains / mispredict penalty
-        # in-window speculation: [fence entry, held stores, countdown of
-        # older in-scope memory ops the fence still waits for]
-        self._spec_fence_groups: list[list] = []
-        self._mem_seq = 0  # program-order sequence numbers for memory ops
-        self._next_fence_id = 0  # ids for speculatively issued fences
-        self._outstanding_misses = 0  # loads missing L1, bounded by MSHRs
-        self._sb_hold_until = 0  # chaos: store-drain throttle release cycle
-        # stall counters a no-progress tick bumps, as per-cycle deltas;
-        # account_idle replays them for every cycle the event scheduler
-        # skips so fast-path stats stay byte-identical to the dense loop
-        self._idle_deltas = (0, 0, 0, 0)  # fence, rob_full, sb_full, mshr
         # dispatch-loop constants hoisted once (the config never changes
         # after construction): the dispatch lanes and the event engine's
         # per-tick paths read these instead of chasing config attributes
@@ -152,11 +133,54 @@ class Core:
         self._retire_width = config.retire_width
         self._scoped = config.scoped_fences
         self._at_dispatch = config.memory_model.sb_at_dispatch
+        self._in_window = config.in_window_speculation
+        self._sc = config.memory_model is MemoryModel.SC
+        # in-window speculation: [fence entry, held stores, countdown of
+        # older in-scope memory ops the fence still waits for]
+        self._spec_fence_groups: list[list] = []
+        self.retire_log: deque | None = (
+            deque(maxlen=config.retire_log_len) if config.retire_log_len > 0 else None
+        )
+        self.reset(stats)
+
+    def reset(self, stats: CoreStats) -> None:
+        """Back to the just-built state, counting into ``stats``.
+
+        Every structure the core owns empties (ROB, store buffer, scope
+        tracker, predictor, event heap, retire log), the chaos and
+        monitor hooks unhook, and no thread is bound.  The containers
+        the hot path aliases are cleared in place, so the rebuilt
+        ``_hot`` differs from the last one only in its stats.  Shared
+        memory and the backend are the simulator's to reset.
+        """
+        self.stats = stats
+        self.rob.reset()
+        self.sb.reset()
+        self.tracker.reset()
+        if self.predictor is not None:
+            self.predictor.reset()
+        self._events.clear()
+        self._ev_seq = 0
+        self._gen: Generator[Op, object, object] | None = None
+        self._gen_done = True
+        self._pending_op: Op | None = None
+        self._last_result: object = None
+        self._blocking_entry: RobEntry | None = None  # CAS serialization
+        self._blocked_until = 0  # compute chains / mispredict penalty
+        self._spec_fence_groups.clear()
+        self._mem_seq = 0  # program-order sequence numbers for memory ops
+        self._next_fence_id = 0  # ids for speculatively issued fences
+        self._outstanding_misses = 0  # loads missing L1, bounded by MSHRs
+        self._sb_hold_until = 0  # chaos: store-drain throttle release cycle
+        # stall counters a no-progress tick bumps, as per-cycle deltas;
+        # account_idle replays them for every cycle the event scheduler
+        # skips so fast-path stats stay byte-identical to the dense loop
+        self._idle_deltas = (0, 0, 0, 0)  # fence, rob_full, sb_full, mshr
         # every stable object the dispatch lanes touch, bundled
         # so one attribute fetch + tuple unpack replaces ~20 per call.
-        # All members are fixed for the core's lifetime: containers are
-        # only ever mutated in place, and bound methods pin their
-        # receivers.
+        # All members but the stats are fixed for the core's lifetime:
+        # containers are only ever mutated in place, and bound methods
+        # pin their receivers.
         fsb = self.tracker.fsb
         self._hot = (
             stats,
@@ -168,15 +192,13 @@ class Core:
             fsb.pending_loads,
             fsb.pending_stores,
             fsb.sb_pending_stores,
-            memory.pending_map(core_id),
-            memory.read,
+            self.memory.pending_map(self.core_id),
+            self.memory.read,
             self.hierarchy.resident_in_l1,
             self.hierarchy.access,
             self.hierarchy.load_timed,
             self.sb,
         )
-        self._in_window = config.in_window_speculation
-        self._sc = config.memory_model is MemoryModel.SC
         # probe-skip hint (event engine): after a progress tick, the
         # earliest cycle the next tick could possibly progress at, when
         # every tick before it is provably a zero-delta blocked probe;
@@ -191,9 +213,8 @@ class Core:
         # Both default to None and cost one attribute test when unused.
         self.chaos = None
         self.monitor = None
-        self.retire_log: deque | None = (
-            deque(maxlen=config.retire_log_len) if config.retire_log_len > 0 else None
-        )
+        if self.retire_log is not None:
+            self.retire_log.clear()
 
     # ------------------------------------------------------------------ set-up
     def bind(self, gen: Generator[Op, object, object] | None) -> None:

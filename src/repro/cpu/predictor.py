@@ -25,7 +25,11 @@ class TwoBitPredictor:
         if entries < 1 or entries & (entries - 1):
             raise ValueError("entries must be a positive power of two")
         self.entries = entries
-        self._table = [_WEAK_TAKEN] * entries  # weakly taken, like most PHTs
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every branch: a fresh table, zero counts, no hook."""
+        self._table = [_WEAK_TAKEN] * self.entries  # weakly taken, like most PHTs
         self.predictions = 0
         self.mispredictions = 0
         # optional fault-injection hook (chaos harness): called as

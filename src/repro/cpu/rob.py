@@ -75,6 +75,11 @@ class ReorderBuffer:
             raise ValueError("ROB capacity must be >= 1")
         self.capacity = capacity
         self._entries: deque[RobEntry] = deque()
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the window, in place: the owning core aliases the deque."""
+        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

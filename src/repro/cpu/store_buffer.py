@@ -64,6 +64,11 @@ class StoreBuffer:
         self.capacity = capacity
         self.fifo_drain = fifo_drain
         self._entries: list[SBEntry] = []
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the buffer, in place: the owning core aliases the list."""
+        self._entries.clear()
         self._next_seq = 0
         self.waiting = 0
 

@@ -16,9 +16,11 @@ Litmus tests read much better as columns than as Python closures::
     result = run_litmus(test)     # explores timing offsets
     assert not result.condition_observed
 
-A sweep compiles the test once (:func:`compile_litmus`: config,
-variable addresses, pre-built ops, register order) and instantiates it
-per offset pair (:func:`build_program`: fresh memory, delay closures).
+A sweep compiles the test once per process (:func:`compile_litmus`:
+config, variable addresses, pre-built ops, register order) and runs
+every offset pair on one machine, reset between pairs
+(:func:`run_litmus`); :func:`build_program` instantiates a pair in a
+fresh ``Env`` instead.
 
 Statement forms (one row per pipeline step, threads separated by ``|``):
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..isa.instructions import (
     WAIT_BOTH,
@@ -52,9 +55,11 @@ from ..isa.instructions import (
     Store,
 )
 from ..isa.program import Program
+from ..mem.memory import SharedMemory
 from ..runtime.address_space import AddressSpace
 from ..runtime.lang import Env
 from ..sim.config import MemoryModel, SimConfig
+from ..sim.simulator import Simulator
 from .tests import DEFAULT_OFFSETS, LitmusResult
 
 _STORE_RE = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
@@ -216,8 +221,29 @@ def compile_litmus(
     :meth:`repro.runtime.lang.Env.var` would hand them out, so every
     address and cache set is what a per-run allocation gives.  A
     statement that is no store, load, fence or ``delay`` raises
-    :class:`LitmusParseError` here, before any simulation.
+    :class:`LitmusParseError` here, before any simulation, on every
+    call.  The result is memoised per process in the campaign warm slot
+    ``litmus-compiled``, keyed on everything compiling reads.
     """
+    from ..campaign.jobs import warm_slot
+
+    memo = warm_slot("litmus-compiled")
+    key = (test.name, tuple(tuple(stmts) for stmts in test.threads),
+           tuple(sorted(test.init.items())), tuple(sorted(test.flagged)),
+           model, n_cores, dense_loop, mem_backend)
+    compiled = memo.get(key)
+    if compiled is None:
+        compiled = memo[key] = _compile(test, model, n_cores, dense_loop, mem_backend)
+    return compiled
+
+
+def _compile(
+    test: LitmusTest,
+    model: MemoryModel,
+    n_cores: int | None,
+    dense_loop: bool,
+    mem_backend: str,
+) -> CompiledLitmus:
     config = litmus_config(test, model, n_cores, dense_loop, mem_backend)
     space = AddressSpace(config.mem_size_words, config.words_per_line)
     addrs: dict[str, int] = {}
@@ -262,20 +288,16 @@ def compile_litmus(
                           tuple(init_writes), tuple(sorted(registers)))
 
 
-def build_program(
-    compiled: CompiledLitmus, delays: list[int]
-) -> tuple[Env, Program, dict[str, int]]:
-    """Instantiate a compiled test with per-thread delay values.
-
-    Returns a fresh :class:`~repro.runtime.lang.Env` holding the init
-    values, the program to run in it (``env.run(program)``) and the
-    register dict its loads fill.  Nothing is shared between two
-    instantiations but the compiled, immutable ops.
-    """
-    env = Env(compiled.config)
-    write = env.memory.write_global
+def _write_init(compiled: CompiledLitmus, memory: SharedMemory) -> None:
+    write = memory.write_global
     for addr, value in compiled.init_writes:
         write(addr, value)
+
+
+def _pair_program(
+    compiled: CompiledLitmus, delays: list[int]
+) -> tuple[Program, dict[str, int]]:
+    """The program one offset pair runs and the register dict it fills."""
     registers: dict[str, int] = {}
 
     def make_thread(steps, delay: int):
@@ -299,7 +321,23 @@ def build_program(
         make_thread(steps, delays[t % len(delays)])
         for t, steps in enumerate(compiled.threads)
     ]
-    return env, Program(fns, name=compiled.name), registers
+    return Program(fns, name=compiled.name), registers
+
+
+def build_program(
+    compiled: CompiledLitmus, delays: list[int]
+) -> tuple[Env, Program, dict[str, int]]:
+    """Instantiate a compiled test with per-thread delay values.
+
+    Returns a fresh :class:`~repro.runtime.lang.Env` holding the init
+    values, the program to run in it (``env.run(program)``) and the
+    register dict its loads fill.  Nothing is shared between two
+    instantiations but the compiled, immutable ops.
+    """
+    env = Env(compiled.config)
+    _write_init(compiled, env.memory)
+    program, registers = _pair_program(compiled, delays)
+    return env, program, registers
 
 
 def abstract_threads(test: LitmusTest) -> list[list[tuple]]:
@@ -359,14 +397,19 @@ def outcomes_matching(
     """
     if not condition:
         return []
-    # compiled once per call, not once per outcome
-    code = compile(condition, "<exists>", "eval")
+    code = _exists_code(condition)
     no_builtins = {"__builtins__": {}}
     return [
         outcome for outcome in sorted(outcomes, key=str)
         if eval(  # noqa: S307 - test-author expression
             code, no_builtins, dict(zip(register_names, outcome)))
     ]
+
+
+@lru_cache(maxsize=256)
+def _exists_code(condition: str):
+    """An ``exists`` clause compiled once per process, not once per call."""
+    return compile(condition, "<exists>", "eval")
 
 
 @dataclass
@@ -419,13 +462,16 @@ def run_litmus(
 ) -> LitmusRun:
     """Explore timing offsets; evaluate the ``exists`` condition.
 
-    The test compiles once; each offset pair only instantiates it
-    (:func:`build_program`) and runs a fresh simulator.  A run is a
-    pure function of :func:`run_content_key` and its two delays, so
-    each pair's ``(cycles, outcome)`` is memoised per process in the
-    campaign warm slot ``litmus-runs``: a pair any earlier sweep in
-    this process simulated is not simulated again, and ``outcomes``
-    and ``total_cycles`` come out exactly as if it were.
+    The test compiles once (:func:`compile_litmus`).  The offset pairs
+    it simulates share one :class:`~repro.sim.simulator.Simulator`,
+    built for the first and reset (memory, backend, cores) before each
+    later one; each run's cycles and registers are read before the
+    next reset.  A run is a pure function of :func:`run_content_key`
+    and its two delays, so each pair's ``(cycles, outcome)`` is
+    memoised per process in the campaign warm slot ``litmus-runs``: a
+    pair any earlier sweep in this process simulated is not simulated
+    again, and ``outcomes`` and ``total_cycles`` come out exactly as if
+    it were.
     """
     from ..campaign.jobs import warm_slot
 
@@ -436,13 +482,20 @@ def run_litmus(
         run_content_key(test, compiled.config), {})
     outcomes: set[tuple] = set()
     total_cycles = 0
+    sim = None
     for d0 in offsets:
         for d1 in offsets:
             run = runs.get((d0, d1))
             if run is None:
-                env, program, registers = build_program(compiled, [d0, d1])
+                program, registers = _pair_program(compiled, [d0, d1])
+                if sim is None:
+                    sim = Simulator(compiled.config, program)
+                else:
+                    sim.memory.reset()
+                    sim.reset(program)
+                _write_init(compiled, sim.memory)
                 run = runs[d0, d1] = (
-                    env.run(program, max_cycles=2_000_000).cycles,
+                    sim.run(max_cycles=2_000_000).cycles,
                     tuple(registers.get(r) for r in names))
             total_cycles += run[0]
             outcomes.add(run[1])

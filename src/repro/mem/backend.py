@@ -55,6 +55,7 @@ BACKEND_INTERFACE = (
     "completion_cycle",
     "fence",
     "warm",
+    "reset",
     "line_of",
     "resident_in_l1",
     "resident_in_l2",
@@ -137,6 +138,11 @@ class CoherenceBackend:
 
     def warm(self, core: int, base: int, length: int, into_l1: bool = False) -> None:
         """Pre-load an address range into the caches without charging time."""
+        raise NotImplementedError
+
+    def reset(self) -> None:
+        """Back to the just-built state: empty caches, zero counters and
+        no ``fault`` hook.  ``__init__`` ends with it, so the two agree."""
         raise NotImplementedError
 
     def line_of(self, addr: int) -> int:

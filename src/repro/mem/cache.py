@@ -9,6 +9,8 @@ inner loop (plain dicts + per-set recency lists).
 A set's recency list is allocated on its first fill, so building a
 cache costs O(1) lists rather than one per set: a Table-III L2 has
 2,048 sets, and the short runs of the verify matrix touch a handful.
+For the same reason :meth:`Cache.reset` frees only the sets a fill
+allocated.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 class Cache:
     """One cache level: ``n_lines`` total capacity, ``assoc`` ways."""
 
-    __slots__ = ("n_sets", "assoc", "_sets", "_where", "name")
+    __slots__ = ("n_sets", "assoc", "_sets", "_used", "_where", "name")
 
     def __init__(self, n_lines: int, assoc: int, name: str = "cache") -> None:
         if n_lines < assoc:
@@ -31,7 +33,17 @@ class Cache:
         # None until the set's first fill (touch/invalidate only reach
         # sets that hold a line, so they never see a None)
         self._sets: list[list[int] | None] = [None] * self.n_sets
+        self._used: list[int] = []  # indices of the sets that are lists
         self._where: dict[int, int] = {}  # line -> set index (presence map)
+        self.reset()
+
+    def reset(self) -> None:
+        """Invalidate every line, freeing the sets a fill allocated."""
+        sets = self._sets
+        for si in self._used:
+            sets[si] = None
+        self._used.clear()
+        self._where.clear()
 
     def _set_of(self, line: int) -> int:
         return line % self.n_sets
@@ -58,6 +70,7 @@ class Cache:
         ways = self._sets[si]
         if ways is None:
             ways = self._sets[si] = []
+            self._used.append(si)
         if line in self._where:
             if ways[-1] != line:
                 ways.remove(line)
@@ -82,6 +95,7 @@ class Cache:
         ways = self._sets[si]
         if ways is None:
             ways = self._sets[si] = []
+            self._used.append(si)
         victim = None
         if len(ways) >= self.assoc:
             victim = ways.pop(0)

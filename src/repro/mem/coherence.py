@@ -24,6 +24,12 @@ class Directory:
     def __init__(self) -> None:
         self._sharers: dict[int, set[int]] = defaultdict(set)
         self._dirty_owner: dict[int, int] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every sharer and owner."""
+        self._sharers.clear()
+        self._dirty_owner.clear()
 
     def sharers(self, line: int) -> set[int]:
         return self._sharers.get(line, set())

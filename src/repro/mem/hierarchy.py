@@ -51,6 +51,14 @@ class MemoryHierarchy(CoherenceBackend):
         self._l2_lat = config.l2_latency
         self._c2c_lat = config.cache_to_cache_latency
         self._mem_lat = config.mem_latency
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty every cache and the directory; unhook ``fault``."""
+        for cache in self.l1:
+            cache.reset()
+        self.l2.reset()
+        self.directory.reset()
         # optional fault-injection hook (chaos harness): called as
         # ``fault(core, addr, is_write, latency) -> latency`` after the
         # architectural latency is resolved.  Injected latency may only

@@ -51,6 +51,17 @@ class SharedMemory:
         self._pending: list[dict[int, list[int]]] = [
             defaultdict(list) for _ in range(n_cores)
         ]
+        self.reset()
+
+    def reset(self) -> None:
+        """Every word back to 0, every store buffer's values dropped.
+
+        The pending maps are cleared in place: cores alias them
+        (:meth:`pending_map`).
+        """
+        self._mem.clear()
+        for pending in self._pending:
+            pending.clear()
 
     # -- functional access ----------------------------------------------------
     def read(self, core: int, addr: int) -> int:

@@ -70,6 +70,15 @@ class SiSdHierarchy(CoherenceBackend):
         #: per-core dirty-line sets; always a subset of the core's
         #: resident lines (eviction retires the dirty bit via write-back)
         self.dirty: list[set[int]] = [set() for _ in range(config.n_cores)]
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty every cache and dirty set, zero the counters, unhook ``fault``."""
+        for cache in self.l1:
+            cache.reset()
+        self.llc.reset()
+        for dirty in self.dirty:
+            dirty.clear()
         # same chaos hook contract as the mesi backend: injected latency
         # may only model slower memory, never a functional change
         self.fault = None

@@ -109,25 +109,42 @@ class Simulator:
         memory: SharedMemory | None = None,
         timeline=None,
     ) -> None:
-        if program.n_threads > config.n_cores:
-            raise ValueError(
-                f"program has {program.n_threads} threads but config has "
-                f"{config.n_cores} cores"
-            )
         self.config = config
-        self.program = program
         self.memory = memory if memory is not None else SharedMemory(
             config.mem_size_words, config.n_cores
         )
         if self.memory.n_cores != config.n_cores:
             raise ValueError("shared memory core count does not match config")
         self.hierarchy = create_backend(config)
-        self.core_stats = [CoreStats(core_id=c) for c in range(config.n_cores)]
         self.cores = [
-            Core(c, config, self.memory, self.hierarchy, self.core_stats[c])
+            Core(c, config, self.memory, self.hierarchy, CoreStats(core_id=c))
             for c in range(config.n_cores)
         ]
+        self.reset(program, timeline)
+
+    def reset(self, program: Program, timeline=None) -> None:
+        """Make this machine a just-built one that will run ``program``.
+
+        The backend and every core go back to their construction state,
+        hooks unhooked, and each core counts into fresh
+        :class:`CoreStats`, so the stats of a result an earlier run
+        returned never change.  The shared memory object is reused as
+        it stands: resetting and initialising it is the caller's
+        (:meth:`SharedMemory.reset`), and an earlier result's
+        ``memory`` is this same object, so read what a run left there
+        before the next one starts.
+        """
+        if program.n_threads > self.config.n_cores:
+            raise ValueError(
+                f"program has {program.n_threads} threads but config has "
+                f"{self.config.n_cores} cores"
+            )
+        self.program = program
         self.timeline = timeline
+        self.hierarchy.reset()
+        self.core_stats = [CoreStats(core_id=c) for c in range(self.config.n_cores)]
+        for core, stats in zip(self.cores, self.core_stats):
+            core.reset(stats)
 
     def run(self, max_cycles: int | None = None) -> SimResult:
         """Execute the program to completion; returns statistics."""

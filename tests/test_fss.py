@@ -68,10 +68,10 @@ def test_items_bottom_to_top():
     assert s.items() == (3, 1, 2)
 
 
-def test_clear():
+def test_reset():
     s = ScopeStack(2)
     s.push(0)
-    s.clear()
+    s.reset()
     assert s.empty
 
 

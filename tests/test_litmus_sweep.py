@@ -1,12 +1,16 @@
 """Compile-once litmus sweeps against a build-everything-per-pair reference.
 
 :func:`run_litmus` compiles a test once (config, variable addresses,
-ops, register order) and instantiates it per offset pair.  These tests
-hold that path to a reference that builds everything afresh for every
-pair -- config, ``Env``, variables through ``Env.var``, and thread
-bodies that match each statement as they run -- and check that two
-instantiations of one compiled test share nothing a run can change: no
-memory word and no register leaks from one offset pair to the next.
+ops, register order) and runs every offset pair on one simulator,
+reset between pairs.  These tests hold that path to a reference that
+builds everything afresh for every pair -- config, ``Env``, variables
+through ``Env.var``, a simulator, and thread bodies that match each
+statement as they run -- pair by pair: outcome, cycles, every per-core
+counter and the final memory, on both backends and both engines.  A
+reset that leaks timing state can leave the outcomes unchanged, but not
+the counters.  They also check that two instantiations of one compiled
+test share nothing a run can change: no memory word and no register
+leaks from one offset pair to the next.
 """
 
 import dataclasses
@@ -25,15 +29,18 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import Program
 from repro.litmus.corpus import CORPUS
+from repro.campaign.jobs import clear_warm_state, warm_slot
 from repro.litmus.dsl import (
     build_program,
     compile_litmus,
     parse_litmus,
+    run_content_key,
     run_litmus,
     stmt_kind,
 )
 from repro.runtime.lang import Env
 from repro.sim.config import MEM_BACKENDS, MemoryModel, SimConfig
+from repro.sim.simulator import Simulator
 from repro.verify.modes import FENCE_MODES, apply_fence_mode
 
 OFFSETS = [0, 1, 40]
@@ -95,33 +102,92 @@ def _reference_program(test, env: Env, delays: list[int]):
     return Program(fns, name=test.name), registers
 
 
-def _reference_sweep(test, backend: str) -> tuple[set, list, int]:
-    """Outcomes, register names and summed cycles, everything rebuilt
-    for every pair."""
-    outcomes, names, cycles = set(), [], 0
+def _run_record(result) -> tuple:
+    """What one pair's run left: cycles, every per-core counter and
+    the final memory, read before anything can reset it."""
+    return (result.cycles,
+            [dataclasses.asdict(c) for c in result.stats.cores],
+            result.memory.snapshot())
+
+
+def _reference_pairs(test, backend: str, dense_loop: bool = False) -> list:
+    """Per offset pair, in sweep order: ``(outcome, run record)`` with
+    everything rebuilt for the pair, and the register names."""
+    pairs, names = [], []
     for d0 in OFFSETS:
         for d1 in OFFSETS:
             env = Env(SimConfig(
                 n_cores=max(2, test.n_threads), memory_model=MemoryModel.RMO,
-                mem_backend=backend))
+                mem_backend=backend, dense_loop=dense_loop))
             program, registers = _reference_program(test, env, [d0, d1])
-            cycles += env.run(program, max_cycles=MAX_CYCLES).cycles
+            record = _run_record(env.run(program, max_cycles=MAX_CYCLES))
             names = sorted(registers)
-            outcomes.add(tuple(registers[r] for r in names))
-    return outcomes, names, cycles
+            pairs.append((tuple(registers[r] for r in names), record))
+    return pairs, names
+
+
+def _reference_sweep(test, backend: str) -> tuple[set, list, int]:
+    """Outcomes, register names and summed cycles, everything rebuilt
+    for every pair."""
+    pairs, names = _reference_pairs(test, backend)
+    return ({outcome for outcome, _ in pairs}, names,
+            sum(record[0] for _, record in pairs))
+
+
+@pytest.fixture
+def run_records(monkeypatch) -> list:
+    """The run record of every ``Simulator.run``, taken as it returns."""
+    records = []
+    run = Simulator.run
+
+    def recorded(self, *args, **kwargs):
+        result = run(self, *args, **kwargs)
+        records.append(_run_record(result))
+        return result
+
+    monkeypatch.setattr(Simulator, "run", recorded)
+    return records
+
+
+def _check_sweep(entry, backend: str, dense: bool, run_records: list) -> None:
+    """Every fence-mode variant the verify matrix runs, pair by pair:
+    the same outcome, cycles, per-core counters and final memory as
+    rebuilding everything for the pair, and the same outcome set and
+    total cycles over the sweep."""
+    for mode in FENCE_MODES:
+        test = apply_fence_mode(parse_litmus(entry.source), mode)
+        want, names = _reference_pairs(test, backend, dense)
+        clear_warm_state()
+        del run_records[:]
+        run = run_litmus(test, MemoryModel.RMO, OFFSETS, dense_loop=dense,
+                         mem_backend=backend)
+        assert run.register_names == names
+        assert len(run_records) == len(want), f"{entry.name}[{mode}] pairs"
+        memo = warm_slot("litmus-runs")[run_content_key(
+            test, compile_litmus(test, dense_loop=dense, mem_backend=backend).config)]
+        pairs = [(d0, d1) for d0 in OFFSETS for d1 in OFFSETS]
+        for pair, record, (outcome, expected) in zip(pairs, run_records, want):
+            assert record == expected, f"{entry.name}[{mode}] pair {pair}"
+            assert memo[pair] == (expected[0], outcome), (
+                f"{entry.name}[{mode}] pair {pair} outcome")
+        assert run.outcomes == {outcome for outcome, _ in want}, (
+            f"{entry.name}[{mode}] outcomes")
+        assert run.total_cycles == sum(r[0] for _, r in want), (
+            f"{entry.name}[{mode}] cycles")
 
 
 @pytest.mark.parametrize("backend", MEM_BACKENDS)
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
-def test_sweep_matches_fresh_per_pair_reference(entry, backend):
-    """Every fence-mode variant the verify matrix runs: same outcome set
-    and same total cycles as rebuilding everything per pair."""
-    for mode in FENCE_MODES:
-        test = apply_fence_mode(parse_litmus(entry.source), mode)
-        run = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
-        outcomes, _, cycles = _reference_sweep(test, backend)
-        assert run.outcomes == outcomes, f"{entry.name}[{mode}] outcomes"
-        assert run.total_cycles == cycles, f"{entry.name}[{mode}] cycles"
+def test_sweep_matches_fresh_per_pair_reference(entry, backend, run_records):
+    """The event engine, pair by pair (:func:`_check_sweep`)."""
+    _check_sweep(entry, backend, False, run_records)
+
+
+@pytest.mark.parametrize("backend", MEM_BACKENDS)
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_dense_sweep_matches_fresh_per_pair_reference(entry, backend, run_records):
+    """The dense reference loop, pair by pair (:func:`_check_sweep`)."""
+    _check_sweep(entry, backend, True, run_records)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
