@@ -12,7 +12,10 @@ every per-core stats counter, retire logs, the full monitor event
 stream (dispatch/complete/drain/fence/scope events with their exact
 cycles), chaos fault-injection decisions, and litmus outcome sets.
 
-Coverage: the whole litmus corpus, seeded fuzz programs (the same
+Coverage: every offset pair of ``verify``'s grid (every corpus test in
+every fence mode, on both coherence backends, at each sweep seed's
+offsets), which is why ``verify`` runs the event engine only; the whole
+litmus corpus, seeded fuzz programs (the same
 generator the differential fuzzer uses), a lock-free workload, and
 chaos-fault scenarios -- each at two simulated core counts -- the
 litmus corpus, cilk fib and a Fig. 15 cell on both coherence
@@ -31,9 +34,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 
 import pytest
 
+from repro.campaign import verify_jobs
 from repro.campaign.figures import _app_builders
 from repro.chaos.faults import ChaosEngine, FaultPlan
 from repro.chaos.invariants import OrderingChecker
@@ -59,6 +64,8 @@ from repro.runtime.lang import Env, reset_cids
 from repro.sim.config import MemoryModel, SimConfig
 from repro.sim.simulator import DeadlockError, Simulator
 from repro.sim.trace import MonitorFanout, OrderEventLog
+from repro.verify.modes import BACKENDS, apply_fence_mode
+from repro.verify.runner import case_run_key, seed_offsets
 from tests.test_litmus_fuzz import generate_program
 
 OFFSETS = [0, 3, 47]
@@ -126,36 +133,38 @@ def _run_ops(ops_per_thread, engine: str, max_cycles: int = 200_000, **cfg):
     }
 
 
-def _run_litmus_pairs(test, engine: str, n_cores: int) -> dict:
-    """Every offset pair of a litmus test under one engine.
+def _litmus_pair(compiled, delays) -> dict:
+    """One offset pair of a compiled litmus test, run in a fresh ``Env``.
 
-    Keyed by ``(d0, d1)``: the registers, total cycles and every
-    per-core stats counter of that pair's run -- the same grid
-    :func:`run_litmus` explores, compiled once and instantiated per
-    pair as it does, observed at the stats level, so a mis-accounted
-    idle span cannot hide behind unchanged outcomes.
+    The registers, the cycles, every per-core stats counter and the
+    final memory: observed at the stats level, so a mis-accounted idle
+    span cannot hide behind unchanged outcomes.
     """
-    compiled = compile_litmus(test, n_cores=n_cores, **ENGINES[engine])
-    runs = {}
-    for d0 in OFFSETS:
-        for d1 in OFFSETS:
-            env, program, registers = build_program(compiled, [d0, d1])
-            res = env.run(program, max_cycles=2_000_000)
-            runs[d0, d1] = {
-                "registers": dict(registers),
-                "cycles": res.cycles,
-                "stats": [dataclasses.asdict(c) for c in res.stats.cores],
-            }
-    return runs
+    env, program, registers = build_program(compiled, list(delays))
+    res = env.run(program, max_cycles=2_000_000)
+    return {
+        "registers": dict(registers),
+        "cycles": res.cycles,
+        "stats": [dataclasses.asdict(c) for c in res.stats.cores],
+        "memory": res.memory.snapshot(),
+    }
+
+
+def _assert_pair_equivalent(compiled, delays, where: str) -> None:
+    """``compiled`` (an event-engine config) against its dense twin,
+    which differs from it in ``dense_loop`` alone."""
+    dense = _litmus_pair(dataclasses.replace(
+        compiled, config=compiled.config.with_(dense_loop=True)), delays)
+    event = _litmus_pair(compiled, delays)
+    for key in dense:
+        assert dense[key] == event[key], (
+            f"dense/event diverged on {key!r} at {where} offsets {delays}")
 
 
 def _assert_litmus_equivalent(test, n_cores: int) -> None:
-    dense = _run_litmus_pairs(test, "dense", n_cores)
-    fast = _run_litmus_pairs(test, "event", n_cores)
-    for pair, ref in dense.items():
-        for key in ref:
-            assert ref[key] == fast[pair][key], (
-                f"dense/event diverged on {key!r} at offsets {pair}")
+    compiled = compile_litmus(test, n_cores=n_cores)
+    for pair in itertools.product(OFFSETS, repeat=2):
+        _assert_pair_equivalent(compiled, pair, test.name)
 
 
 # --------------------------------------------------------------- litmus corpus
@@ -164,6 +173,35 @@ def _assert_litmus_equivalent(test, n_cores: int) -> None:
 def test_litmus_corpus_equivalence(entry, n_cores):
     test = parse_litmus(entry.source)
     _assert_litmus_equivalent(test, max(n_cores, test.n_threads))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_verify_grid_equivalence(backend):
+    """Every offset pair ``verify`` simulates, dense against event.
+
+    The grid is read from verify itself: its job list (every corpus
+    test in every fence mode), each sweep seed's offsets
+    (:func:`~repro.verify.runner.seed_offsets`) and its run-memo key
+    (:func:`~repro.verify.runner.case_run_key`).  A pair whose key an
+    earlier cell already checked is skipped, as verify's run memo skips
+    simulating it.  Each pair compares registers, cycles, per-core
+    counters and final memory, which is stronger than verify's outcome
+    sets, so verify itself runs the event engine only.
+    """
+    checked = set()
+    for job in verify_jobs(engines=["event"], backends=[backend]):
+        p = job.params
+        variant = apply_fence_mode(parse_litmus(p["source"]), p["mode"])
+        compiled = compile_litmus(variant, MemoryModel.RMO, mem_backend=backend)
+        key = case_run_key(p)
+        for seed in range(p["seeds"]):
+            offsets = seed_offsets(p["name"], p["mode"], seed)
+            for pair in itertools.product(offsets, repeat=2):
+                if (key, pair) not in checked:
+                    checked.add((key, pair))
+                    _assert_pair_equivalent(
+                        compiled, pair, f"{p['name']}[{p['mode']}]@{backend}")
+    assert checked
 
 
 # ---------------------------------------------------------------- fuzz corpus
