@@ -31,8 +31,8 @@ Commands:
   mesi,sisd`` records a column set per coherence backend.
 * ``verify`` — exhaustively model-check the litmus corpus across fence
   modes with the DPOR explorer, cross-check the reference model, and
-  differentially verify both simulator engines for soundness and
-  outcome coverage (see :mod:`repro.verify`); writes
+  score the simulator's soundness and outcome coverage on every
+  ``--mem-backend`` (see :mod:`repro.verify`); writes
   ``verify-report.json`` and exits non-zero on any soundness violation
   or explorer/reference disagreement.
 * ``synth`` — automatically synthesize the cheapest sound fence
@@ -61,11 +61,13 @@ figure commands and ``campaign --figures`` share one path
 workloads, and ``campaign --figures all`` at scale 1.0 writes
 ``figures-report.json``.
 Simulations run on the event-driven engine.  The per-cycle reference
-loop runs the same core tick on every cycle, so ``verify --engines
-dense`` and the ``perf`` gate check the event scheduler's wake-ups and
-skips against it.  ``--mem-backend`` picks the
-coherence backend timing model (``mesi`` invalidation-based directory
-coherence, the default, or ``sisd`` self-invalidation/self-downgrade);
+loop runs the same core tick on every cycle; tier-1's
+``tests/test_fastpath_equivalence.py`` (``test_verify_grid_equivalence``
+covers every offset pair ``verify`` sweeps) and the ``perf`` gate check
+the event scheduler's wake-ups and skips against it.  ``--mem-backend``
+picks the coherence backend timing model (``mesi`` invalidation-based
+directory coherence, the default, or ``sisd``
+self-invalidation/self-downgrade);
 ``verify`` and ``perf`` accept a comma-separated list and sweep every
 named backend, and the dedicated ``figbackend`` figure
 sweeps the S-Fence / full-fence / SiSd three-way comparison and writes
@@ -421,13 +423,11 @@ def cmd_verify(ns) -> int:
     )
 
     modes = ns.verify_modes.split(",") if ns.verify_modes else None
-    engines = ns.engines.split(",") if ns.engines else None
     backends = _parse_backends(ns)
     if backends is None:
         return 2
     try:
-        jobs = verify_jobs(modes=modes, engines=engines,
-                           seeds=ns.verify_seeds, smoke=ns.smoke,
+        jobs = verify_jobs(modes=modes, seeds=ns.verify_seeds, smoke=ns.smoke,
                            backends=backends)
     except KeyError as exc:
         print(f"verify: {exc.args[0]}", file=sys.stderr)
@@ -444,7 +444,7 @@ def cmd_verify(ns) -> int:
     if report["ok"]:
         n_cases = sum(len(t["modes"]) for t in report["tests"].values())
         print(f"verify: {n_cases} (test, mode) cases sound on "
-              f"{len(report['engines'])} engine(s); zero soundness violations",
+              f"{len(report['backends'])} backend(s); zero soundness violations",
               file=sys.stderr)
         return 0
     print("verify: FAIL -- see report for details", file=sys.stderr)
@@ -769,9 +769,6 @@ def main(argv: list[str] | None = None) -> int:
     verify_group.add_argument("--verify-modes", default="",
                               help="verify: comma-separated fence-mode subset "
                                    "(orig,none,full,sfence-class,sfence-set)")
-    verify_group.add_argument("--engines", default="",
-                              help="verify: comma-separated engine subset "
-                                   "(event,dense) [both]")
 
     synth_group = parser.add_argument_group("synth options")
     synth_group.add_argument("--synth-out", default="synth-report.json",

@@ -22,7 +22,7 @@ Job kinds:
   monitor event stream (:func:`repro.chaos.runner.run_probe_case`);
   used by the determinism regression tests to prove in-process,
   subprocess and pool execution are byte-identical.
-* ``verify`` -- one (litmus test, fence mode, engine) cell of the
+* ``verify`` -- one (litmus test, fence mode, backend) cell of the
   exhaustive model-checking matrix (:mod:`repro.verify`): DPOR allowed
   set, reference cross-check, simulator soundness and coverage.
 * ``synth`` -- one fence-synthesis corpus entry: search the placement
@@ -61,10 +61,10 @@ class Job:
         if self.kind == "litmus":
             return f"litmus:{p['name']}"
         if self.kind == "verify":
-            eng = p["engine"]
-            if p.get("backend", "mesi") != "mesi":
-                eng = f"{eng}@{p['backend']}"
-            return f"verify:{p['name']}[{p['mode']}]@{eng}"
+            from ..verify.runner import engine_key
+
+            column = engine_key(p.get("backend", "mesi"))
+            return f"verify:{p['name']}[{p['mode']}]@{column}"
         if self.kind == "synth":
             return f"synth:{p['name']}"
         if self.kind == "app-synth":
@@ -123,8 +123,6 @@ def job_cost(job: Job) -> float:
         from .figures import cell_cost
 
         cost = cell_cost(job.params)
-    elif job.kind == "verify" and job.params.get("engine") == "dense":
-        cost *= 3.0  # the dense reference loop pays per-cycle ticks
     return cost
 
 
@@ -251,26 +249,27 @@ def verify_jobs(
     smoke: bool = False,
     backends: list[str] | None = None,
 ) -> list[Job]:
-    """The verification matrix: corpus x fence mode x engine x backend.
+    """The verification matrix: corpus x fence mode x backend.
 
     The coherence backend is an explicit job parameter (default
     ``mesi``), so it participates in the result-cache content hash:
     switching ``--mem-backend`` can never serve a payload swept on a
-    different backend.
+    different backend.  Every cell runs the event engine; ``engines``
+    accepts only ``None`` or ``["event"]`` (the dense loop is checked
+    against it on this grid by tier-1's
+    ``test_verify_grid_equivalence``).
     """
     from ..litmus.corpus import CORPUS
     from ..verify.modes import BACKENDS, FENCE_MODES
-    from ..verify.runner import DEFAULT_SEEDS, ENGINES
+    from ..verify.runner import DEFAULT_SEEDS
 
     modes = list(FENCE_MODES) if modes is None else list(modes)
-    engines = list(ENGINES) if engines is None else list(engines)
     backends = ["mesi"] if backends is None else list(backends)
+    if engines not in (None, ["event"]):
+        raise KeyError(f"verify runs the event engine only, not {engines!r}")
     for mode in modes:
         if mode not in FENCE_MODES:
             raise KeyError(f"unknown fence mode {mode!r} (have {list(FENCE_MODES)})")
-    for engine in engines:
-        if engine not in ENGINES:
-            raise KeyError(f"unknown engine {engine!r} (have {list(ENGINES)})")
     for backend in backends:
         if backend not in BACKENDS:
             raise KeyError(f"unknown backend {backend!r} (have {list(BACKENDS)})")
@@ -279,12 +278,10 @@ def verify_jobs(
     return [
         Job("verify", {
             "name": entry.name, "source": entry.source, "mode": mode,
-            "engine": engine, "seeds": seeds, "smoke": smoke,
-            "backend": backend,
+            "seeds": seeds, "smoke": smoke, "backend": backend,
         })
         for entry in CORPUS
         for mode in modes
-        for engine in engines
         for backend in backends
     ]
 

@@ -199,20 +199,18 @@ def litmus_config(
     test: LitmusTest,
     model: MemoryModel = MemoryModel.RMO,
     n_cores: int | None = None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> SimConfig:
     """The machine one litmus test runs on: Table III, at least two cores."""
     return SimConfig(
         n_cores=n_cores or max(2, test.n_threads), memory_model=model,
-        dense_loop=dense_loop, mem_backend=mem_backend)
+        mem_backend=mem_backend)
 
 
 def compile_litmus(
     test: LitmusTest,
     model: MemoryModel = MemoryModel.RMO,
     n_cores: int | None = None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> CompiledLitmus:
     """Match every statement, allocate the variables and build the ops.
@@ -230,10 +228,10 @@ def compile_litmus(
     memo = warm_slot("litmus-compiled")
     key = (test.name, tuple(tuple(stmts) for stmts in test.threads),
            tuple(sorted(test.init.items())), tuple(sorted(test.flagged)),
-           model, n_cores, dense_loop, mem_backend)
+           model, n_cores, mem_backend)
     compiled = memo.get(key)
     if compiled is None:
-        compiled = memo[key] = _compile(test, model, n_cores, dense_loop, mem_backend)
+        compiled = memo[key] = _compile(test, model, n_cores, mem_backend)
     return compiled
 
 
@@ -241,10 +239,9 @@ def _compile(
     test: LitmusTest,
     model: MemoryModel,
     n_cores: int | None,
-    dense_loop: bool,
     mem_backend: str,
 ) -> CompiledLitmus:
-    config = litmus_config(test, model, n_cores, dense_loop, mem_backend)
+    config = litmus_config(test, model, n_cores, mem_backend)
     space = AddressSpace(config.mem_size_words, config.words_per_line)
     addrs: dict[str, int] = {}
     init_writes: list[tuple[int, int]] = []
@@ -457,7 +454,6 @@ def run_litmus(
     model: MemoryModel = MemoryModel.RMO,
     offsets: list[int] | None = None,
     n_cores: int | None = None,
-    dense_loop: bool = False,
     mem_backend: str = "mesi",
 ) -> LitmusRun:
     """Explore timing offsets; evaluate the ``exists`` condition.
@@ -476,7 +472,7 @@ def run_litmus(
     from ..campaign.jobs import warm_slot
 
     offsets = offsets or DEFAULT_OFFSETS
-    compiled = compile_litmus(test, model, n_cores, dense_loop, mem_backend)
+    compiled = compile_litmus(test, model, n_cores, mem_backend)
     names = compiled.registers
     runs = warm_slot("litmus-runs").setdefault(
         run_content_key(test, compiled.config), {})

@@ -124,10 +124,11 @@ class SimConfig:
     # cycle instead of the event-driven scheduler.  Both engines run the
     # same tick (Core.tick) and produce byte-identical results (cycles,
     # stats, retire logs, monitor event streams -- see
-    # tests/test_fastpath_equivalence.py); the dense loop is the oracle
-    # those suites and ``verify --engines dense`` check the scheduler's
-    # wake-ups, probe-skip, chaining and idle replay against, and the
-    # baseline the perf harness times.
+    # tests/test_fastpath_equivalence.py, whose test_verify_grid_equivalence
+    # covers every offset pair ``verify`` sweeps); the dense loop is the
+    # oracle those suites check the scheduler's wake-ups, probe-skip,
+    # chaining and idle replay against, and the baseline the perf
+    # harness times.
     dense_loop: bool = False
 
     # --- Limits ---------------------------------------------------------------

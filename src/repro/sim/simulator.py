@@ -8,9 +8,9 @@ tests/test_fastpath_equivalence.py is the differential suite):
   is ticked on every cycle, in core-index order.  Trivially correct and
   trivially slow at 300-cycle memory latencies; kept as the oracle for
   what the fast path adds -- its scheduling (wake-ups, probe-skip,
-  chaining, idle replay) -- which the differential suites and
-  ``verify --engines dense`` check, and as the baseline the perf
-  harness times it against.
+  chaining, idle replay) -- which the differential suites check (on
+  every offset pair ``verify`` sweeps, among others), and as the
+  baseline the perf harness times it against.
 
 * **Event-driven fast path** (the default): each core sleeps between
   ticks on which it can make progress.  After a no-progress tick the

@@ -9,15 +9,17 @@ Three layers (see ``docs/architecture.md`` §10):
   fences / full fence / S-Fence class / S-Fence set) each corpus test
   is verified under;
 * :mod:`~repro.verify.runner` -- per-case soundness/coverage scoring
-  against both simulator engines and the ``verify-report.json``
-  assembly behind ``python -m repro verify``.
+  of the event engine on every coherence backend and the
+  ``verify-report.json`` assembly behind ``python -m repro verify``.
+  The dense reference loop is checked against the event engine on the
+  same grid by tier-1
+  (``tests/test_fastpath_equivalence.py::test_verify_grid_equivalence``).
 """
 
 from .explorer import Exploration, explore_allowed_outcomes
 from .modes import BACKENDS, FENCE_MODES, apply_fence_mode
 from .runner import (
     DEFAULT_SEEDS,
-    ENGINES,
     REPORT_PATH,
     assemble_verify_report,
     engine_key,
@@ -30,7 +32,6 @@ from .runner import (
 __all__ = [
     "BACKENDS",
     "DEFAULT_SEEDS",
-    "ENGINES",
     "Exploration",
     "FENCE_MODES",
     "REPORT_PATH",

@@ -39,9 +39,9 @@ from ..sim.config import MEM_BACKENDS
 FENCE_MODES = ("orig", "none", "full", "sfence-class", "sfence-set")
 
 #: coherence-backend axis of the verification matrix (report order).
-#: Every fence mode x engine cell can run on every backend; ``mesi`` is
-#: the default and its cells keep their historical report keys, while
-#: other backends report under ``<engine>@<backend>`` columns.  A
+#: Every fence-mode cell can run on every backend; ``mesi`` is the
+#: default and its cells keep their historical ``event`` report key,
+#: while other backends report under ``event@<backend>`` columns.  A
 #: backend is *sound* when observed stays within the same DPOR/reference
 #: allowed sets -- the backend never appears in the allowed-set
 #: computation, only in the simulator sweep, because coherence backends

@@ -1,6 +1,6 @@
 """Per-case verification drivers and the verify report.
 
-One *case* is ``(litmus test, fence mode, simulator engine)``.  For
+One *case* is ``(litmus test, fence mode, coherence backend)``.  For
 each case the driver:
 
 1. rewrites the test for the fence mode (:mod:`repro.verify.modes`),
@@ -8,9 +8,8 @@ each case the driver:
    explorer (:mod:`repro.verify.explorer`),
 3. cross-checks it against the independently implemented
    :func:`repro.core.semantics.reference_allowed_outcomes`,
-4. sweeps the simulator over seeded timing-offset grids on the chosen
-   engine (event-driven or dense reference loop) and collects every
-   observed outcome, then
+4. sweeps the simulator (the event engine) over seeded timing-offset
+   grids and collects every observed outcome, then
 5. scores **soundness** (``observed - allowed`` must be empty; anything
    in it is a fence-semantics bug with the offending tuples named) and
    **coverage** (``allowed - observed``: outcomes the simulator never
@@ -21,6 +20,12 @@ Soundness and reference agreement gate the exit status; coverage is
 reported, never gated -- the simulator is deliberately stronger than
 the reference model (DESIGN.md), so some allowed outcomes (LB-style
 load reorderings, for one) are unreachable by construction.
+
+The dense reference loop is not swept here: tier-1's
+``tests/test_fastpath_equivalence.py::test_verify_grid_equivalence``
+runs every offset pair of this grid on both engines and compares
+registers, cycles, per-core counters and final memory, which is
+stronger than comparing outcome sets.
 
 Cases run as campaign ``verify`` jobs
 (:func:`repro.campaign.jobs.verify_jobs`), so ``python -m repro
@@ -47,18 +52,15 @@ from ..sim.config import MemoryModel
 from .explorer import explore_allowed_outcomes
 from .modes import BACKENDS, FENCE_MODES, apply_fence_mode
 
-#: simulator engines every case is verified on
-ENGINES = ("event", "dense")
 
+def engine_key(backend: str) -> str:
+    """Report column key for one coherence backend's cells.
 
-def engine_key(engine: str, backend: str) -> str:
-    """Report column key for one (engine, coherence backend) cell.
-
-    ``mesi`` cells keep the plain engine name -- the schema (and the
-    committed report) predates the backend axis -- while other backends
-    report under ``<engine>@<backend>``.
+    ``mesi`` cells keep the plain engine name ``event`` -- the schema
+    (and the committed report) predates the backend axis -- while other
+    backends report under ``event@<backend>``.
     """
-    return engine if backend == "mesi" else f"{engine}@{backend}"
+    return "event" if backend == "mesi" else f"event@{backend}"
 
 #: seed-0 timing-offset grid (the corpus sweep's grid); later seeds
 #: draw randomised grids of the same size
@@ -73,9 +75,9 @@ def seed_offsets(name: str, mode: str, seed: int, smoke: bool = False) -> list[i
     """The timing-offset grid for one sweep seed (deterministic).
 
     Seed 0 is the fixed corpus grid; seed ``n > 0`` draws a fresh grid
-    from an rng keyed on (test, mode, seed) -- engine-independent, so
-    the dense and event engines see identical schedules and their
-    coverage can only differ through engine behaviour.
+    from an rng keyed on (test, mode, seed) -- backend-independent, so
+    every backend sweeps identical schedules and their coverage can
+    only differ through backend timing.
     """
     base = SMOKE_OFFSETS if smoke else DEFAULT_OFFSETS
     if seed == 0:
@@ -88,7 +90,7 @@ def _case_products(source: str, mode: str):
     """Parse/rewrite/explore products for one (test source, fence mode).
 
     Everything here is a pure function of the two key components and
-    independent of engine, seeds and smoke, so the engine axis of the
+    independent of backend, seeds and smoke, so the backend axis of the
     verify matrix -- and every sweep seed -- shares one DPOR exploration
     per (test, mode).  Memoised per process via the campaign warm slot:
     persistent pool workers walking the matrix pay the exploration once,
@@ -113,25 +115,23 @@ def case_run_key(params: dict) -> tuple:
     """The run-memo key one verify cell's sweeps simulate under.
 
     :func:`~repro.litmus.dsl.run_content_key` of the cell's fence-mode
-    variant on the cell's engine and backend.  Cells with equal keys run
+    variant on the cell's backend.  Cells with equal keys run
     the same program (SB has no fences, so its ``orig`` and ``none``
     cells are one program), and every offset pair their sweeps have in
     common is simulated once per process.
     """
     variant = apply_fence_mode(parse_litmus(params["source"]), params["mode"])
     config = litmus_config(
-        variant, MemoryModel.RMO, dense_loop=params["engine"] == "dense",
-        mem_backend=params.get("backend", "mesi"))
+        variant, MemoryModel.RMO, mem_backend=params.get("backend", "mesi"))
     return run_content_key(variant, config)
 
 
 def verify_case(params: dict) -> dict:
-    """Run one (test, mode, engine) case; returns the JSON-safe payload."""
+    """Run one (test, mode, backend) case; returns the JSON-safe payload."""
     test, variant, exploration, reference = _case_products(
         params["source"], params["mode"])
     allowed = exploration.outcomes
 
-    dense = params["engine"] == "dense"
     backend = params.get("backend", "mesi")
     smoke = bool(params.get("smoke", False))
     observed: set[tuple] = set()
@@ -143,7 +143,7 @@ def verify_case(params: dict) -> dict:
         run = run_litmus(
             variant, MemoryModel.RMO,
             seed_offsets(test.name, params["mode"], seed, smoke),
-            dense_loop=dense, mem_backend=backend,
+            mem_backend=backend,
         )
         observed |= run.outcomes
         registers = run.register_names
@@ -157,7 +157,6 @@ def verify_case(params: dict) -> dict:
     return {
         "name": test.name,
         "mode": params["mode"],
-        "engine": params["engine"],
         "backend": backend,
         "registers": registers,
         "allowed": sorted(list(o) for o in allowed),
@@ -190,12 +189,6 @@ def assemble_verify_report(outcomes, seeds: int, smoke: bool) -> dict:
     engine_failures = []
     soundness_violations = []
     reference_mismatches = []
-    present = {
-        engine_key(o.job.params["engine"], o.job.params.get("backend", "mesi"))
-        for o in outcomes
-    }
-    engines = [k for k in (engine_key(e, b) for b in BACKENDS for e in ENGINES)
-               if k in present]
     backends = [b for b in BACKENDS
                 if any(o.job.params.get("backend", "mesi") == b
                        for o in outcomes)]
@@ -203,7 +196,7 @@ def assemble_verify_report(outcomes, seeds: int, smoke: bool) -> dict:
              if any(o.job.params["mode"] == m for o in outcomes)]
     for outcome in outcomes:
         p = outcome.job.params
-        cell_key = engine_key(p["engine"], p.get("backend", "mesi"))
+        cell_key = engine_key(p.get("backend", "mesi"))
         if not outcome.ok:
             engine_failures.append({
                 "name": p["name"], "mode": p["mode"], "engine": cell_key,
@@ -244,7 +237,7 @@ def assemble_verify_report(outcomes, seeds: int, smoke: bool) -> dict:
     return {
         "seeds": seeds,
         "smoke": smoke,
-        "engines": engines,
+        "engines": [engine_key(b) for b in backends],
         "backends": backends,
         "modes": modes,
         "tests": tests,

@@ -110,8 +110,8 @@ def test_interface_is_actually_exercised():
 # ------------------------------------------------------------- cache identity
 def test_cache_keys_differ_by_backend():
     for kind, params in (
-        ("verify", {"test": "SB", "mode": "none", "engine": "event",
-                    "seeds": 2, "smoke": False}),
+        ("verify", {"test": "SB", "mode": "none", "seeds": 2,
+                    "smoke": False}),
         ("litmus", {"name": "SB", "model": "rmo"}),
         ("chaos", {"algo": "wsq", "scenario": "clean", "seed": 0}),
     ):

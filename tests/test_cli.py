@@ -137,7 +137,6 @@ def test_campaign_litmus_happy_path_exits_zero(monkeypatch, capsys):
 def test_verify_command_smoke(tmp_path, capsys):
     out_path = tmp_path / "verify-report.json"
     assert main(["verify", "--smoke", "--no-cache",
-                 "--engines", "event",
                  "--verify-modes", "none,sfence-set",
                  "--verify-out", str(out_path)]) == 0
     captured = capsys.readouterr()
@@ -151,6 +150,14 @@ def test_verify_command_smoke(tmp_path, capsys):
     assert [0, 0] not in sb["sfence-set"]["allowed"]
     covered, total = sb["none"]["engines"]["event"]["coverage"]
     assert 0 < covered <= total
+
+
+def test_verify_has_no_engine_flag(capsys):
+    """verify runs the event engine only; --engines is gone, not ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--engines", "event"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --engines" in capsys.readouterr().err
 
 
 def test_verify_rejects_unknown_mode(capsys):

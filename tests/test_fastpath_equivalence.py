@@ -58,7 +58,6 @@ from repro.litmus.dsl import (
     build_program,
     compile_litmus,
     parse_litmus,
-    run_litmus,
 )
 from repro.runtime.lang import Env, reset_cids
 from repro.sim.config import MemoryModel, SimConfig
@@ -189,7 +188,7 @@ def test_verify_grid_equivalence(backend):
     sets, so verify itself runs the event engine only.
     """
     checked = set()
-    for job in verify_jobs(engines=["event"], backends=[backend]):
+    for job in verify_jobs(backends=[backend]):
         p = job.params
         variant = apply_fence_mode(parse_litmus(p["source"]), p["mode"])
         compiled = compile_litmus(variant, MemoryModel.RMO, mem_backend=backend)
@@ -510,10 +509,12 @@ def _litmus_sweep(engine: str, mem_backend: str) -> dict:
     """The litmus corpus over a two-offset grid: many short runs."""
     runs = {}
     for entry in CORPUS:
-        run = run_litmus(parse_litmus(entry.source), offsets=[0, 3],
-                         mem_backend=mem_backend, **ENGINES[engine])
-        runs[entry.name] = (run.total_cycles, sorted(run.outcomes),
-                            run.condition_observed)
+        compiled = compile_litmus(parse_litmus(entry.source),
+                                  mem_backend=mem_backend)
+        compiled = dataclasses.replace(
+            compiled, config=compiled.config.with_(**ENGINES[engine]))
+        for pair in itertools.product([0, 3], repeat=2):
+            runs[entry.name, pair] = _litmus_pair(compiled, pair)
     return runs
 
 

@@ -6,7 +6,7 @@ reset between pairs.  These tests hold that path to a reference that
 builds everything afresh for every pair -- config, ``Env``, variables
 through ``Env.var``, a simulator, and thread bodies that match each
 statement as they run -- pair by pair: outcome, cycles, every per-core
-counter and the final memory, on both backends and both engines.  A
+counter and the final memory, on both backends.  A
 reset that leaks timing state can leave the outcomes unchanged, but not
 the counters.  They also check that two instantiations of one compiled
 test share nothing a run can change: no memory word and no register
@@ -110,7 +110,7 @@ def _run_record(result) -> tuple:
             result.memory.snapshot())
 
 
-def _reference_pairs(test, backend: str, dense_loop: bool = False) -> list:
+def _reference_pairs(test, backend: str) -> list:
     """Per offset pair, in sweep order: ``(outcome, run record)`` with
     everything rebuilt for the pair, and the register names."""
     pairs, names = [], []
@@ -118,7 +118,7 @@ def _reference_pairs(test, backend: str, dense_loop: bool = False) -> list:
         for d1 in OFFSETS:
             env = Env(SimConfig(
                 n_cores=max(2, test.n_threads), memory_model=MemoryModel.RMO,
-                mem_backend=backend, dense_loop=dense_loop))
+                mem_backend=backend))
             program, registers = _reference_program(test, env, [d0, d1])
             record = _run_record(env.run(program, max_cycles=MAX_CYCLES))
             names = sorted(registers)
@@ -149,22 +149,21 @@ def run_records(monkeypatch) -> list:
     return records
 
 
-def _check_sweep(entry, backend: str, dense: bool, run_records: list) -> None:
+def _check_sweep(entry, backend: str, run_records: list) -> None:
     """Every fence-mode variant the verify matrix runs, pair by pair:
     the same outcome, cycles, per-core counters and final memory as
     rebuilding everything for the pair, and the same outcome set and
     total cycles over the sweep."""
     for mode in FENCE_MODES:
         test = apply_fence_mode(parse_litmus(entry.source), mode)
-        want, names = _reference_pairs(test, backend, dense)
+        want, names = _reference_pairs(test, backend)
         clear_warm_state()
         del run_records[:]
-        run = run_litmus(test, MemoryModel.RMO, OFFSETS, dense_loop=dense,
-                         mem_backend=backend)
+        run = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
         assert run.register_names == names
         assert len(run_records) == len(want), f"{entry.name}[{mode}] pairs"
         memo = warm_slot("litmus-runs")[run_content_key(
-            test, compile_litmus(test, dense_loop=dense, mem_backend=backend).config)]
+            test, compile_litmus(test, mem_backend=backend).config)]
         pairs = [(d0, d1) for d0 in OFFSETS for d1 in OFFSETS]
         for pair, record, (outcome, expected) in zip(pairs, run_records, want):
             assert record == expected, f"{entry.name}[{mode}] pair {pair}"
@@ -179,15 +178,8 @@ def _check_sweep(entry, backend: str, dense: bool, run_records: list) -> None:
 @pytest.mark.parametrize("backend", MEM_BACKENDS)
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_sweep_matches_fresh_per_pair_reference(entry, backend, run_records):
-    """The event engine, pair by pair (:func:`_check_sweep`)."""
-    _check_sweep(entry, backend, False, run_records)
-
-
-@pytest.mark.parametrize("backend", MEM_BACKENDS)
-@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
-def test_dense_sweep_matches_fresh_per_pair_reference(entry, backend, run_records):
-    """The dense reference loop, pair by pair (:func:`_check_sweep`)."""
-    _check_sweep(entry, backend, True, run_records)
+    """Pair by pair (:func:`_check_sweep`)."""
+    _check_sweep(entry, backend, run_records)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)

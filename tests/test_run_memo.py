@@ -94,13 +94,12 @@ def test_overlapping_grids_simulate_only_new_pairs(sim_runs):
 
 @pytest.mark.parametrize("knob", [
     {"mem_backend": "sisd"},
-    {"dense_loop": True},
     {"model": MemoryModel.TSO},
     {"n_cores": 4},
 ], ids=lambda k: next(iter(k)))
 def test_configs_differing_in_one_knob_never_share(knob, sim_runs):
-    """A dense-vs-event or mesi-vs-sisd comparison must compare two
-    simulations, never a result with its own cached copy."""
+    """A mesi-vs-sisd (or model, or core-count) comparison must compare
+    two simulations, never a result with its own cached copy."""
     sb = parse_litmus(SB.source)
     run_litmus(sb, offsets=OFFSETS)
     assert len(sim_runs) == len(OFFSETS) ** 2
@@ -132,17 +131,15 @@ def test_programs_differing_in_flags_or_init_never_share(sim_runs):
 
 def test_verify_cells_of_one_program_share_affinity():
     """SB has no fences: its ``orig`` and ``none`` cells are the same
-    program on the same engine and backend, so they share an affinity
-    (and a worker); other engines and backends do not."""
-    jobs = verify_jobs(engines=["event", "dense"], backends=list(MEM_BACKENDS),
-                       smoke=True)
-    sb = {(j.params["mode"], j.params["engine"], j.params["backend"]): j
+    program on the same backend, so they share an affinity (and a
+    worker); other backends do not."""
+    jobs = verify_jobs(backends=list(MEM_BACKENDS), smoke=True)
+    sb = {(j.params["mode"], j.params["backend"]): j
           for j in jobs if j.params["name"] == "SB"}
-    key = job_affinity(sb["orig", "event", "mesi"])
-    assert job_affinity(sb["none", "event", "mesi"]) == key
-    assert job_affinity(sb["full", "event", "mesi"]) != key
-    assert job_affinity(sb["orig", "dense", "mesi"]) != key
-    assert job_affinity(sb["orig", "event", "sisd"]) != key
+    key = job_affinity(sb["orig", "mesi"])
+    assert job_affinity(sb["none", "mesi"]) == key
+    assert job_affinity(sb["full", "mesi"]) != key
+    assert job_affinity(sb["orig", "sisd"]) != key
     for parallel in (1, 2):
         home = {}
         for n, chunk in enumerate(plan_chunks(jobs, list(range(len(jobs))),

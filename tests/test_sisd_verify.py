@@ -1,15 +1,17 @@
 """The full verify matrix and the three-way figure under SiSd.
 
-The soundness claim the tentpole rests on: with the SiSd backend
-selected, every outcome either simulator engine observes on every
-(test, fence-mode) cell of the litmus corpus still lies inside that
-cell's exhaustively-explored allowed set.  The backend only re-times
+The soundness claim the SiSd backend rests on: with it selected, every
+outcome the simulator observes on every (test, fence-mode) cell of the
+litmus corpus still lies inside that cell's exhaustively-explored
+allowed set.  (The dense loop matches the event engine on every offset
+pair of that grid: tests/test_fastpath_equivalence.py::
+test_verify_grid_equivalence.)  The backend only re-times
 the machine -- SI/SD work at sync points, no invalidation traffic --
 so any outcome leak here is a backend bug, not a model change.
 
 On top of the matrix: the assembled verify report carries the backend
-axis (composite ``engine@backend`` keys, plain keys for the default
-backend so committed artifacts stay stable), and the ``figbackend``
+axis (``event@backend`` column keys, the plain ``event`` key for the
+default backend so committed artifacts stay stable), and the ``figbackend``
 three-way comparison (S-Fence vs full fence vs SiSd) is cache-keyed by
 backend, reproduces byte-identically on a warm cache, and matches the
 committed report at the committed scale.
@@ -40,13 +42,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # ------------------------------------------------------------ the 35-cell matrix
 @pytest.mark.parametrize("entry", CORPUS, ids=[e.name for e in CORPUS])
-@pytest.mark.parametrize("engine", ["event", "dense"])
-def test_sisd_sound_on_full_matrix(entry, engine):
-    """All 35 (test, mode) cells, both engines, zero soundness leaks."""
+def test_sisd_sound_on_full_matrix(entry):
+    """All 35 (test, mode) cells, zero soundness leaks."""
     for mode in FENCE_MODES:
         result = verify_case({
             "name": entry.name, "source": entry.source, "mode": mode,
-            "engine": engine, "seeds": 1, "smoke": True, "backend": "sisd",
+            "seeds": 1, "smoke": True, "backend": "sisd",
         })
         assert result["backend"] == "sisd"
         assert result["reference_match"], (
@@ -55,22 +56,20 @@ def test_sisd_sound_on_full_matrix(entry, engine):
             f"reference-only {result['reference_only']}"
         )
         assert result["sound"], (
-            f"{entry.name}[{mode}] on {engine}@sisd: outcomes outside the "
+            f"{entry.name}[{mode}] on sisd: outcomes outside the "
             f"allowed set: {result['violations']} "
             f"(registers {result['registers']})"
         )
 
 
 def test_engine_key_scheme():
-    """Default-backend cells keep their legacy plain engine keys."""
-    assert engine_key("event", "mesi") == "event"
-    assert engine_key("dense", "mesi") == "dense"
-    assert engine_key("event", "sisd") == "event@sisd"
+    """Default-backend cells keep their legacy plain engine key."""
+    assert engine_key("mesi") == "event"
+    assert engine_key("sisd") == "event@sisd"
 
 
 def test_verify_report_carries_the_backend_axis():
-    jobs = verify_jobs(modes=["none"], engines=["event"],
-                       backends=["mesi", "sisd"], smoke=True)
+    jobs = verify_jobs(modes=["none"], backends=["mesi", "sisd"], smoke=True)
     assert len(jobs) == 2 * len(CORPUS)
     result = run_campaign(jobs, parallel=0)
     assert result.ok
@@ -87,6 +86,15 @@ def test_verify_report_carries_the_backend_axis():
 def test_verify_jobs_reject_unknown_backend():
     with pytest.raises(KeyError, match="backend"):
         verify_jobs(backends=["mesi", "token-coherence"])
+
+
+def test_verify_jobs_run_the_event_engine_only():
+    """``engines`` survives as a keyword, but only the event engine is
+    accepted: the dense loop is checked on verify's grid in tier-1."""
+    assert verify_jobs(engines=["event"]) == verify_jobs()
+    for engines in (["dense"], ["event", "dense"]):
+        with pytest.raises(KeyError, match="event engine only"):
+            verify_jobs(engines=engines)
 
 
 # --------------------------------------------------------- three-way figure

@@ -73,7 +73,7 @@ def test_app_run_dies_by_refcount(name, built):
 
 
 def test_verify_case_dies_by_refcount(built):
-    job = verify_jobs(engines=["event"], smoke=True)[0]
+    job = verify_jobs(smoke=True)[0]
     payload = execute_job(job)
     assert payload["sound"]
     del payload

@@ -1,8 +1,8 @@
 """Tier-1 simulator soundness and outcome coverage on the corpus.
 
-Soundness: no outcome either simulator engine observes may fall outside
-the exhaustive allowed set of its (test, fence-mode) cell -- on any
-cell, ever.  Coverage: the classic weak behaviours must actually be
+Soundness: no outcome the simulator observes may fall outside the
+exhaustive allowed set of its (test, fence-mode) cell -- on any cell,
+ever.  Coverage: the classic weak behaviours must actually be
 *reachable* when allowed, so the forbidden-outcome tests in the corpus
 are not passing vacuously -- and the forbidden outcome of a fenced cell
 must be absent both from the allowed set (model) and from the observed
@@ -19,31 +19,29 @@ from repro.verify.runner import verify_case
 ENTRY = {e.name: e for e in CORPUS}
 
 
-def _case(name: str, mode: str, engine: str = "event", seeds: int = 1,
-          smoke: bool = True) -> dict:
+def _case(name: str, mode: str, seeds: int = 1, smoke: bool = True) -> dict:
     # smoke=True uses the truncated offset grid -- enough for soundness
     # and allowed-set assertions; reachability assertions need the full
     # grid (smoke=False), whose long offsets let stores drain between
     # threads
     return verify_case({
         "name": name, "source": ENTRY[name].source, "mode": mode,
-        "engine": engine, "seeds": seeds, "smoke": smoke,
+        "seeds": seeds, "smoke": smoke,
     })
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=[e.name for e in CORPUS])
-@pytest.mark.parametrize("engine", ["event", "dense"])
-def test_simulator_sound_on_corpus(entry, engine):
-    """Every engine outcome lies inside the exhaustive allowed set."""
+def test_simulator_sound_on_corpus(entry):
+    """Every observed outcome lies inside the exhaustive allowed set."""
     for mode in ("orig", "none", "sfence-set"):
-        result = _case(entry.name, mode, engine)
+        result = _case(entry.name, mode)
         assert result["reference_match"], (
             f"{entry.name}[{mode}]: explorer disagrees with reference: "
             f"explorer-only {result['explorer_only']}, "
             f"reference-only {result['reference_only']}"
         )
         assert result["sound"], (
-            f"{entry.name}[{mode}] on {engine}: outcomes outside the "
+            f"{entry.name}[{mode}]: outcomes outside the "
             f"allowed set: {result['violations']} "
             f"(registers {result['registers']})"
         )
@@ -97,14 +95,3 @@ def test_scoped_fences_match_full_fence_allowed_sets():
                 f"{name}: {mode} allowed set diverges from full fence"
             )
 
-
-def test_engines_observe_identical_outcomes():
-    """Dense and event engines see the same schedules, so the observed
-    sets must match cell by cell (the fast-path equivalence contract,
-    restated at the verify layer)."""
-    for name in ("SB", "MP+ss"):
-        for mode in ("none", "sfence-set"):
-            event = _case(name, mode, "event")
-            dense = _case(name, mode, "dense")
-            assert event["observed"] == dense["observed"]
-            assert event["coverage"] == dense["coverage"]
