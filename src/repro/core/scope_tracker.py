@@ -63,7 +63,7 @@ class ScopeTracker:
         self.fss = ScopeStack(config.fss_entries)
         self.shadow_fss = ScopeStack(config.fss_entries)
         self.mapping = MappingTable(config.mapping_entries, config.fsb_entries - 1)
-        self.reset()
+        self._reset_own()
 
     def reset(self) -> None:
         """Back to the state of a core that has dispatched nothing."""
@@ -71,6 +71,11 @@ class ScopeTracker:
         self.fss.reset()
         self.shadow_fss.reset()
         self.mapping.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The tracker's own counters and queue; the structures it owns
+        start fresh, so construction runs this alone."""
         self.overflow_count = 0
         self.shadow_overflow_count = 0
         self.spec_depth = 0  # unresolved predicted branches in flight

@@ -141,7 +141,7 @@ class Core:
         self.retire_log: deque | None = (
             deque(maxlen=config.retire_log_len) if config.retire_log_len > 0 else None
         )
-        self.reset(stats)
+        self._reset_own(stats)
 
     def reset(self, stats: CoreStats) -> None:
         """Back to the just-built state, counting into ``stats``.
@@ -153,12 +153,18 @@ class Core:
         ``_hot`` differs from the last one only in its stats.  Shared
         memory and the backend are the simulator's to reset.
         """
-        self.stats = stats
         self.rob.reset()
         self.sb.reset()
         self.tracker.reset()
         if self.predictor is not None:
             self.predictor.reset()
+        self._reset_own(stats)
+
+    def _reset_own(self, stats: CoreStats) -> None:
+        """The core's own per-run fields; the ROB, store buffer, scope
+        tracker and predictor start fresh, so construction runs this
+        alone."""
+        self.stats = stats
         self._events.clear()
         self._ev_seq = 0
         self._gen: Generator[Op, object, object] | None = None

@@ -65,6 +65,8 @@ from .tests import DEFAULT_OFFSETS, LitmusResult
 _STORE_RE = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 _LOAD_RE = re.compile(r"^(r\w*)\s*=\s*(\w+)$")
 _FENCE_RE = re.compile(r"^fence((?:\.\w+)*)$")
+#: the cycle limit of every offset pair's run
+_MAX_CYCLES = 2_000_000
 
 
 @dataclass
@@ -186,6 +188,8 @@ class CompiledLitmus:
     or keys on its identity).  ``init_writes`` are the ``(address,
     value)`` words each fresh memory starts with, and ``registers`` the
     sorted load registers, the order outcome tuples report them in.
+    ``no_mid_delay`` holds when no thread has a ``delay`` statement, so
+    a thread's only pause is the one it starts with.
     """
 
     name: str
@@ -193,6 +197,7 @@ class CompiledLitmus:
     threads: tuple[tuple[tuple[Op | None, str | None], ...], ...]
     init_writes: tuple[tuple[int, int], ...]
     registers: tuple[str, ...]
+    no_mid_delay: bool
 
 
 def litmus_config(
@@ -281,8 +286,10 @@ def _compile(
                     raise LitmusParseError(f"cannot parse statement {stmt!r}")
                 steps.append((_parse_fence(fence.group(1)), None))
         threads.append(tuple(steps))
+    no_mid_delay = all(op is not None for steps in threads for op, _ in steps)
     return CompiledLitmus(test.name, config, tuple(threads),
-                          tuple(init_writes), tuple(sorted(registers)))
+                          tuple(init_writes), tuple(sorted(registers)),
+                          no_mid_delay)
 
 
 def _write_init(compiled: CompiledLitmus, memory: SharedMemory) -> None:
@@ -449,6 +456,27 @@ def run_content_key(test: LitmusTest, config: SimConfig) -> tuple:
     )
 
 
+def schedule_key(
+    compiled: CompiledLitmus, d0: int, d1: int
+) -> tuple[tuple[int, int], int]:
+    """The ``litmus-runs`` key of offset pair ``(d0, d1)`` and its shift.
+
+    When both delays are at least 1 and no thread has a mid-thread
+    ``delay``, every thread starts with ``Compute(d)`` and the machine
+    stays cold and untouched until the shorter pause ends.  Nothing a
+    litmus run reads depends on the absolute cycle, so the run is the
+    run of ``(d0 - m, d1 - m)`` moved ``m = min(d0, d1) - 1`` cycles
+    later: the same outcome, ``m`` more cycles.  That representative is
+    the key, and ``m`` the shift.  Any other pair is its own key, with
+    shift 0: a zero delay means no pause at all, and a mid-thread
+    ``delay`` pauses again by its absolute length.
+    """
+    if compiled.no_mid_delay and d0 >= 1 and d1 >= 1:
+        m = min(d0, d1) - 1
+        return (d0 - m, d1 - m), m
+    return (d0, d1), 0
+
+
 def run_litmus(
     test: LitmusTest,
     model: MemoryModel = MemoryModel.RMO,
@@ -463,11 +491,14 @@ def run_litmus(
     built for the first and reset (memory, backend, cores) before each
     later one; each run's cycles and registers are read before the
     next reset.  A run is a pure function of :func:`run_content_key`
-    and its two delays, so each pair's ``(cycles, outcome)`` is
-    memoised per process in the campaign warm slot ``litmus-runs``: a
-    pair any earlier sweep in this process simulated is not simulated
-    again, and ``outcomes`` and ``total_cycles`` come out exactly as if
-    it were.
+    and its schedule, so each pair's ``(cycles, outcome)`` is memoised
+    per process in the campaign warm slot ``litmus-runs``, under
+    :func:`schedule_key` and with its shift taken off the cycles: a
+    pair that any earlier sweep in this process simulated, or whose
+    time-shifted representative it simulated, is not simulated again,
+    and ``outcomes`` and ``total_cycles`` come out exactly as if it
+    were.  A derived run whose cycles would reach the cycle limit is
+    simulated, so that it raises the limit's error.
     """
     from ..campaign.jobs import warm_slot
 
@@ -481,8 +512,9 @@ def run_litmus(
     sim = None
     for d0 in offsets:
         for d1 in offsets:
-            run = runs.get((d0, d1))
-            if run is None:
+            key, shift = schedule_key(compiled, d0, d1)
+            run = runs.get(key)
+            if run is None or run[0] + shift >= _MAX_CYCLES:
                 program, registers = _pair_program(compiled, [d0, d1])
                 if sim is None:
                     sim = Simulator(compiled.config, program)
@@ -490,10 +522,10 @@ def run_litmus(
                     sim.memory.reset()
                     sim.reset(program)
                 _write_init(compiled, sim.memory)
-                run = runs[d0, d1] = (
-                    sim.run(max_cycles=2_000_000).cycles,
-                    tuple(registers.get(r) for r in names))
-            total_cycles += run[0]
+                cycles = sim.run(max_cycles=_MAX_CYCLES).cycles
+                run = runs[key] = (
+                    cycles - shift, tuple(registers.get(r) for r in names))
+            total_cycles += run[0] + shift
             outcomes.add(run[1])
     observed = bool(outcomes_matching(test.condition, names, outcomes))
     return LitmusRun(test, outcomes, observed, list(names), total_cycles)

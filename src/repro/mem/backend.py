@@ -142,7 +142,9 @@ class CoherenceBackend:
 
     def reset(self) -> None:
         """Back to the just-built state: empty caches, zero counters and
-        no ``fault`` hook.  ``__init__`` ends with it, so the two agree."""
+        no ``fault`` hook.  The backend's own fields are set by one
+        method that both ``__init__`` and ``reset`` end with, so the two
+        agree, and the caches ``__init__`` builds are not reset twice."""
         raise NotImplementedError
 
     def line_of(self, addr: int) -> int:

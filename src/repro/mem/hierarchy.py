@@ -51,7 +51,7 @@ class MemoryHierarchy(CoherenceBackend):
         self._l2_lat = config.l2_latency
         self._c2c_lat = config.cache_to_cache_latency
         self._mem_lat = config.mem_latency
-        self.reset()
+        self._reset_own()
 
     def reset(self) -> None:
         """Empty every cache and the directory; unhook ``fault``."""
@@ -59,6 +59,10 @@ class MemoryHierarchy(CoherenceBackend):
             cache.reset()
         self.l2.reset()
         self.directory.reset()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The backend's own fields; the caches it builds start empty."""
         # optional fault-injection hook (chaos harness): called as
         # ``fault(core, addr, is_write, latency) -> latency`` after the
         # architectural latency is resolved.  Injected latency may only

@@ -70,7 +70,7 @@ class SiSdHierarchy(CoherenceBackend):
         #: per-core dirty-line sets; always a subset of the core's
         #: resident lines (eviction retires the dirty bit via write-back)
         self.dirty: list[set[int]] = [set() for _ in range(config.n_cores)]
-        self.reset()
+        self._reset_own()
 
     def reset(self) -> None:
         """Empty every cache and dirty set, zero the counters, unhook ``fault``."""
@@ -79,6 +79,11 @@ class SiSdHierarchy(CoherenceBackend):
         self.llc.reset()
         for dirty in self.dirty:
             dirty.clear()
+        self._reset_own()
+
+    def _reset_own(self) -> None:
+        """The backend's own fields; the caches and dirty sets it builds
+        start empty."""
         # same chaos hook contract as the mesi backend: injected latency
         # may only model slower memory, never a functional change
         self.fault = None

@@ -116,11 +116,12 @@ class Simulator:
         if self.memory.n_cores != config.n_cores:
             raise ValueError("shared memory core count does not match config")
         self.hierarchy = create_backend(config)
+        self.core_stats = [CoreStats(core_id=c) for c in range(config.n_cores)]
         self.cores = [
-            Core(c, config, self.memory, self.hierarchy, CoreStats(core_id=c))
-            for c in range(config.n_cores)
+            Core(c, config, self.memory, self.hierarchy, stats)
+            for c, stats in enumerate(self.core_stats)
         ]
-        self.reset(program, timeline)
+        self._load(program, timeline)
 
     def reset(self, program: Program, timeline=None) -> None:
         """Make this machine a just-built one that will run ``program``.
@@ -134,6 +135,16 @@ class Simulator:
         ``memory`` is this same object, so read what a run left there
         before the next one starts.
         """
+        self._load(program, timeline)
+        self.hierarchy.reset()
+        self.core_stats = [CoreStats(core_id=c) for c in range(self.config.n_cores)]
+        for core, stats in zip(self.cores, self.core_stats):
+            core.reset(stats)
+
+    def _load(self, program: Program, timeline) -> None:
+        """Take ``program`` and ``timeline`` for the next run: all that
+        construction does past building, since the backend and cores it
+        builds start fresh."""
         if program.n_threads > self.config.n_cores:
             raise ValueError(
                 f"program has {program.n_threads} threads but config has "
@@ -141,10 +152,6 @@ class Simulator:
             )
         self.program = program
         self.timeline = timeline
-        self.hierarchy.reset()
-        self.core_stats = [CoreStats(core_id=c) for c in range(self.config.n_cores)]
-        for core, stats in zip(self.cores, self.core_stats):
-            core.reset(stats)
 
     def run(self, max_cycles: int | None = None) -> SimResult:
         """Execute the program to completion; returns statistics."""

@@ -23,10 +23,14 @@ golden suite pins the outcome.)
 
 Probes keep no memo of their own: every offset pair a probe sweeps is
 memoised by :func:`~repro.litmus.dsl.run_litmus` itself (the warm slot
-``litmus-runs``, keyed by the variant's content and the two delays), so
-a probe of a variant any earlier sweep in the process ran -- a probe
-repeated by the search, or the verify matrix's run of the same program
--- simulates nothing.
+``litmus-runs``, keyed by the variant's content and the pair's schedule,
+:func:`~repro.litmus.dsl.schedule_key`), so a probe of a variant any
+earlier sweep in the process ran -- a probe repeated by the search, or
+the verify matrix's run of the same program -- simulates nothing, and
+a pair that is an earlier pair moved later (both delays at least 1,
+no mid-thread ``delay``) reads that pair's run.  ``total_cycles`` stays
+exact: a derived pair's cycles are its representative's plus the
+shift.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ from ..litmus.dsl import LitmusTest, run_litmus
 from ..sim.config import MemoryModel
 from .sites import FenceSite, MODES, apply_placement
 
-#: timing-offset grid cost probes sweep (16 simulations per probe)
+#: timing-offset grid cost probes sweep (16 offset pairs per probe; 14
+#: simulations without a mid-thread delay, as (40, 40) and (150, 150)
+#: are (1, 1) moved later)
 PROBE_OFFSETS = [0, 1, 40, 150]
 #: the quick-CI grid (4 simulations per probe)
 SMOKE_PROBE_OFFSETS = [0, 40]

@@ -14,7 +14,8 @@ cycles), chaos fault-injection decisions, and litmus outcome sets.
 
 Coverage: every offset pair of ``verify``'s grid (every corpus test in
 every fence mode, on both coherence backends, at each sweep seed's
-offsets), which is why ``verify`` runs the event engine only; the whole
+offsets), which is why ``verify`` runs the event engine only, with the
+run memo's time-shifted result for each pair held to the event run; the whole
 litmus corpus, seeded fuzz programs (the same
 generator the differential fuzzer uses), a lock-free workload, and
 chaos-fault scenarios -- each at two simulated core counts -- the
@@ -40,6 +41,7 @@ import pytest
 
 from repro.campaign import verify_jobs
 from repro.campaign.figures import _app_builders
+from repro.campaign.jobs import warm_slot
 from repro.chaos.faults import ChaosEngine, FaultPlan
 from repro.chaos.invariants import OrderingChecker
 from repro.cpu.core import Core
@@ -58,6 +60,8 @@ from repro.litmus.dsl import (
     build_program,
     compile_litmus,
     parse_litmus,
+    run_litmus,
+    schedule_key,
 )
 from repro.runtime.lang import Env, reset_cids
 from repro.sim.config import MemoryModel, SimConfig
@@ -149,15 +153,17 @@ def _litmus_pair(compiled, delays) -> dict:
     }
 
 
-def _assert_pair_equivalent(compiled, delays, where: str) -> None:
+def _assert_pair_equivalent(compiled, delays, where: str) -> dict:
     """``compiled`` (an event-engine config) against its dense twin,
-    which differs from it in ``dense_loop`` alone."""
+    which differs from it in ``dense_loop`` alone; returns the event
+    run."""
     dense = _litmus_pair(dataclasses.replace(
         compiled, config=compiled.config.with_(dense_loop=True)), delays)
     event = _litmus_pair(compiled, delays)
     for key in dense:
         assert dense[key] == event[key], (
             f"dense/event diverged on {key!r} at {where} offsets {delays}")
+    return event
 
 
 def _assert_litmus_equivalent(test, n_cores: int) -> None:
@@ -174,9 +180,20 @@ def test_litmus_corpus_equivalence(entry, n_cores):
     _assert_litmus_equivalent(test, max(n_cores, test.n_threads))
 
 
+def _schedule(test, pair) -> tuple[tuple[int, int], int]:
+    """The pair's run-memo key and shift, as documented: with both
+    delays at least 1 and no mid-thread ``delay``, the pair moved
+    earlier until its smaller delay is 1; any other pair as it is."""
+    if min(pair) >= 1 and not any("delay" in stmts for stmts in test.threads):
+        shift = min(pair) - 1
+        return (pair[0] - shift, pair[1] - shift), shift
+    return pair, 0
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_verify_grid_equivalence(backend):
-    """Every offset pair ``verify`` simulates, dense against event.
+    """Every offset pair ``verify`` simulates, dense against event, and
+    what verify's run memo holds for it against the event run.
 
     The grid is read from verify itself: its job list (every corpus
     test in every fence mode), each sweep seed's offsets
@@ -185,9 +202,15 @@ def test_verify_grid_equivalence(backend):
     earlier cell already checked is skipped, as verify's run memo skips
     simulating it.  Each pair compares registers, cycles, per-core
     counters and final memory, which is stronger than verify's outcome
-    sets, so verify itself runs the event engine only.
+    sets, so verify itself runs the event engine only.  Each sweep also
+    runs through :func:`~repro.litmus.dsl.run_litmus`, in verify's
+    order, and every pair's ``(cycles, outcome)`` read back from the
+    ``litmus-runs`` memo by its schedule key (:func:`_schedule`, shift
+    added back) must be the direct event run's: a pair the memo derived
+    from a time-shifted representative is held to its own simulation.
     """
     checked = set()
+    memo = warm_slot("litmus-runs")
     for job in verify_jobs(backends=[backend]):
         p = job.params
         variant = apply_fence_mode(parse_litmus(p["source"]), p["mode"])
@@ -195,11 +218,21 @@ def test_verify_grid_equivalence(backend):
         key = case_run_key(p)
         for seed in range(p["seeds"]):
             offsets = seed_offsets(p["name"], p["mode"], seed)
+            run_litmus(variant, MemoryModel.RMO, offsets, mem_backend=backend)
             for pair in itertools.product(offsets, repeat=2):
                 if (key, pair) not in checked:
                     checked.add((key, pair))
-                    _assert_pair_equivalent(
-                        compiled, pair, f"{p['name']}[{p['mode']}]@{backend}")
+                    where = f"{p['name']}[{p['mode']}]@{backend}"
+                    event = _assert_pair_equivalent(compiled, pair, where)
+                    schedule, shift = _schedule(variant, pair)
+                    assert schedule_key(compiled, *pair) == (schedule, shift), (
+                        f"memo key of {where} offsets {pair} is not its schedule")
+                    cycles, outcome = memo[key][schedule]
+                    assert (cycles + shift, outcome) == (
+                        event["cycles"],
+                        tuple(event["registers"].get(r)
+                              for r in compiled.registers)), (
+                        f"memo/event diverged at {where} offsets {pair}")
     assert checked
 
 

@@ -36,6 +36,7 @@ from repro.litmus.dsl import (
     parse_litmus,
     run_content_key,
     run_litmus,
+    schedule_key,
     stmt_kind,
 )
 from repro.runtime.lang import Env
@@ -151,9 +152,11 @@ def run_records(monkeypatch) -> list:
 
 def _check_sweep(entry, backend: str, run_records: list) -> None:
     """Every fence-mode variant the verify matrix runs, pair by pair:
-    the same outcome, cycles, per-core counters and final memory as
-    rebuilding everything for the pair, and the same outcome set and
-    total cycles over the sweep."""
+    each pair the sweep simulates (the first of its schedule) leaves the
+    same outcome, cycles, per-core counters and final memory as
+    rebuilding everything for the pair; every pair's memo entry, shift
+    added back, is that pair's own outcome and cycles; and the outcome
+    set and total cycles over the sweep are the reference's."""
     for mode in FENCE_MODES:
         test = apply_fence_mode(parse_litmus(entry.source), mode)
         want, names = _reference_pairs(test, backend)
@@ -161,13 +164,19 @@ def _check_sweep(entry, backend: str, run_records: list) -> None:
         del run_records[:]
         run = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
         assert run.register_names == names
-        assert len(run_records) == len(want), f"{entry.name}[{mode}] pairs"
-        memo = warm_slot("litmus-runs")[run_content_key(
-            test, compile_litmus(test, mem_backend=backend).config)]
+        compiled = compile_litmus(test, mem_backend=backend)
+        memo = warm_slot("litmus-runs")[run_content_key(test, compiled.config)]
         pairs = [(d0, d1) for d0 in OFFSETS for d1 in OFFSETS]
-        for pair, record, (outcome, expected) in zip(pairs, run_records, want):
-            assert record == expected, f"{entry.name}[{mode}] pair {pair}"
-            assert memo[pair] == (expected[0], outcome), (
+        keys = [schedule_key(compiled, *pair) for pair in pairs]
+        first: dict[tuple, int] = {}
+        for n, (schedule, _) in enumerate(keys):
+            first.setdefault(schedule, n)
+        assert len(run_records) == len(first), f"{entry.name}[{mode}] pairs"
+        for n, record in zip(first.values(), run_records):
+            assert record == want[n][1], f"{entry.name}[{mode}] pair {pairs[n]}"
+        for pair, (schedule, shift), (outcome, expected) in zip(pairs, keys, want):
+            cycles, memo_outcome = memo[schedule]
+            assert (cycles + shift, memo_outcome) == (expected[0], outcome), (
                 f"{entry.name}[{mode}] pair {pair} outcome")
         assert run.outcomes == {outcome for outcome, _ in want}, (
             f"{entry.name}[{mode}] outcomes")

@@ -287,11 +287,70 @@ def test_one_machine_per_sweep(backend, builds, monkeypatch):
     sb = parse_litmus(SB.source)
     run_litmus(sb, offsets=OFFSETS, mem_backend=backend)
     assert len(builds) == 1
-    assert len(runs) == len(OFFSETS) ** 2
+    # one run per schedule: (40, 40) is (1, 1) moved 39 cycles later
+    assert len(runs) == len(OFFSETS) ** 2 - 1
     assert all(sim is builds[0] for sim in runs)
     del builds[:], runs[:]
     run_litmus(sb, offsets=OFFSETS, mem_backend=backend)
     assert not builds and not runs
     run_litmus(sb, offsets=OFFSETS + [7], mem_backend=backend)
     assert len(builds) == 1
-    assert len(runs) == (len(OFFSETS) + 1) ** 2 - len(OFFSETS) ** 2
+    # seven new pairs, of which (7, 7) is (1, 1) moved six cycles later
+    assert len(runs) == 6
+
+
+def _components(root) -> list:
+    """Every object reachable from ``root`` whose class has a ``reset``,
+    ``root`` aside."""
+    seen, found, stack = {id(root)}, [], [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (list, tuple, set, deque)):
+            children = list(obj)
+        elif isinstance(obj, dict):
+            children = list(obj.values())
+        else:
+            names = [n for cls in type(obj).__mro__
+                     for n in getattr(cls, "__slots__", ())]
+            names += list(getattr(obj, "__dict__", {}))
+            children = [getattr(obj, n) for n in names if hasattr(obj, n)]
+        for child in children:
+            if id(child) in seen or isinstance(child, (
+                    types.MethodType, types.FunctionType, type, SimConfig)):
+                continue
+            seen.add(id(child))
+            stack.append(child)
+            if callable(getattr(type(child), "reset", None)):
+                found.append(child)
+    return found
+
+
+@pytest.mark.parametrize("backend", MEM_BACKENDS)
+def test_fresh_machine_resets_each_component_once(backend, monkeypatch):
+    """Building a machine brings each component to its just-built state
+    once: a leaf by the ``reset`` its constructor ends with, an owner of
+    other components by its own fields alone, never by a ``reset`` that
+    would clear what its parts' constructors just cleared."""
+    config = _config(backend, n_cores=2)
+    program = _busy_program(1, n_threads=2)
+    classes = {type(c) for c in _components(Simulator(config, program))}
+    assert {"Core", "ScopeTracker", "FenceScopeBits", "ScopeStack",
+            "MappingTable", "ReorderBuffer", "StoreBuffer", "TwoBitPredictor",
+            "Cache", "SharedMemory"} <= {cls.__name__ for cls in classes}
+    counts: dict[int, int] = defaultdict(int)
+
+    def counting(method):
+        def wrapper(self, *args, **kwargs):
+            counts[id(self)] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    for cls in classes:
+        for name in ("reset", "_reset_own"):
+            if hasattr(cls, name):
+                monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    sim = Simulator(config, program)
+    components = _components(sim)
+    assert {type(c) for c in components} == classes
+    assert {type(c).__name__: counts[id(c)] for c in components
+            if counts[id(c)] != 1} == {}
