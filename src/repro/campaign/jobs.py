@@ -158,13 +158,13 @@ def follower_cost(job: Job) -> float:
 
 
 # ------------------------------------------------------------- warm worker state
-#: per-process memo for pure, param-keyed intermediate products (parsed
-#: litmus tests, DPOR explorations, litmus runs, measured figure
-#: points).  Persistent pool workers keep this warm across the jobs of a
-#: campaign; entries are keyed by the full defining content, so within
-#: one process a hit can never be stale -- the campaign's code cannot
-#: change under a running worker, and a new campaign (new fingerprint)
-#: starts new workers.
+#: per-process memo for pure, param-keyed intermediate products
+#: (compiled litmus tests, DPOR explorations, litmus runs, measured
+#: figure points).  Persistent pool workers keep this warm across the
+#: jobs of a campaign; entries are keyed by the full defining content,
+#: so within one process a hit can never be stale -- the campaign's
+#: code cannot change under a running worker, and a new campaign (new
+#: fingerprint) starts new workers.
 _WARM: dict[str, dict] = {}
 
 
@@ -229,9 +229,9 @@ def litmus_jobs(
     mem_backend: str = "mesi",
 ) -> list[Job]:
     """One job per litmus-corpus entry."""
-    from ..litmus.corpus import CORPUS
+    from ..litmus.corpus import CORPUS, CORPUS_OFFSETS
 
-    offsets = offsets or [0, 1, 40, 150, 320]
+    offsets = offsets or CORPUS_OFFSETS
     return [
         Job("litmus", {
             "name": entry.name, "source": entry.source, "model": model,
@@ -399,12 +399,7 @@ def _run_litmus_job(params: dict, heartbeat=None) -> dict:
     from ..litmus.dsl import parse_litmus, run_litmus
     from ..sim.config import MemoryModel
 
-    # parse products are pure functions of the source text; persistent
-    # pool workers running many offsets/modes of the same test parse once
-    memo = warm_slot("litmus-parse")
-    test = memo.get(params["source"])
-    if test is None:
-        test = memo[params["source"]] = parse_litmus(params["source"])
+    test = parse_litmus(params["source"])
     run = run_litmus(
         test, MemoryModel(params["model"]), list(params["offsets"]),
         mem_backend=params.get("mem_backend", "mesi"),

@@ -7,14 +7,35 @@ store visibility (see DESIGN.md), so store-buffer-driven relaxations
 (SB, MP) are observable without fences and forbidden with the right
 ones, while same-location coherence and fenced causality chains never
 relax.
+
+Expectations under each memory model for the classic tests (documented
+deviations included; ``tests/test_litmus.py::test_outcome_table``
+checks every cell on both coherence backends):
+
+=====  ==========================  ====  ====  ====  ====
+test   relaxed outcome             SC    TSO   PSO   RMO
+=====  ==========================  ====  ====  ====  ====
+SB     r0 == r1 == 0               no    yes   yes   yes
+MP     r_flag == 1, r_data == 0    no    no    yes   yes
+LB     r0 == r1 == 1               no    no    no    no*
+CoRR   new then old (same addr)    no    no    no    no
+IRIW   readers disagree on order   no    no    no    no*
+=====  ==========================  ====  ====  ====  ====
+
+(*) RMO permits LB and IRIW on paper; the simulator binds load values
+at dispatch in program order and publishes stores to a single shared
+image, making it multi-copy atomic with ordered loads.  This is the
+documented functional-first approximation (DESIGN.md) -- it matches
+TSO/PSO for load behaviour and does not affect fence-stall timing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.config import MemoryModel
-from .dsl import LitmusRun, parse_litmus, run_litmus
+#: the timing-offset grid every corpus sweep runs: ``campaign --litmus``
+#: and verify's seed 0
+CORPUS_OFFSETS = [0, 1, 40, 150, 320]
 
 
 @dataclass(frozen=True)
@@ -111,11 +132,3 @@ CORPUS: list[CorpusEntry] = [
     ),
 ]
 
-
-def run_corpus(model: MemoryModel = MemoryModel.RMO, offsets=None) -> dict[str, LitmusRun]:
-    """Run every corpus entry; returns runs keyed by test name."""
-    offsets = offsets or [0, 1, 40, 150, 320]
-    out = {}
-    for entry in CORPUS:
-        out[entry.name] = run_litmus(parse_litmus(entry.source), model, offsets)
-    return out

@@ -60,13 +60,14 @@ from ..runtime.address_space import AddressSpace
 from ..runtime.lang import Env
 from ..sim.config import MemoryModel, SimConfig
 from ..sim.simulator import Simulator
-from .tests import DEFAULT_OFFSETS, LitmusResult
 
 _STORE_RE = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 _LOAD_RE = re.compile(r"^(r\w*)\s*=\s*(\w+)$")
 _FENCE_RE = re.compile(r"^fence((?:\.\w+)*)$")
 #: the cycle limit of every offset pair's run
 _MAX_CYCLES = 2_000_000
+#: timing offsets (delay cycles per thread) explored for each litmus test
+DEFAULT_OFFSETS = [0, 1, 2, 3, 5, 8, 13, 40, 100, 200, 320, 400]
 
 
 @dataclass

@@ -40,6 +40,7 @@ import random
 
 from ..analysis.report import format_table
 from ..core.semantics import reference_allowed_outcomes
+from ..litmus.corpus import CORPUS_OFFSETS
 from ..litmus.dsl import (
     abstract_threads,
     litmus_config,
@@ -62,9 +63,8 @@ def engine_key(backend: str) -> str:
     """
     return "event" if backend == "mesi" else f"event@{backend}"
 
-#: seed-0 timing-offset grid (the corpus sweep's grid); later seeds
-#: draw randomised grids of the same size
-DEFAULT_OFFSETS = [0, 1, 40, 150, 320]
+#: smoke seed-0 grid; the full seed 0 is the corpus grid, and later
+#: seeds draw randomised grids of the same size
 SMOKE_OFFSETS = [0, 1, 150]
 
 DEFAULT_SEEDS = 2
@@ -79,7 +79,7 @@ def seed_offsets(name: str, mode: str, seed: int, smoke: bool = False) -> list[i
     every backend sweeps identical schedules and their coverage can
     only differ through backend timing.
     """
-    base = SMOKE_OFFSETS if smoke else DEFAULT_OFFSETS
+    base = SMOKE_OFFSETS if smoke else CORPUS_OFFSETS
     if seed == 0:
         return list(base)
     rng = random.Random(f"verify:{name}:{mode}:{seed}")

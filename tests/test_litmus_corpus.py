@@ -2,28 +2,34 @@
 
 import pytest
 
-from repro.litmus.corpus import CORPUS, run_corpus
+from repro.campaign.jobs import litmus_jobs
+from repro.litmus.corpus import CORPUS, CORPUS_OFFSETS
 from repro.litmus.dsl import parse_litmus, run_litmus
 from repro.sim.config import MemoryModel
-
-FAST = [0, 1, 40, 150, 320]
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_corpus_expectation_under_rmo(entry):
-    run = run_litmus(parse_litmus(entry.source), MemoryModel.RMO, FAST)
-    assert run.condition_observed == entry.observable_rmo, (
-        f"{entry.name}: expected observable={entry.observable_rmo}, "
-        f"outcomes {sorted(run.outcomes, key=str)}"
-    )
+    for backend in ("mesi", "sisd"):
+        run = run_litmus(parse_litmus(entry.source), MemoryModel.RMO,
+                         CORPUS_OFFSETS, mem_backend=backend)
+        assert run.condition_observed == entry.observable_rmo, (
+            f"{entry.name} on {backend}: expected observable="
+            f"{entry.observable_rmo}, outcomes {sorted(run.outcomes, key=str)}"
+        )
 
 
 def test_every_relaxation_vanishes_under_sc():
-    runs = run_corpus(MemoryModel.SC, FAST)
     for entry in CORPUS:
-        assert not runs[entry.name].condition_observed, entry.name
+        run = run_litmus(parse_litmus(entry.source), MemoryModel.SC, CORPUS_OFFSETS)
+        assert not run.condition_observed, entry.name
 
 
-def test_run_corpus_covers_everything():
-    runs = run_corpus(offsets=[0, 150])
-    assert set(runs) == {e.name for e in CORPUS}
+def test_litmus_jobs_cover_the_corpus():
+    """``campaign --litmus`` runs every entry once, on the corpus grid,
+    against the entry's own expectation."""
+    jobs = litmus_jobs()
+    assert [job.params["name"] for job in jobs] == [e.name for e in CORPUS]
+    for job, entry in zip(jobs, CORPUS):
+        assert job.params["offsets"] == CORPUS_OFFSETS
+        assert job.params["expect_observable"] == entry.observable_rmo
