@@ -3,10 +3,10 @@ refinement (Section VII: 'the idea of S-Fence can be combined with the
 various finer fences').
 
 A fence with ``WAIT_STORES`` orders prior stores only; ``WAIT_LOADS``
-prior loads only.  These tests check the timing side (what stalls).
-The architectural side (which litmus outcomes are forbidden) is the
-litmus corpus's ``SB+ll`` and ``MP+ss`` entries, checked on both
-backends by ``tests/test_litmus_corpus.py``.
+prior loads only.  These tests check both the timing side (what stalls)
+and the architectural side (which litmus outcomes are forbidden); the
+corpus's ``SB+ll`` and ``MP+ss`` entries repeat the latter on both
+backends in ``tests/test_litmus_corpus.py``.
 """
 
 from repro.isa.instructions import (
@@ -19,8 +19,11 @@ from repro.isa.instructions import (
     WAIT_STORES,
 )
 from repro.isa.program import ops_program
-from repro.sim.config import SimConfig
+from repro.litmus.dsl import parse_litmus, run_litmus
+from repro.sim.config import MemoryModel, SimConfig
 from repro.sim.simulator import run_program
+
+FAST = [0, 1, 5, 40, 150, 320]
 
 
 def stall_of(ops):
@@ -59,3 +62,36 @@ def test_scoped_wait_masks_compose():
     ]
     assert stall_of(ops) < 10
 
+
+def test_sb_not_forbidden_by_load_only_fence():
+    """Store buffering needs store->load ordering; a load-load fence
+    leaves the relaxed outcome observable."""
+    sb = """
+    name SB+{fence}
+    x = 1    | y = 1
+    {fence:<8} | {fence}
+    r0 = y   | r1 = x
+    exists r0 == 0 and r1 == 0
+    """
+    # a full fence forbids it ...
+    fenced = run_litmus(parse_litmus(sb.format(fence="fence")), MemoryModel.RMO, FAST)
+    assert not fenced.condition_observed
+    # ... but replacing it with WAIT_LOADS does not
+    ll = parse_litmus(sb.format(fence="fence.ll"))
+    assert ll.threads[0][1] == "fence.ll"
+    res = run_litmus(ll, MemoryModel.RMO, FAST)
+    assert res.condition_observed
+
+
+def test_mp_forbidden_by_store_only_fence():
+    """Message passing needs only store->store order in the writer."""
+    mp = parse_litmus("""
+    name MP+ss
+    x = 1    | rw = y
+    fence.ss | delay
+    y = 1    | r0 = y
+             | r1 = x
+    exists r0 == 1 and r1 == 0
+    """)
+    res = run_litmus(mp, MemoryModel.RMO, FAST)
+    assert not res.condition_observed
