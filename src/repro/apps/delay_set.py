@@ -353,11 +353,6 @@ class ProgramSkeleton:
         t, i = key
         return self.threads[t][i]
 
-    def flagged_bases(self) -> frozenset[str]:
-        return frozenset(
-            a.base for ops in self.threads for a in ops if a.flagged
-        )
-
 
 def record_program(program, memory, schedule: str = "sequential",
                    max_steps: int = 200_000) -> ProgramSkeleton:

@@ -54,7 +54,3 @@ class AddressSpace:
             if base <= addr < base + length:
                 return name
         return None
-
-    @property
-    def used_words(self) -> int:
-        return self._next

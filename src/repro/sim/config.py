@@ -126,9 +126,8 @@ class SimConfig:
     # stats, retire logs, monitor event streams -- see
     # tests/test_fastpath_equivalence.py, whose test_verify_grid_equivalence
     # covers every offset pair ``verify`` sweeps); the dense loop is the
-    # oracle those suites check the scheduler's wake-ups, probe-skip,
-    # chaining and idle replay against, and the baseline the perf
-    # harness times.
+    # oracle those suites check the scheduler's wake-ups, probe-skip and
+    # idle replay against, and the baseline the perf harness times.
     dense_loop: bool = False
 
     # --- Limits ---------------------------------------------------------------

@@ -5,9 +5,12 @@ When a run dies -- deadlock, livelock, cycle budget -- a bare message
 simulator this stateful.  :func:`capture` snapshots everything a
 post-mortem needs from each core: ROB head and depth, store-buffer
 occupancy (including fence-held stores), the open scope stacks (FSS and
-FSS'), the overflow counter, the cid -> FSB-entry mapping table, the
-cycle of the next pending event, and -- when ``SimConfig.retire_log_len``
-enables the ring buffer -- the last N retired ops.  The snapshot rides
+FSS'), the overflow counter, the cid -> FSB-entry mapping table, each
+open speculative fence's remaining countdown, the FSB column counts,
+the cycle of the next pending event, and -- when
+``SimConfig.retire_log_len`` enables the ring buffer -- the last N
+retired ops.  A deadlock also names the core found stuck, whose
+snapshot renders first.  The snapshot rides
 on :class:`~repro.sim.simulator.DeadlockError`
 and :class:`~repro.sim.simulator.CycleLimitError` as ``exc.diagnostic``
 and renders to a readable report via :meth:`SimDiagnostic.render`.
@@ -45,6 +48,9 @@ class CoreSnapshot:
     mapping: dict[int, int]         # cid -> FSB entry
     last_retired: tuple = ()        # (cycle, kind, addr) ring, oldest first
     next_event_cycle: int | None = None  # pending wake-up (None: none pending)
+    fence_countdowns: tuple[int, ...] = ()  # per open spec fence, oldest first
+    # FSB columns: (pending loads, pending stores, buffered stores) per entry
+    fsb_columns: tuple[tuple[int, ...], ...] = ()
 
     def render(self) -> str:
         lines = [
@@ -62,6 +68,13 @@ class CoreSnapshot:
             f"  scopes: fss={list(self.open_scopes)} fss'={list(self.shadow_scopes)}"
             f" overflow={self.overflow_count} open_spec_fences={self.open_spec_fences}"
         )
+        if self.fence_countdowns:
+            lines.append(f"  open fence countdowns: {list(self.fence_countdowns)}")
+        if any(any(col) for col in self.fsb_columns):
+            loads, stores, sb_stores = (list(col) for col in self.fsb_columns)
+            lines.append(
+                f"  fsb: loads={loads} stores={stores} sb_stores={sb_stores}"
+            )
         if self.mapping:
             lines.append(f"  mapping table: {self.mapping}")
         if self.outstanding_misses or self.blocked_until or self.next_event_cycle:
@@ -84,6 +97,7 @@ class SimDiagnostic:
     reason: str                     # "deadlock" / "cycle-limit"
     cycle: int
     cores: list[CoreSnapshot] = field(default_factory=list)
+    stuck_core: int | None = None   # the core a deadlock was found on
 
     @property
     def running_cores(self) -> list[CoreSnapshot]:
@@ -113,7 +127,11 @@ class SimDiagnostic:
     def render(self) -> str:
         head = f"[{self.reason} @ cycle {self.cycle}] " \
                f"{len(self.running_cores)}/{len(self.cores)} cores still running"
-        body = "\n".join(c.render() for c in self.cores if not c.finished)
+        running = self.running_cores
+        if self.stuck_core is not None:
+            head += f"; core {self.stuck_core} is stuck"
+            running.sort(key=lambda c: c.core_id != self.stuck_core)
+        body = "\n".join(c.render() for c in running)
         return head + ("\n" + body if body else "")
 
 
@@ -121,6 +139,7 @@ def snapshot_core(core, cycle: int) -> CoreSnapshot:
     """Capture one core's state at ``cycle`` (duck-typed against
     ``cpu.core.Core``); every earlier cycle has been ticked."""
     tracker = core.tracker
+    fsb = tracker.fsb
     sb_entries = list(core.sb.entries())
     rob_head = None
     if not core.rob.empty:
@@ -145,13 +164,18 @@ def snapshot_core(core, cycle: int) -> CoreSnapshot:
         mapping=tracker.mapping.mappings(),
         last_retired=tuple(core.retire_log) if core.retire_log is not None else (),
         next_event_cycle=None if core.finished else core.next_event_cycle(cycle - 1),
+        fence_countdowns=tuple(grp[2] for grp in core._spec_fence_groups),
+        fsb_columns=(tuple(fsb.pending_loads), tuple(fsb.pending_stores),
+                     tuple(fsb.sb_pending_stores)),
     )
 
 
-def capture(cores, cycle: int, reason: str) -> SimDiagnostic:
+def capture(cores, cycle: int, reason: str,
+            stuck_core: int | None = None) -> SimDiagnostic:
     """Snapshot every core of a (possibly wedged) simulation."""
     return SimDiagnostic(
         reason=reason,
         cycle=cycle,
         cores=[snapshot_core(c, cycle) for c in cores],
+        stuck_core=stuck_core,
     )

@@ -8,9 +8,9 @@ tests/test_fastpath_equivalence.py is the differential suite):
   is ticked on every cycle, in core-index order.  Trivially correct and
   trivially slow at 300-cycle memory latencies; kept as the oracle for
   what the fast path adds -- its scheduling (wake-ups, probe-skip,
-  chaining, idle replay) -- which the differential suites check (on
-  every offset pair ``verify`` sweeps, among others), and as the
-  baseline the perf harness times it against.
+  idle replay) -- which the differential suites check (on every offset
+  pair ``verify`` sweeps, among others), and as the baseline the perf
+  harness times it against.
 
 * **Event-driven fast path** (the default): each core sleeps between
   ticks on which it can make progress.  After a no-progress tick the
@@ -20,8 +20,7 @@ tests/test_fastpath_equivalence.py is the differential suite):
   straight there, attributing the skipped span to stall accounting
   (``Core.account_idle``) and to the timeline as an explicit
   skipped-span marker.  The probe-skip hint a progress tick publishes
-  and same-core chaining cut the remaining blocked probes and heap
-  round trips.
+  cuts the remaining blocked probes.
 
 Both engines run the same per-cycle step (``Core.tick``), so nothing
 inside a tick -- completions, retire, store issue, the fused dispatch
@@ -42,12 +41,17 @@ Because skipped ticks are side-effect free, the interleaving of the
 ticks that *do* run is the same in both engines (core-index order at
 each cycle), which keeps every shared-memory access -- and therefore
 every value read, monitor event and chaos RNG draw -- identical.
+
+A core whose no-progress tick reports no next event can never progress
+again, so both engines raise :class:`DeadlockError` on the first such
+tick, naming the core.  Each engine meets it at the same (cycle, core):
+the core's first stuck tick follows its last progress tick in both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heapreplace
 
 from ..cpu.core import Core
 from ..isa.program import Program
@@ -75,7 +79,7 @@ class SimulationFailure(RuntimeError):
 
 
 class DeadlockError(SimulationFailure):
-    """No core can ever make progress again."""
+    """A core that has not finished can never make progress again."""
 
 
 class CycleLimitError(SimulationFailure):
@@ -178,29 +182,25 @@ class Simulator:
         """Reference loop: tick every core on every cycle.
 
         The probe-skip hint (``Core._skip_until``) is ignored: the loop
-        runs every probe the hint would have replayed as idle.
+        runs every probe the hint would have replayed as idle.  A
+        no-progress tick of an unfinished core with no next event is a
+        deadlock, raised before the next core ticks.
         """
         cores = self.cores
         timeline = self.timeline
         cycle = 0
         while cycle < limit:
-            progress = False
             running = 0
             for core in cores:
-                if core.tick(cycle):
-                    progress = True
+                if (not core.tick(cycle) and not core.finished
+                        and core.next_event_cycle(cycle) is None):
+                    self._raise_deadlock(cycle, core.core_id)
                 if not core.finished:
                     running += 1
             if timeline is not None:
                 timeline.sample(cycle, cores)
             if running == 0:
                 return
-            if not progress and not any(
-                core.next_event_cycle(cycle) is not None
-                for core in cores
-                if not core.finished
-            ):
-                self._raise_deadlock(cycle)
             cycle += 1
         raise CycleLimitError(
             f"simulation exceeded {limit} cycles "
@@ -212,120 +212,73 @@ class Simulator:
     def _run_event(self, limit: int, bound: int) -> None:
         """Event-driven scheduler: sleep each core until its next event.
 
-        A min-heap of ``(wake_cycle, core_index)`` holds every sleeping
-        core; each scheduler round pops the cores due at the earliest
-        pending cycle and ticks only those, so a sleeping core costs
+        A min-heap of ``(wake_cycle, core_index)`` holds every unfinished
+        core; each step takes the earliest entry, ticks that core once
+        and puts it back at its next due cycle, so a sleeping core costs
         nothing per skipped cycle (a linear per-cycle scan would cap the
         speedup at roughly the core count).  Heap ties pop in core-index
-        order, matching the dense loop's tick order within a cycle.
+        order, which is the dense loop's tick order within a cycle.
 
-        ``wake[i]`` mirrors the heap; ``INF`` marks a stuck core (no
-        future event -- it can never progress again, by the wake-up
-        soundness contract), which leaves the heap entirely.  Stall
-        accounting and timeline skip markers for a sleeping span are
-        applied eagerly when the core goes to sleep; stuck cores are
-        accounted lazily at deadlock/cycle-limit time, since only then
-        is the span known.
+        After a no-progress tick the core sleeps until
+        ``Core.next_event_cycle``; the skipped span's stall accounting
+        and timeline skip marker are applied when it goes to sleep.  A
+        core with no next event can never progress again (the wake-up
+        contract), so its first such tick raises :class:`DeadlockError`
+        -- at the same (cycle, core) as the dense loop, which meets it
+        after the same last progress tick.  The stall counters of cores
+        still asleep at that point already include their whole sleep;
+        a failed run's counters are not compared between engines, its
+        diagnostic is.
 
-        Two shortcuts go beyond waking cores on their events.
-        *Probe-skip*: a progress tick of ``Core.tick`` may prove
-        that every tick up to some later cycle is a blocked probe with
-        known stall deltas, and the scheduler replays that span as
-        idle.  *Same-core chaining*: when the core just ticked is due
-        again strictly before every sleeping core, it keeps running
-        without a heap round trip.  Chaining only fires when the next
-        due cycle is *strictly* earlier than the heap top, so heap ties
-        still pop in core-index order and the global tick interleaving
-        -- and with it every observable -- is untouched.
+        *Probe-skip*: a progress tick of ``Core.tick`` may prove that
+        every tick up to some later cycle is a blocked probe with known
+        stall deltas, and the scheduler replays that span as idle
+        instead of ticking it.
         """
         cores = self.cores
         timeline = self.timeline
-        n = len(cores)
-        INF = limit + 1
-        wake = [0] * n
-        last_tick = [0] * n
         # pre-bound tick methods: shaves a lookup per tick
         ticks = [c.tick for c in cores]
-        heap = [(0, i) for i in range(n) if not cores[i].finished]
+        heap = [(0, i) for i in range(len(cores)) if not cores[i].finished]
         unfinished = len(heap)
-        while heap and unfinished:
-            cycle = heap[0][0]
+        while unfinished:
+            cycle, i = heap[0]
             if cycle >= limit:
                 break
-            progress = False
-            while heap and heap[0][0] == cycle:
-                i = heappop(heap)[1]
-                core = cores[i]
-                tick = ticks[i]
-                while True:
-                    if tick(cycle):
-                        progress = True
-                        if timeline is not None:
-                            timeline.sample_core(cycle, core)
-                        if core.finished:
-                            unfinished -= 1
-                            break
-                        nxt = cycle + 1
-                        # probe-skip hint: every tick in [cycle+1, skip)
-                        # is a provably blocked probe with known stall
-                        # deltas (see Core.tick), so replay it as idle
-                        # instead of ticking
-                        skip = core._skip_until
-                        if skip > nxt and skip < limit and timeline is None:
-                            core.account_idle(skip - nxt)
-                            nxt = skip
-                    else:
-                        if timeline is not None:
-                            timeline.sample_core(cycle, core)
-                        last_tick[i] = cycle
-                        ev = core.next_event_cycle(cycle)
-                        if ev is None:
-                            wake[i] = INF  # stuck: no event can ever wake it
-                            break
-                        # clamp to the limit so INF stays reserved for
-                        # stuck cores; a wake at `limit` simply drives
-                        # the loop to its cycle-limit exit
-                        ev = min(ev, limit)
-                        span_end = ev - 1
-                        if span_end > cycle:
-                            core.account_idle(span_end - cycle)
-                            if timeline is not None:
-                                timeline.skip(
-                                    core.core_id, cycle + 1, span_end,
-                                    core_state(core),
-                                )
-                        nxt = ev
-                    if nxt < limit and (
-                        not heap
-                        or heap[0][0] > nxt
-                        or (heap[0][0] == nxt and heap[0][1] > i)
-                    ):
-                        # same-core chain: no other core is due before
-                        # this one -- either strictly earlier than the
-                        # heap top, or tied with it at a lower core
-                        # index (dense ticks ties in index order, and
-                        # the remaining tied cores pop right after this
-                        # chain ends because `cycle` advances with it)
-                        cycle = nxt
-                        progress = False
-                        continue
-                    wake[i] = nxt
-                    heappush(heap, (nxt, i))
-                    break
-            if unfinished and not heap:
-                # Every unfinished core is stuck.  The dense loop would
-                # detect this at its first all-no-progress cycle: this
-                # one if nothing progressed, otherwise the next (after
-                # one more round of no-progress ticks, which the settle
-                # below replays).  Charge stuck cores the cycles dense
-                # would have ticked them since they stalled.
-                deadlock_at = cycle if not progress else cycle + 1
-                if deadlock_at < limit:
-                    self._settle_stuck(deadlock_at, wake, last_tick, INF)
-                    self._raise_deadlock(deadlock_at)
-                break  # proven stuck at the limit boundary: cycle-limit
+            core = cores[i]
+            progressed = ticks[i](cycle)
+            if timeline is not None:
+                timeline.sample_core(cycle, core)
+            if progressed:
+                if core.finished:
+                    heappop(heap)
+                    unfinished -= 1
+                    continue
+                nxt = cycle + 1
+                # probe-skip hint: every tick in [cycle+1, skip) is a
+                # provably blocked probe with known stall deltas (see
+                # Core.tick), so replay it as idle instead of ticking
+                skip = core._skip_until
+                if skip > nxt and skip < limit and timeline is None:
+                    core.account_idle(skip - nxt)
+                    nxt = skip
+            else:
+                nxt = core.next_event_cycle(cycle)
+                if nxt is None:
+                    self._raise_deadlock(cycle, core.core_id)
+                # a wake past the limit is charged only up to it, as the
+                # dense loop ticks no further
+                if nxt > limit:
+                    nxt = limit
+                span_end = nxt - 1
+                if span_end > cycle:
+                    core.account_idle(span_end - cycle)
+                    if timeline is not None:
+                        timeline.skip(
+                            core.core_id, cycle + 1, span_end, core_state(core),
+                        )
+            heapreplace(heap, (nxt, i))
         if unfinished:
-            self._settle_stuck(limit - 1, wake, last_tick, INF)
             raise CycleLimitError(
                 f"simulation exceeded {limit} cycles "
                 f"({unfinished} cores still running)",
@@ -339,24 +292,10 @@ class Simulator:
                 start = core.finish_cycle + 1 if i < bound else 0
                 timeline.skip(core.core_id, start, end, "done")
 
-    def _settle_stuck(self, upto: int, wake, last_tick, INF: int) -> None:
-        """Account idle cycles for stuck cores through cycle ``upto``."""
-        timeline = self.timeline
-        for i, core in enumerate(self.cores):
-            if core.finished or wake[i] < INF:
-                continue
-            span = upto - last_tick[i]
-            if span > 0:
-                core.account_idle(span)
-                if timeline is not None:
-                    timeline.skip(
-                        core.core_id, last_tick[i] + 1, upto, core_state(core)
-                    )
-
-    def _raise_deadlock(self, cycle: int) -> None:
+    def _raise_deadlock(self, cycle: int, core_id: int) -> None:
         raise DeadlockError(
-            f"no progress possible at cycle {cycle}",
-            diagnostic=capture(self.cores, cycle, "deadlock"),
+            f"core {core_id} stuck at cycle {cycle}: no event can ever wake it",
+            diagnostic=capture(self.cores, cycle, "deadlock", stuck_core=core_id),
         )
 
 

@@ -189,10 +189,6 @@ def synth_entry(name: str) -> SynthEntry:
     return _BY_NAME[name]
 
 
-def entry_names() -> list[str]:
-    return [entry.name for entry in SYNTH_CORPUS]
-
-
 def _check_shared_spec() -> None:
     """Corpus invariant: stripped and hand sources share one spec."""
     for entry in SYNTH_CORPUS:

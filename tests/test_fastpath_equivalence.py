@@ -1,9 +1,9 @@
 """Differential equivalence: dense loop vs event fast path.
 
 The event engine's entire claim is that skipping no-progress ticks
-(wake-ups, probe-skip, same-core chaining, idle replay) is
-unobservable.  Both engines run the same per-cycle step (``Core.tick``),
-so these suites check the scheduler, not what happens inside a tick
+(wake-ups, probe-skip, idle replay) is unobservable.  Both engines
+run the same per-cycle step (``Core.tick``), so these suites check the
+scheduler, not what happens inside a tick
 (which the verify oracle, the chaos checkers and the pinned probe
 digests of tests/test_campaign_determinism.py check).  These tests run the
 same workloads under both engines and assert *byte-identical*
@@ -22,7 +22,8 @@ chaos-fault scenarios -- each at two simulated core counts -- the
 litmus corpus, cilk fib and a Fig. 15 cell on both coherence
 backends, plus
 directed tests for the wake-up contract's edge cases (zero-latency
-memory, a core that never wakes, and wake-source coincidence).
+memory, a core that never wakes -- with or without others still
+running -- and wake-source coincidence).
 
 Every run, monitored or not and under every memory model, dispatches
 through the fused lanes.  The Fig. 13 app runs at the end drive them on
@@ -301,10 +302,9 @@ def _wedge_core(sim: Simulator, core_id: int) -> None:
     """Give a core a ROB entry that never completes.
 
     The entry has no completion event, so once the core's generator is
-    drained its ``next_event_cycle`` is ``None`` -- the "this core can
-    never progress again" claim the scheduler turns into a stuck core
-    (wake = INF) and, once every core is stuck or finished, a proven
-    deadlock settled via ``_settle_stuck``.
+    drained and its own ops have completed, its ``next_event_cycle`` is
+    ``None`` -- the "this core can never progress again" claim both
+    engines turn into a :class:`DeadlockError` at that tick.
     """
     from repro.cpu.rob import K_LOAD, RobEntry
 
@@ -312,13 +312,12 @@ def _wedge_core(sim: Simulator, core_id: int) -> None:
 
 
 def test_never_wakes_core_settles_identically():
-    """A core that never wakes: all-idle settle at the deadlock point.
+    """A core that never wakes from its first tick.
 
-    Core 0 is wedged on a never-completing ROB entry while core 1 runs
-    real work to completion.  Each engine must (a) prove the deadlock at
-    the same cycle and (b) charge the stuck core the same per-cycle idle
-    accounting the dense loop pays by ticking it (``_settle_stuck``
-    replays the span lazily since the stuck core left the heap).
+    Core 0 is wedged on a never-completing ROB entry and has no ops of
+    its own, so its tick at cycle 0 is already stuck, before core 1 has
+    ticked.  Each engine must raise the deadlock at the same cycle with
+    the same per-core counters.
     """
     ops = [[], [Store(64, 1), Load(4096), Compute(20)]]
 
@@ -333,6 +332,49 @@ def test_never_wakes_core_settles_identically():
 
     dense = settle("dense")
     assert settle("event") == dense
+
+
+def test_one_stuck_core_is_a_deadlock():
+    """One stuck core is a deadlock while another core still runs.
+
+    Core 0 dispatches a few ops behind a ROB head that never completes;
+    once they complete it has no event left.  Core 1 runs a long loop.
+    Both engines must raise at core 0's first stuck tick -- the same
+    cycle, long before core 1 would finish -- name core 0, and capture
+    equal diagnostics.
+    """
+    core1 = [op for k in range(300)
+             for op in (Load(4096 + 64 * (k % 8)), Store(8192, k), Compute(20))]
+    few = [Store(64, 1), Load(128), Compute(3)]
+    alone = _run_ops([[], core1], "event", n_cores=2)["cycles"]
+
+    def stuck(engine: str) -> DeadlockError:
+        config = SimConfig(n_cores=2, **ENGINES[engine])
+        sim = Simulator(config, ops_program([few, core1]))
+        _wedge_core(sim, 0)
+        with pytest.raises(DeadlockError) as exc_info:
+            sim.run(max_cycles=100_000)
+        return exc_info.value
+
+    dense = stuck("dense")
+    event = stuck("event")
+    assert event.diagnostic == dense.diagnostic
+    assert str(event) == str(dense)
+    diag = event.diagnostic
+    assert diag.stuck_core == 0
+    assert str(event).startswith(f"core 0 stuck at cycle {diag.cycle}")
+    assert 0 < diag.cycle < alone // 10
+    stuck_snap, other = diag.cores
+    assert stuck_snap.instructions == len(few)
+    assert stuck_snap.next_event_cycle is None
+    assert not other.finished and other.instructions < len(core1)
+    # the stuck core renders first, under the head line that names it
+    lines = diag.render().splitlines()
+    assert lines[0].endswith("core 0 is stuck")
+    assert lines[1].startswith("core 0:")
+    lines = dataclasses.replace(diag, stuck_core=1).render().splitlines()
+    assert lines[0].endswith("core 1 is stuck")
+    assert lines[1].startswith("core 1:")
 
 
 def test_never_wakes_reports_none():
