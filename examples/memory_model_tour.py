@@ -8,7 +8,7 @@ Run:  python examples/memory_model_tour.py
 """
 
 from repro import MemoryModel
-from repro.litmus import parse_litmus, run_litmus
+from repro.litmus import pair_grid, parse_litmus, run_litmus
 
 OFFSETS = [0, 1, 5, 40, 150, 320]
 
@@ -40,7 +40,8 @@ def message_passing(fence=""):
 
 
 def observed(source, model):
-    return run_litmus(parse_litmus(source), model, OFFSETS).condition_observed
+    test = parse_litmus(source)
+    return run_litmus(test, model, pair_grid(test, OFFSETS)).condition_observed
 
 
 def main():

@@ -150,7 +150,7 @@ def follower_cost(job: Job) -> float:
     """What a job adds to the chunk of the first job sharing its affinity.
 
     A figure cell reads its leader's measured point and costs nothing.
-    A verify cell shares only the offset pairs its sweeps have in common
+    A verify cell shares only the schedules its sweeps have in common
     with its leader's (the seed-0 grid; later seeds draw grids keyed on
     the cell's own fence mode), so it is charged in full.
     """
@@ -223,19 +223,15 @@ def chaos_jobs(
     ]
 
 
-def litmus_jobs(
-    model: str = "rmo",
-    offsets: list[int] | None = None,
-    mem_backend: str = "mesi",
-) -> list[Job]:
-    """One job per litmus-corpus entry."""
+def litmus_jobs(model: str = "rmo", mem_backend: str = "mesi") -> list[Job]:
+    """One job per litmus-corpus entry, over the corpus offset grid."""
     from ..litmus.corpus import CORPUS, CORPUS_OFFSETS
 
-    offsets = offsets or CORPUS_OFFSETS
     return [
         Job("litmus", {
             "name": entry.name, "source": entry.source, "model": model,
-            "offsets": list(offsets), "expect_observable": entry.observable_rmo,
+            "offsets": list(CORPUS_OFFSETS),
+            "expect_observable": entry.observable_rmo,
             "mem_backend": mem_backend,
         })
         for entry in CORPUS
@@ -289,7 +285,6 @@ def verify_jobs(
 def synth_jobs(
     names: list[str] | None = None,
     modes: list[str] | None = None,
-    offsets: list[int] | None = None,
     smoke: bool = False,
     mem_backend: str = "mesi",
 ) -> list[Job]:
@@ -310,8 +305,7 @@ def synth_jobs(
     for mode in modes:
         if mode not in MODES:
             raise KeyError(f"unknown fence mode {mode!r} (have {list(MODES)})")
-    if offsets is None:
-        offsets = list(SMOKE_PROBE_OFFSETS if smoke else PROBE_OFFSETS)
+    offsets = SMOKE_PROBE_OFFSETS if smoke else PROBE_OFFSETS
     return [
         Job("synth", {
             "name": name, "modes": list(modes), "offsets": list(offsets),
@@ -396,12 +390,12 @@ def _run_figure_job(params: dict, heartbeat=None) -> dict:
 
 
 def _run_litmus_job(params: dict, heartbeat=None) -> dict:
-    from ..litmus.dsl import parse_litmus, run_litmus
+    from ..litmus.dsl import pair_grid, parse_litmus, run_litmus
     from ..sim.config import MemoryModel
 
     test = parse_litmus(params["source"])
     run = run_litmus(
-        test, MemoryModel(params["model"]), list(params["offsets"]),
+        test, MemoryModel(params["model"]), pair_grid(test, params["offsets"]),
         mem_backend=params.get("mem_backend", "mesi"),
     )
     expected = params["expect_observable"]

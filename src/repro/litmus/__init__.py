@@ -8,6 +8,7 @@ from .dsl import (
     LitmusTest,
     build_program,
     compile_litmus,
+    pair_grid,
     parse_litmus,
     run_litmus,
 )
@@ -20,6 +21,7 @@ __all__ = [
     "LitmusTest",
     "build_program",
     "compile_litmus",
+    "pair_grid",
     "parse_litmus",
     "run_litmus",
 ]

@@ -13,14 +13,14 @@ Litmus tests read much better as columns than as Python closures::
 
         exists r0 == 0 and r1 == 0
     ''')
-    result = run_litmus(test)     # explores timing offsets
+    result = run_litmus(test)     # explores timing schedules
     assert not result.condition_observed
 
-A sweep compiles the test once per process (:func:`compile_litmus`:
-config, variable addresses, pre-built ops, register order) and runs
-every offset pair on one machine, reset between pairs
-(:func:`run_litmus`); :func:`build_program` instantiates a pair in a
-fresh ``Env`` instead.
+A run's timing is a :data:`Schedule` (:func:`pair_grid` builds them
+from an offset list).  A sweep compiles the test once per process
+(:func:`compile_litmus`) and runs every schedule on one machine, reset
+between runs (:func:`run_litmus`); :func:`build_program` instantiates
+one schedule in a fresh ``Env`` instead.
 
 Statement forms (one row per pipeline step, threads separated by ``|``):
 
@@ -30,7 +30,7 @@ Statement forms (one row per pipeline step, threads separated by ``|``):
 * ``fence.set``          -- S-FENCE[set,...] (over the ``flag``ged vars)
 * ``fence.ss`` / ``fence.ll`` -- store-store / load-load ordering only
   (suffixes compose: ``fence.set.ss``)
-* ``delay``              -- the per-thread exploration delay slot
+* ``delay``              -- a pause :func:`pair_grid` fills in, between two ops
 * (empty cell)           -- no-op for this thread in this row
 
 Directives: ``name``, ``init var=N ...``, ``flag var ...``, and a final
@@ -64,10 +64,12 @@ from ..sim.simulator import Simulator
 _STORE_RE = re.compile(r"^(\w+)\s*=\s*(-?\d+)$")
 _LOAD_RE = re.compile(r"^(r\w*)\s*=\s*(\w+)$")
 _FENCE_RE = re.compile(r"^fence((?:\.\w+)*)$")
-#: the cycle limit of every offset pair's run
+#: the cycle limit of every schedule's run
 _MAX_CYCLES = 2_000_000
 #: timing offsets (delay cycles per thread) explored for each litmus test
 DEFAULT_OFFSETS = [0, 1, 2, 3, 5, 8, 13, 40, 100, 200, 320, 400]
+#: one run's timing: per thread, the ``Compute`` cycles before each op
+Schedule = tuple[tuple[int, ...], ...]
 
 
 @dataclass
@@ -180,25 +182,22 @@ def _parse_fence(suffixes: str) -> Fence:
 
 @dataclass(frozen=True)
 class CompiledLitmus:
-    """A litmus test compiled for one sweep: everything but the delays.
+    """A litmus test compiled for one sweep: everything but the schedule.
 
-    ``threads`` holds one ``(op, register)`` step per statement:
-    ``(None, None)`` for ``delay``, ``(op, None)`` for a store or fence,
-    and ``(load, register)`` for a load.  The ops are built once and
-    shared by every run of the sweep (the simulator never mutates an op
-    or keys on its identity).  ``init_writes`` are the ``(address,
-    value)`` words each fresh memory starts with, and ``registers`` the
-    sorted load registers, the order outcome tuples report them in.
-    ``no_mid_delay`` holds when no thread has a ``delay`` statement, so
-    a thread's only pause is the one it starts with.
+    ``threads`` holds one ``(op, register)`` step per op: ``(op, None)``
+    for a store or fence and ``(load, register)`` for a load.  The ops
+    are built once and shared by every run of the sweep (the simulator
+    never mutates an op or keys on its identity).  ``init_writes`` are
+    the ``(address, value)`` words each fresh memory starts with, and
+    ``registers`` the sorted load registers, the order outcome tuples
+    report them in.
     """
 
     name: str
     config: SimConfig
-    threads: tuple[tuple[tuple[Op | None, str | None], ...], ...]
+    threads: tuple[tuple[tuple[Op, str | None], ...], ...]
     init_writes: tuple[tuple[int, int], ...]
     registers: tuple[str, ...]
-    no_mid_delay: bool
 
 
 def litmus_config(
@@ -224,7 +223,8 @@ def compile_litmus(
     Variables get addresses in first-use order, exactly as
     :meth:`repro.runtime.lang.Env.var` would hand them out, so every
     address and cache set is what a per-run allocation gives.  A
-    statement that is no store, load, fence or ``delay`` raises
+    statement that is no store, load, fence or ``delay``, and a
+    ``delay`` that does not sit between two ops of its thread, raise
     :class:`LitmusParseError` here, before any simulation, on every
     call.  The result is memoised per process in the campaign warm slot
     ``litmus-compiled``, keyed on everything compiling reads.
@@ -262,18 +262,20 @@ def _compile(
 
     threads = []
     registers: set[str] = set()
-    for stmts in test.threads:
-        steps: list[tuple[Op | None, str | None]] = []
-        for stmt in stmts:
+    for t, stmts in enumerate(test.threads):
+        steps: list[tuple[Op, str | None]] = []
+        for i, stmt in enumerate(stmts):
+            if stmt == "delay":
+                if not 0 < i < len(stmts) - 1 or stmts[i - 1] == "delay":
+                    raise LitmusParseError(f"thread {t}: delay not between two ops")
+                continue
             store = _STORE_RE.match(stmt)
             load = _LOAD_RE.match(stmt)
             # ``r0 = 1`` matches both forms and allocates both names,
             # which places every later variable: keep this order
             stored = addr_of(store.group(1)) if store else None
             loaded = addr_of(load.group(2)) if load else None
-            if stmt == "delay":
-                steps.append((None, None))
-            elif store:
+            if store:
                 var = store.group(1)
                 steps.append((Store(stored, int(store.group(2)),
                                     flagged=var in test.flagged, name=var), None))
@@ -287,10 +289,8 @@ def _compile(
                     raise LitmusParseError(f"cannot parse statement {stmt!r}")
                 steps.append((_parse_fence(fence.group(1)), None))
         threads.append(tuple(steps))
-    no_mid_delay = all(op is not None for steps in threads for op, _ in steps)
     return CompiledLitmus(test.name, config, tuple(threads),
-                          tuple(init_writes), tuple(sorted(registers)),
-                          no_mid_delay)
+                          tuple(init_writes), tuple(sorted(registers)))
 
 
 def _write_init(compiled: CompiledLitmus, memory: SharedMemory) -> None:
@@ -299,40 +299,49 @@ def _write_init(compiled: CompiledLitmus, memory: SharedMemory) -> None:
         write(addr, value)
 
 
-def _pair_program(
-    compiled: CompiledLitmus, delays: list[int]
+def pair_grid(test: LitmusTest, offsets: list[int]) -> list[Schedule]:
+    """The schedules of every offset pair ``(d0, d1)`` of ``offsets``.
+
+    ``d0``-major, as the pairs' cross product.  Thread ``t`` gets
+    ``(d0, d1)[t % 2]`` as its first gap and as the gap after each of
+    its ``delay`` statements; every other gap is 0.
+    """
+    rows = []
+    for t, stmts in enumerate(test.threads):
+        marks = [i == 0 or stmts[i - 1] == "delay"
+                 for i, stmt in enumerate(stmts) if stmt != "delay"]
+        rows.append((t % 2, [tuple([d * m for m in marks]) for d in offsets]))
+    n = range(len(offsets))
+    return [tuple([gaps[(i, j)[p]] for p, gaps in rows]) for i in n for j in n]
+
+
+def _schedule_program(
+    compiled: CompiledLitmus, schedule: Schedule
 ) -> tuple[Program, dict[str, int]]:
-    """The program one offset pair runs and the register dict it fills."""
+    """The program one schedule runs and the register dict it fills."""
     registers: dict[str, int] = {}
 
-    def make_thread(steps, delay: int):
-        pause = Compute(delay) if delay else None
-
+    def make_thread(steps, gaps):
         def body(tid: int):
-            if pause is not None:
-                yield pause
-            for op, reg in steps:
-                if op is None:
-                    if pause is not None:
-                        yield pause
-                elif reg is None:
+            for (op, reg), gap in zip(steps, gaps, strict=True):
+                if gap:
+                    yield Compute(gap)
+                if reg is None:
                     yield op
                 else:
                     registers[reg] = yield op
 
         return body
 
-    fns = [
-        make_thread(steps, delays[t % len(delays)])
-        for t, steps in enumerate(compiled.threads)
-    ]
+    fns = [make_thread(steps, gaps)
+           for steps, gaps in zip(compiled.threads, schedule, strict=True)]
     return Program(fns, name=compiled.name), registers
 
 
 def build_program(
-    compiled: CompiledLitmus, delays: list[int]
+    compiled: CompiledLitmus, schedule: Schedule
 ) -> tuple[Env, Program, dict[str, int]]:
-    """Instantiate a compiled test with per-thread delay values.
+    """Instantiate a compiled test under one schedule.
 
     Returns a fresh :class:`~repro.runtime.lang.Env` holding the init
     values, the program to run in it (``env.run(program)``) and the
@@ -341,7 +350,7 @@ def build_program(
     """
     env = Env(compiled.config)
     _write_init(compiled, env.memory)
-    program, registers = _pair_program(compiled, delays)
+    program, registers = _schedule_program(compiled, schedule)
     return env, program, registers
 
 
@@ -427,7 +436,7 @@ class LitmusRun:
     #: register names in the order outcome tuples report them: sorted,
     #: matching the reference/explorer allowed sets
     register_names: list[str]
-    total_cycles: int = 0  # summed over all explored offset pairs
+    total_cycles: int = 0  # summed over all explored schedules
 
     def matching_outcomes(self) -> list[tuple]:
         """The observed outcomes satisfying the ``exists`` condition.
@@ -441,7 +450,7 @@ class LitmusRun:
 
 
 def run_content_key(test: LitmusTest, config: SimConfig) -> tuple:
-    """What one offset pair's run of ``test`` under ``config`` depends on.
+    """What one schedule's run of ``test`` under ``config`` depends on.
 
     The config, the thread statements, the init values and the flagged
     set; not the test's name, which no run reads, nor its ``exists``
@@ -457,53 +466,50 @@ def run_content_key(test: LitmusTest, config: SimConfig) -> tuple:
     )
 
 
-def schedule_key(
-    compiled: CompiledLitmus, d0: int, d1: int
-) -> tuple[tuple[int, int], int]:
-    """The ``litmus-runs`` key of offset pair ``(d0, d1)`` and its shift.
+def schedule_key(schedule: Schedule) -> tuple[Schedule, int]:
+    """The ``litmus-runs`` key of ``schedule`` and its shift.
 
-    When both delays are at least 1 and no thread has a mid-thread
-    ``delay``, every thread starts with ``Compute(d)`` and the machine
-    stays cold and untouched until the shorter pause ends.  Nothing a
-    litmus run reads depends on the absolute cycle, so the run is the
-    run of ``(d0 - m, d1 - m)`` moved ``m = min(d0, d1) - 1`` cycles
-    later: the same outcome, ``m`` more cycles.  That representative is
-    the key, and ``m`` the shift.  Any other pair is its own key, with
-    shift 0: a zero delay means no pause at all, and a mid-thread
-    ``delay`` pauses again by its absolute length.
+    When every thread's first gap is at least 1, the machine stays cold
+    and untouched until the shortest first gap ends.  Nothing a litmus
+    run reads depends on the absolute cycle, so the run is the run with
+    ``m = min(first gaps) - 1`` taken off every first gap, moved ``m``
+    cycles later: the same outcome, ``m`` more cycles.  That
+    representative is the key, and ``m`` the shift.  Later gaps count
+    from an op the thread dispatched, so they stay in the key as they
+    are.  A thread with no op (no gaps) keeps the shift at 0.
     """
-    if compiled.no_mid_delay and d0 >= 1 and d1 >= 1:
-        m = min(d0, d1) - 1
-        return (d0 - m, d1 - m), m
-    return (d0, d1), 0
+    first = min(schedule)  # tuples compare first gaps first; () is least
+    m = first[0] - 1 if first else 0
+    if m <= 0:
+        return schedule, 0
+    return tuple([(gaps[0] - m, *gaps[1:]) for gaps in schedule]), m
 
 
 def run_litmus(
     test: LitmusTest,
     model: MemoryModel = MemoryModel.RMO,
-    offsets: list[int] | None = None,
+    schedules: list[Schedule] | None = None,
     n_cores: int | None = None,
     mem_backend: str = "mesi",
 ) -> LitmusRun:
-    """Explore timing offsets; evaluate the ``exists`` condition.
+    """Run ``schedules`` (default: the :func:`pair_grid` of
+    :data:`DEFAULT_OFFSETS`); evaluate the ``exists`` condition.
 
-    The test compiles once (:func:`compile_litmus`).  The offset pairs
+    The test compiles once (:func:`compile_litmus`), and the schedules
     it simulates share one :class:`~repro.sim.simulator.Simulator`,
-    built for the first and reset (memory, backend, cores) before each
-    later one; each run's cycles and registers are read before the
-    next reset.  A run is a pure function of :func:`run_content_key`
-    and its schedule, so each pair's ``(cycles, outcome)`` is memoised
-    per process in the campaign warm slot ``litmus-runs``, under
-    :func:`schedule_key` and with its shift taken off the cycles: a
-    pair that any earlier sweep in this process simulated, or whose
-    time-shifted representative it simulated, is not simulated again,
-    and ``outcomes`` and ``total_cycles`` come out exactly as if it
-    were.  A derived run whose cycles would reach the cycle limit is
-    simulated, so that it raises the limit's error.
+    reset (memory, backend, cores) between runs.  A run is a pure
+    function of :func:`run_content_key` and its schedule, so each
+    schedule's ``(cycles, outcome)`` is memoised per process in the
+    campaign warm slot ``litmus-runs`` under :func:`schedule_key`, its
+    shift taken off the cycles: a schedule whose key any earlier sweep
+    in this process simulated is not simulated again, and ``outcomes``
+    and ``total_cycles`` come out exactly as if it were.  A derived run
+    whose cycles would reach the cycle limit is simulated, so that it
+    raises the limit's error.
     """
     from ..campaign.jobs import warm_slot
 
-    offsets = offsets or DEFAULT_OFFSETS
+    schedules = schedules or pair_grid(test, DEFAULT_OFFSETS)
     compiled = compile_litmus(test, model, n_cores, mem_backend)
     names = compiled.registers
     runs = warm_slot("litmus-runs").setdefault(
@@ -511,22 +517,21 @@ def run_litmus(
     outcomes: set[tuple] = set()
     total_cycles = 0
     sim = None
-    for d0 in offsets:
-        for d1 in offsets:
-            key, shift = schedule_key(compiled, d0, d1)
-            run = runs.get(key)
-            if run is None or run[0] + shift >= _MAX_CYCLES:
-                program, registers = _pair_program(compiled, [d0, d1])
-                if sim is None:
-                    sim = Simulator(compiled.config, program)
-                else:
-                    sim.memory.reset()
-                    sim.reset(program)
-                _write_init(compiled, sim.memory)
-                cycles = sim.run(max_cycles=_MAX_CYCLES).cycles
-                run = runs[key] = (
-                    cycles - shift, tuple(registers.get(r) for r in names))
-            total_cycles += run[0] + shift
-            outcomes.add(run[1])
+    for schedule in schedules:
+        key, shift = schedule_key(schedule)
+        run = runs.get(key)
+        if run is None or run[0] + shift >= _MAX_CYCLES:
+            program, registers = _schedule_program(compiled, schedule)
+            if sim is None:
+                sim = Simulator(compiled.config, program)
+            else:
+                sim.memory.reset()
+                sim.reset(program)
+            _write_init(compiled, sim.memory)
+            cycles = sim.run(max_cycles=_MAX_CYCLES).cycles
+            run = runs[key] = (
+                cycles - shift, tuple(registers.get(r) for r in names))
+        total_cycles += run[0] + shift
+        outcomes.add(run[1])
     observed = bool(outcomes_matching(test.condition, names, outcomes))
     return LitmusRun(test, outcomes, observed, list(names), total_cycles)

@@ -125,7 +125,7 @@ class SimConfig:
     # same tick (Core.tick) and produce byte-identical results (cycles,
     # stats, retire logs, monitor event streams -- see
     # tests/test_fastpath_equivalence.py, whose test_verify_grid_equivalence
-    # covers every offset pair ``verify`` sweeps); the dense loop is the
+    # covers every schedule ``verify`` sweeps); the dense loop is the
     # oracle those suites check the scheduler's wake-ups, probe-skip and
     # idle replay against, and the baseline the perf harness times.
     dense_loop: bool = False

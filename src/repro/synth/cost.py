@@ -1,9 +1,10 @@
 """Simulated stall-cost probes for the synthesis search.
 
 Cost is measured, not modelled: a variant's cost is the total simulated
-cycles of a :func:`repro.litmus.dsl.run_litmus` sweep over a fixed
-timing-offset grid on the event-driven fast-path engine, and a
-placement's *stall* is that total minus the fence-free baseline's.
+cycles of a :func:`repro.litmus.dsl.run_litmus` sweep over the
+:func:`~repro.litmus.dsl.pair_grid` schedules of a fixed timing-offset
+grid on the event-driven fast-path engine, and a placement's *stall*
+is that total minus the fence-free baseline's.
 This is exactly the quantity the paper trades on -- a fence's cost is
 the drain it actually waits out, which depends on what else is in
 flight, not on how many fences the source contains.
@@ -21,27 +22,25 @@ still never returns an unsound or locally non-minimal placement --
 the bound only shapes which corners of the lattice get measured; the
 golden suite pins the outcome.)
 
-Probes keep no memo of their own: every offset pair a probe sweeps is
+Probes keep no memo of their own: every schedule a probe sweeps is
 memoised by :func:`~repro.litmus.dsl.run_litmus` itself (the warm slot
-``litmus-runs``, keyed by the variant's content and the pair's schedule,
+``litmus-runs``, keyed by the variant's content and
 :func:`~repro.litmus.dsl.schedule_key`), so a probe of a variant any
 earlier sweep in the process ran -- a probe repeated by the search, or
 the verify matrix's run of the same program -- simulates nothing, and
-a pair that is an earlier pair moved later (both delays at least 1,
-no mid-thread ``delay``) reads that pair's run.  ``total_cycles`` stays
-exact: a derived pair's cycles are its representative's plus the
-shift.
+a schedule that is an earlier one with every first gap moved later
+reads that run, its cycles plus the shift.
 """
 
 from __future__ import annotations
 
-from ..litmus.dsl import LitmusTest, run_litmus
+from ..litmus.dsl import LitmusTest, pair_grid, run_litmus
 from ..sim.config import MemoryModel
 from .sites import FenceSite, MODES, apply_placement
 
-#: timing-offset grid cost probes sweep (16 offset pairs per probe; 14
-#: simulations without a mid-thread delay, as (40, 40) and (150, 150)
-#: are (1, 1) moved later)
+#: timing-offset grid cost probes sweep (16 schedules per probe; 14
+#: simulations when no ``delay`` marks a mid gap, as (40, 40) and
+#: (150, 150) are then (1, 1) moved later)
 PROBE_OFFSETS = [0, 1, 40, 150]
 #: the quick-CI grid (4 simulations per probe)
 SMOKE_PROBE_OFFSETS = [0, 40]
@@ -50,13 +49,13 @@ SMOKE_PROBE_OFFSETS = [0, 40]
 def placement_cycles(
     variant: LitmusTest, offsets: list[int], mem_backend: str = "mesi"
 ) -> int:
-    """Total simulated cycles of one variant over the offset grid.
+    """Total simulated cycles of one variant over the grid's schedules.
 
     The coherence backend is part of the run key: cost is a timing
     quantity, and the same placement stalls differently when every sync
     point pays SI/SD work instead of riding free on invalidations.
     """
-    return run_litmus(variant, MemoryModel.RMO, list(offsets),
+    return run_litmus(variant, MemoryModel.RMO, pair_grid(variant, offsets),
                       mem_backend=mem_backend).total_cycles
 
 

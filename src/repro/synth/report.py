@@ -22,7 +22,7 @@ from ..core.semantics import reference_allowed_outcomes
 from ..litmus.dsl import LitmusTest, abstract_threads, parse_litmus, stmt_kind
 from ..verify.explorer import explore_allowed_outcomes
 from .corpus import synth_entry
-from .cost import PROBE_OFFSETS, SMOKE_PROBE_OFFSETS, placement_cycles
+from .cost import placement_cycles
 from .search import SynthesisResult, synthesize
 from .sites import MODE_STMT, MODES, effective_flags, strip_test
 
@@ -142,8 +142,7 @@ def run_synth_case(params: dict, on_progress=None) -> dict:
     """Run one ``synth`` job: synthesize, then compare hand-written."""
     entry = synth_entry(params["name"])
     modes = tuple(params.get("modes") or MODES)
-    offsets = list(params.get("offsets") or (
-        SMOKE_PROBE_OFFSETS if params.get("smoke") else PROBE_OFFSETS))
+    offsets = list(params["offsets"])
 
     test = parse_litmus(entry.source)
     mem_backend = params.get("mem_backend", "mesi")

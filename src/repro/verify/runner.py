@@ -8,8 +8,9 @@ each case the driver:
    explorer (:mod:`repro.verify.explorer`),
 3. cross-checks it against the independently implemented
    :func:`repro.core.semantics.reference_allowed_outcomes`,
-4. sweeps the simulator (the event engine) over seeded timing-offset
-   grids and collects every observed outcome, then
+4. sweeps the simulator (the event engine) over the schedules
+   (:func:`~repro.litmus.dsl.pair_grid`) of seeded timing-offset grids
+   and collects every observed outcome, then
 5. scores **soundness** (``observed - allowed`` must be empty; anything
    in it is a fence-semantics bug with the offending tuples named) and
    **coverage** (``allowed - observed``: outcomes the simulator never
@@ -23,7 +24,7 @@ load reorderings, for one) are unreachable by construction.
 
 The dense reference loop is not swept here: tier-1's
 ``tests/test_fastpath_equivalence.py::test_verify_grid_equivalence``
-runs every offset pair of this grid on both engines and compares
+runs every schedule of this grid on both engines and compares
 registers, cycles, per-core counters and final memory, which is
 stronger than comparing outcome sets.
 
@@ -45,6 +46,7 @@ from ..litmus.dsl import (
     abstract_threads,
     litmus_config,
     outcomes_matching,
+    pair_grid,
     parse_litmus,
     run_content_key,
     run_litmus,
@@ -117,7 +119,7 @@ def case_run_key(params: dict) -> tuple:
     :func:`~repro.litmus.dsl.run_content_key` of the cell's fence-mode
     variant on the cell's backend.  Cells with equal keys run
     the same program (SB has no fences, so its ``orig`` and ``none``
-    cells are one program), and every offset pair their sweeps have in
+    cells are one program), and every schedule their sweeps have in
     common is simulated once per process.
     """
     variant = apply_fence_mode(parse_litmus(params["source"]), params["mode"])
@@ -140,11 +142,9 @@ def verify_case(params: dict) -> dict:
     # backend sweeps identical schedules, so coverage differences can
     # only come from backend timing, never from a different sample
     for seed in range(params.get("seeds", DEFAULT_SEEDS)):
-        run = run_litmus(
-            variant, MemoryModel.RMO,
-            seed_offsets(test.name, params["mode"], seed, smoke),
-            mem_backend=backend,
-        )
+        offsets = seed_offsets(test.name, params["mode"], seed, smoke)
+        run = run_litmus(variant, MemoryModel.RMO, pair_grid(variant, offsets),
+                         mem_backend=backend)
         observed |= run.outcomes
         registers = run.register_names
     # one shared code path names the condition-matching tuples (the

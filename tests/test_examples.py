@@ -28,7 +28,7 @@ LITMUS_EXPECTATIONS = {"mp": False, "sb": False, "sb_relaxed": True}
 
 
 def test_example_litmus_files_parse_and_run():
-    from repro.litmus.dsl import parse_litmus, run_litmus
+    from repro.litmus.dsl import pair_grid, parse_litmus, run_litmus
 
     litmus_dir = Path(__file__).parent.parent / "examples" / "litmus"
     files = sorted(litmus_dir.glob("*.litmus"))
@@ -36,6 +36,7 @@ def test_example_litmus_files_parse_and_run():
     for f in files:
         test = parse_litmus(f.read_text())
         for backend in ("mesi", "sisd"):
-            run = run_litmus(test, offsets=[0, 150], mem_backend=backend)
+            run = run_litmus(test, schedules=pair_grid(test, [0, 150]),
+                             mem_backend=backend)
             assert run.condition_observed == LITMUS_EXPECTATIONS[f.stem], (
                 f.stem, backend, sorted(run.outcomes))

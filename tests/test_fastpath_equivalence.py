@@ -12,10 +12,10 @@ every per-core stats counter, retire logs, the full monitor event
 stream (dispatch/complete/drain/fence/scope events with their exact
 cycles), chaos fault-injection decisions, and litmus outcome sets.
 
-Coverage: every offset pair of ``verify``'s grid (every corpus test in
+Coverage: every schedule of ``verify``'s grid (every corpus test in
 every fence mode, on both coherence backends, at each sweep seed's
 offsets), which is why ``verify`` runs the event engine only, with the
-run memo's time-shifted result for each pair held to the event run; the whole
+run memo's time-shifted result for each schedule held to the event run; the whole
 litmus corpus, seeded fuzz programs (the same
 generator the differential fuzzer uses), a lock-free workload, and
 chaos-fault scenarios -- each at two simulated core counts -- the
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 
 import pytest
 
@@ -60,6 +59,7 @@ from repro.litmus.corpus import CORPUS
 from repro.litmus.dsl import (
     build_program,
     compile_litmus,
+    pair_grid,
     parse_litmus,
     run_litmus,
     schedule_key,
@@ -137,14 +137,14 @@ def _run_ops(ops_per_thread, engine: str, max_cycles: int = 200_000, **cfg):
     }
 
 
-def _litmus_pair(compiled, delays) -> dict:
-    """One offset pair of a compiled litmus test, run in a fresh ``Env``.
+def _litmus_run(compiled, schedule) -> dict:
+    """One schedule of a compiled litmus test, run in a fresh ``Env``.
 
     The registers, the cycles, every per-core stats counter and the
     final memory: observed at the stats level, so a mis-accounted idle
     span cannot hide behind unchanged outcomes.
     """
-    env, program, registers = build_program(compiled, list(delays))
+    env, program, registers = build_program(compiled, schedule)
     res = env.run(program, max_cycles=2_000_000)
     return {
         "registers": dict(registers),
@@ -154,23 +154,23 @@ def _litmus_pair(compiled, delays) -> dict:
     }
 
 
-def _assert_pair_equivalent(compiled, delays, where: str) -> dict:
+def _assert_run_equivalent(compiled, schedule, where: str) -> dict:
     """``compiled`` (an event-engine config) against its dense twin,
     which differs from it in ``dense_loop`` alone; returns the event
     run."""
-    dense = _litmus_pair(dataclasses.replace(
-        compiled, config=compiled.config.with_(dense_loop=True)), delays)
-    event = _litmus_pair(compiled, delays)
+    dense = _litmus_run(dataclasses.replace(
+        compiled, config=compiled.config.with_(dense_loop=True)), schedule)
+    event = _litmus_run(compiled, schedule)
     for key in dense:
         assert dense[key] == event[key], (
-            f"dense/event diverged on {key!r} at {where} offsets {delays}")
+            f"dense/event diverged on {key!r} at {where} schedule {schedule}")
     return event
 
 
 def _assert_litmus_equivalent(test, n_cores: int) -> None:
     compiled = compile_litmus(test, n_cores=n_cores)
-    for pair in itertools.product(OFFSETS, repeat=2):
-        _assert_pair_equivalent(compiled, pair, test.name)
+    for schedule in pair_grid(test, OFFSETS):
+        _assert_run_equivalent(compiled, schedule, test.name)
 
 
 # --------------------------------------------------------------- litmus corpus
@@ -181,33 +181,38 @@ def test_litmus_corpus_equivalence(entry, n_cores):
     _assert_litmus_equivalent(test, max(n_cores, test.n_threads))
 
 
-def _schedule(test, pair) -> tuple[tuple[int, int], int]:
-    """The pair's run-memo key and shift, as documented: with both
-    delays at least 1 and no mid-thread ``delay``, the pair moved
-    earlier until its smaller delay is 1; any other pair as it is."""
-    if min(pair) >= 1 and not any("delay" in stmts for stmts in test.threads):
-        shift = min(pair) - 1
-        return (pair[0] - shift, pair[1] - shift), shift
-    return pair, 0
+def _memo_key(schedule) -> tuple[tuple, int]:
+    """The schedule's run-memo key and shift, as documented: with every
+    thread's first gap at least 1, every first gap moved earlier until
+    the smallest is 1 and every later gap as it is; any other schedule
+    as it is, a thread with no op included."""
+    if not all(schedule):
+        return schedule, 0
+    shift = min(gaps[0] for gaps in schedule) - 1
+    if shift < 1:
+        return schedule, 0
+    return tuple(tuple(gap - shift if k == 0 else gap
+                       for k, gap in enumerate(gaps))
+                 for gaps in schedule), shift
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_verify_grid_equivalence(backend):
-    """Every offset pair ``verify`` simulates, dense against event, and
+    """Every schedule ``verify`` simulates, dense against event, and
     what verify's run memo holds for it against the event run.
 
     The grid is read from verify itself: its job list (every corpus
     test in every fence mode), each sweep seed's offsets
     (:func:`~repro.verify.runner.seed_offsets`) and its run-memo key
-    (:func:`~repro.verify.runner.case_run_key`).  A pair whose key an
+    (:func:`~repro.verify.runner.case_run_key`).  A schedule whose key an
     earlier cell already checked is skipped, as verify's run memo skips
-    simulating it.  Each pair compares registers, cycles, per-core
+    simulating it.  Each schedule compares registers, cycles, per-core
     counters and final memory, which is stronger than verify's outcome
     sets, so verify itself runs the event engine only.  Each sweep also
     runs through :func:`~repro.litmus.dsl.run_litmus`, in verify's
-    order, and every pair's ``(cycles, outcome)`` read back from the
-    ``litmus-runs`` memo by its schedule key (:func:`_schedule`, shift
-    added back) must be the direct event run's: a pair the memo derived
+    order, and every schedule's ``(cycles, outcome)`` read back from the
+    ``litmus-runs`` memo by its key (:func:`_memo_key`, shift added
+    back) must be the direct event run's: a schedule the memo derived
     from a time-shifted representative is held to its own simulation.
     """
     checked = set()
@@ -218,22 +223,23 @@ def test_verify_grid_equivalence(backend):
         compiled = compile_litmus(variant, MemoryModel.RMO, mem_backend=backend)
         key = case_run_key(p)
         for seed in range(p["seeds"]):
-            offsets = seed_offsets(p["name"], p["mode"], seed)
-            run_litmus(variant, MemoryModel.RMO, offsets, mem_backend=backend)
-            for pair in itertools.product(offsets, repeat=2):
-                if (key, pair) not in checked:
-                    checked.add((key, pair))
+            schedules = pair_grid(variant, seed_offsets(p["name"], p["mode"], seed))
+            run_litmus(variant, MemoryModel.RMO, schedules, mem_backend=backend)
+            for schedule in schedules:
+                if (key, schedule) not in checked:
+                    checked.add((key, schedule))
                     where = f"{p['name']}[{p['mode']}]@{backend}"
-                    event = _assert_pair_equivalent(compiled, pair, where)
-                    schedule, shift = _schedule(variant, pair)
-                    assert schedule_key(compiled, *pair) == (schedule, shift), (
-                        f"memo key of {where} offsets {pair} is not its schedule")
-                    cycles, outcome = memo[key][schedule]
+                    event = _assert_run_equivalent(compiled, schedule, where)
+                    memo_key, shift = _memo_key(schedule)
+                    assert schedule_key(schedule) == (memo_key, shift), (
+                        f"memo key of {where} schedule {schedule} is not "
+                        f"the documented one")
+                    cycles, outcome = memo[key][memo_key]
                     assert (cycles + shift, outcome) == (
                         event["cycles"],
                         tuple(event["registers"].get(r)
                               for r in compiled.registers)), (
-                        f"memo/event diverged at {where} offsets {pair}")
+                        f"memo/event diverged at {where} schedule {schedule}")
     assert checked
 
 
@@ -584,12 +590,12 @@ def _litmus_sweep(engine: str, mem_backend: str) -> dict:
     """The litmus corpus over a two-offset grid: many short runs."""
     runs = {}
     for entry in CORPUS:
-        compiled = compile_litmus(parse_litmus(entry.source),
-                                  mem_backend=mem_backend)
+        test = parse_litmus(entry.source)
+        compiled = compile_litmus(test, mem_backend=mem_backend)
         compiled = dataclasses.replace(
             compiled, config=compiled.config.with_(**ENGINES[engine]))
-        for pair in itertools.product([0, 3], repeat=2):
-            runs[entry.name, pair] = _litmus_pair(compiled, pair)
+        for schedule in pair_grid(test, [0, 3]):
+            runs[entry.name, schedule] = _litmus_run(compiled, schedule)
     return runs
 
 

@@ -19,7 +19,7 @@ from repro.isa.instructions import (
     WAIT_STORES,
 )
 from repro.isa.program import ops_program
-from repro.litmus.dsl import parse_litmus, run_litmus
+from repro.litmus.dsl import pair_grid, parse_litmus, run_litmus
 from repro.sim.config import MemoryModel, SimConfig
 from repro.sim.simulator import run_program
 
@@ -74,12 +74,13 @@ def test_sb_not_forbidden_by_load_only_fence():
     exists r0 == 0 and r1 == 0
     """
     # a full fence forbids it ...
-    fenced = run_litmus(parse_litmus(sb.format(fence="fence")), MemoryModel.RMO, FAST)
+    full = parse_litmus(sb.format(fence="fence"))
+    fenced = run_litmus(full, MemoryModel.RMO, pair_grid(full, FAST))
     assert not fenced.condition_observed
     # ... but replacing it with WAIT_LOADS does not
     ll = parse_litmus(sb.format(fence="fence.ll"))
     assert ll.threads[0][1] == "fence.ll"
-    res = run_litmus(ll, MemoryModel.RMO, FAST)
+    res = run_litmus(ll, MemoryModel.RMO, pair_grid(ll, FAST))
     assert res.condition_observed
 
 
@@ -93,5 +94,5 @@ def test_mp_forbidden_by_store_only_fence():
              | r1 = x
     exists r0 == 1 and r1 == 0
     """)
-    res = run_litmus(mp, MemoryModel.RMO, FAST)
+    res = run_litmus(mp, MemoryModel.RMO, pair_grid(mp, FAST))
     assert not res.condition_observed

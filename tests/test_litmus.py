@@ -7,7 +7,7 @@ entries by name, the rest inline.
 import pytest
 
 from repro.litmus import corpus
-from repro.litmus.dsl import outcomes_matching, parse_litmus, run_litmus
+from repro.litmus.dsl import outcomes_matching, pair_grid, parse_litmus, run_litmus
 from repro.sim.config import MemoryModel
 
 FAST = [0, 1, 5, 40, 150, 320]
@@ -65,7 +65,8 @@ TABLE_MODELS = (MemoryModel.SC, MemoryModel.TSO, MemoryModel.PSO, MemoryModel.RM
 
 
 def explore(source, model=MemoryModel.RMO, backend="mesi"):
-    return run_litmus(parse_litmus(source), model, FAST, mem_backend=backend)
+    test = parse_litmus(source)
+    return run_litmus(test, model, pair_grid(test, FAST), mem_backend=backend)
 
 
 def outcome_table() -> dict[str, tuple[bool, ...]]:

@@ -4,15 +4,16 @@ import pytest
 
 from repro.campaign.jobs import litmus_jobs
 from repro.litmus.corpus import CORPUS, CORPUS_OFFSETS
-from repro.litmus.dsl import parse_litmus, run_litmus
+from repro.litmus.dsl import pair_grid, parse_litmus, run_litmus
 from repro.sim.config import MemoryModel
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_corpus_expectation_under_rmo(entry):
     for backend in ("mesi", "sisd"):
-        run = run_litmus(parse_litmus(entry.source), MemoryModel.RMO,
-                         CORPUS_OFFSETS, mem_backend=backend)
+        test = parse_litmus(entry.source)
+        run = run_litmus(test, MemoryModel.RMO,
+                         pair_grid(test, CORPUS_OFFSETS), mem_backend=backend)
         assert run.condition_observed == entry.observable_rmo, (
             f"{entry.name} on {backend}: expected observable="
             f"{entry.observable_rmo}, outcomes {sorted(run.outcomes, key=str)}"
@@ -21,7 +22,8 @@ def test_corpus_expectation_under_rmo(entry):
 
 def test_every_relaxation_vanishes_under_sc():
     for entry in CORPUS:
-        run = run_litmus(parse_litmus(entry.source), MemoryModel.SC, CORPUS_OFFSETS)
+        test = parse_litmus(entry.source)
+        run = run_litmus(test, MemoryModel.SC, pair_grid(test, CORPUS_OFFSETS))
         assert not run.condition_observed, entry.name
 
 

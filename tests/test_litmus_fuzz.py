@@ -42,7 +42,7 @@ import random
 import pytest
 
 from repro.core.semantics import reference_allowed_outcomes
-from repro.litmus.dsl import abstract_threads, parse_litmus, run_litmus
+from repro.litmus.dsl import abstract_threads, pair_grid, parse_litmus, run_litmus
 from repro.sim.config import MEM_BACKENDS, MemoryModel
 
 SEED_BASE = int(os.environ.get("LITMUS_FUZZ_SEED", "0"))
@@ -98,7 +98,7 @@ def generate_program(seed: int, mode: str = "mixed") -> str:
                 stmts.append(rng.choice(fences))
             else:
                 stmts.append("delay")
-        threads.append(stmts)
+        threads.append(_placed_delays(stmts))
 
     lines = [f"name fuzz-{seed}"]
     if flagged:
@@ -109,6 +109,33 @@ def generate_program(seed: int, mode: str = "mixed") -> str:
             cells[tid] = stmt
             lines.append(" | ".join(cells))
     return "\n".join(lines)
+
+
+def _placed_delays(stmts: list[str]) -> list[str]:
+    """``stmts`` with every ``delay`` draw where the DSL accepts it.
+
+    A ``delay`` must sit between two ops of its thread, and stripping
+    the fences (synthesis, the ``none`` fence mode) must not leave one
+    leading, trailing or doubled, so only memory ops count as its
+    neighbours.  A draw that sits between two memory ops with no other
+    ``delay`` stays; any other moves to the first later place that
+    does, and is dropped when there is none.  The draws are made first,
+    so every other statement is unchanged.
+    """
+    def is_mem(stmt: str) -> bool:
+        return stmt != "delay" and not stmt.startswith("fence")
+
+    out, after_mem, pending = [], False, False
+    for i, stmt in enumerate(stmts):
+        if stmt == "delay":
+            pending = True
+        else:
+            out.append(stmt)
+            after_mem = after_mem or is_mem(stmt)
+        if pending and after_mem and any(map(is_mem, stmts[i + 1:])):
+            out.append("delay")
+            after_mem = pending = False
+    return out
 
 
 def _has_work(source: str) -> bool:
@@ -140,7 +167,8 @@ def test_simulator_outcomes_within_reference(mode, seed, backend):
     source = generate_program(seed, mode)
     test = parse_litmus(source)
     allowed = reference_allowed_outcomes(abstract_threads(test), dict(test.init))
-    run = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
+    run = run_litmus(test, MemoryModel.RMO, pair_grid(test, OFFSETS),
+                     mem_backend=backend)
     extra = run.outcomes - allowed
     assert not extra, (
         f"simulator observed outcomes outside the reference allowed set\n"

@@ -1,7 +1,7 @@
 """A reset machine is a freshly built one.
 
-:func:`repro.litmus.dsl.run_litmus` runs every offset pair of a sweep on
-one :class:`~repro.sim.simulator.Simulator`, reset between pairs.  These
+:func:`repro.litmus.dsl.run_litmus` runs every schedule of a sweep on
+one :class:`~repro.sim.simulator.Simulator`, reset between runs.  These
 tests dirty a machine with everything a run can leave behind -- CAS,
 predicted branches, in-window speculation, SiSd sync points, chaos
 hooks, monitors, a retire log, and a run cut off mid-flight with loads
@@ -42,7 +42,7 @@ from repro.isa.instructions import (
 )
 from repro.isa.program import ops_program
 from repro.litmus.corpus import CORPUS
-from repro.litmus.dsl import parse_litmus, run_litmus
+from repro.litmus.dsl import pair_grid, parse_litmus, run_litmus
 from repro.sim.config import MEM_BACKENDS, SimConfig
 from repro.sim.simulator import CycleLimitError, Simulator
 
@@ -285,15 +285,15 @@ def test_one_machine_per_sweep(backend, builds, monkeypatch):
 
     monkeypatch.setattr(Simulator, "run", counted)
     sb = parse_litmus(SB.source)
-    run_litmus(sb, offsets=OFFSETS, mem_backend=backend)
+    run_litmus(sb, schedules=pair_grid(sb, OFFSETS), mem_backend=backend)
     assert len(builds) == 1
     # one run per schedule: (40, 40) is (1, 1) moved 39 cycles later
     assert len(runs) == len(OFFSETS) ** 2 - 1
     assert all(sim is builds[0] for sim in runs)
     del builds[:], runs[:]
-    run_litmus(sb, offsets=OFFSETS, mem_backend=backend)
+    run_litmus(sb, schedules=pair_grid(sb, OFFSETS), mem_backend=backend)
     assert not builds and not runs
-    run_litmus(sb, offsets=OFFSETS + [7], mem_backend=backend)
+    run_litmus(sb, schedules=pair_grid(sb, OFFSETS + [7]), mem_backend=backend)
     assert len(builds) == 1
     # seven new pairs, of which (7, 7) is (1, 1) moved six cycles later
     assert len(runs) == 6

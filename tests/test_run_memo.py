@@ -1,15 +1,18 @@
 """The litmus run memo is exact and keyed on everything a run reads.
 
-:func:`run_litmus` memoises each offset pair's ``(cycles, outcome)``
-per process under :func:`run_content_key` (config, statements, init
-values, flagged set) and the pair's schedule (:func:`schedule_key`):
-a pair with both delays at least 1 shares the run of the pair moved
-earlier until its smaller delay is 1.  These tests hold a cold and a
-warm memo to a reference that rebuilds everything for every pair, show
-that variants equal in content under different names share entries,
-that configs differing in one knob never do, and where the schedule
-key must not share: across a mid-thread ``delay``, between a zero and
-a non-zero delay, and past the cycle limit.
+:func:`run_litmus` memoises each schedule's ``(cycles, outcome)`` per
+process under :func:`run_content_key` (config, statements, init
+values, flagged set) and :func:`schedule_key`: a schedule whose every
+first gap (the ``Compute`` cycles before a thread's first op) is at
+least 1 shares the run of the schedule with every first gap moved
+earlier until the smallest is 1; later gaps stay in the key as they
+are.  These tests hold a cold and a warm memo to a reference that
+rebuilds everything for every schedule, show that variants equal in
+content under different names share entries, that configs differing
+in one knob never do, that schedules differing only by a shift of
+every first gap share, and where the schedule key must not share:
+across a different mid-thread gap, past a first gap of 0, and past
+the cycle limit.
 """
 
 import pytest
@@ -21,10 +24,14 @@ from repro.litmus import dsl
 from repro.litmus.corpus import CORPUS
 from repro.litmus.dsl import (
     LitmusTest,
+    build_program,
+    compile_litmus,
     litmus_config,
+    pair_grid,
     parse_litmus,
     run_content_key,
     run_litmus,
+    schedule_key,
 )
 from repro.sim.config import MEM_BACKENDS, MemoryModel
 from repro.sim.simulator import CycleLimitError, Simulator
@@ -33,14 +40,14 @@ from tests.test_litmus_sweep import OFFSETS, _reference_sweep
 
 SB = next(e for e in CORPUS if e.name == "SB")
 MP = next(e for e in CORPUS if e.name == "MP")
-#: SB's distinct schedules on ``OFFSETS``: (40, 40) is (1, 1) moved 39
-#: cycles later, every other pair is its own
+#: SB's distinct run keys on ``OFFSETS``: the schedule of pair (40, 40)
+#: is that of (1, 1) moved 39 cycles later, every other one is its own
 SB_SCHEDULES = len(OFFSETS) ** 2 - 1
 
 
 @pytest.fixture
 def sim_runs(monkeypatch) -> list:
-    """Counts every ``Simulator.run`` call (one per simulated pair)."""
+    """Counts every ``Simulator.run`` call (one per simulated schedule)."""
     calls = []
     run = Simulator.run
 
@@ -56,20 +63,30 @@ def _observed(run) -> tuple[set, list, int]:
     return run.outcomes, run.register_names, run.total_cycles
 
 
+def _sweep(test, offsets, **kwargs):
+    """``test`` over the schedules of ``offsets``' pairs."""
+    return run_litmus(test, schedules=pair_grid(test, offsets), **kwargs)
+
+
+def _memo(test) -> dict:
+    """``test``'s ``litmus-runs`` entries on the default config."""
+    return warm_slot("litmus-runs")[run_content_key(test, litmus_config(test))]
+
+
 @pytest.mark.parametrize("backend", MEM_BACKENDS)
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_cold_warm_and_memo_free_sweeps_agree(entry, backend, sim_runs):
     """Every fence-mode variant the verify matrix runs gives the same
     outcomes, register names and total cycles from a cold memo, from a
-    warm one (which simulates nothing) and from a per-pair rebuild."""
+    warm one (which simulates nothing) and from a per-schedule rebuild."""
     for mode in FENCE_MODES:
         test = apply_fence_mode(parse_litmus(entry.source), mode)
         want = _reference_sweep(test, backend)
         clear_warm_state()
-        cold = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
+        cold = _sweep(test, OFFSETS, mem_backend=backend)
         assert _observed(cold) == want, f"{entry.name}[{mode}] cold"
         del sim_runs[:]
-        warm = run_litmus(test, MemoryModel.RMO, OFFSETS, mem_backend=backend)
+        warm = _sweep(test, OFFSETS, mem_backend=backend)
         assert not sim_runs, f"{entry.name}[{mode}] warm sweep simulated"
         assert _observed(warm) == want, f"{entry.name}[{mode}] warm"
 
@@ -79,12 +96,12 @@ def test_equal_content_under_another_name_shares_runs(sim_runs):
     fence-stripped variant and a renamed copy judged by another
     condition are one program, simulated once."""
     sb = parse_litmus(SB.source)
-    first = run_litmus(sb, offsets=OFFSETS)
+    first = _sweep(sb, OFFSETS)
     assert len(sim_runs) == SB_SCHEDULES
     renamed = LitmusTest("SB-renamed", [list(t) for t in sb.threads],
                          dict(sb.init), set(sb.flagged), "r0 == 1")
     for variant in (apply_fence_mode(sb, "none"), renamed):
-        run = run_litmus(variant, offsets=OFFSETS)
+        run = _sweep(variant, OFFSETS)
         assert len(sim_runs) == SB_SCHEDULES, variant.name
         assert _observed(run) == _observed(first)
     # each test's own condition still judges the shared outcomes
@@ -95,9 +112,9 @@ def test_equal_content_under_another_name_shares_runs(sim_runs):
 
 def test_overlapping_grids_simulate_only_new_pairs(sim_runs):
     sb = parse_litmus(SB.source)
-    run_litmus(sb, offsets=[0, 1])
+    _sweep(sb, [0, 1])
     assert len(sim_runs) == 4
-    run_litmus(sb, offsets=[0, 1, 40])
+    _sweep(sb, [0, 1, 40])
     # (40, 40) is (1, 1) moved later: four new schedules, not five
     assert len(sim_runs) == 8
 
@@ -111,9 +128,9 @@ def test_configs_differing_in_one_knob_never_share(knob, sim_runs):
     """A mesi-vs-sisd (or model, or core-count) comparison must compare
     two simulations, never a result with its own cached copy."""
     sb = parse_litmus(SB.source)
-    run_litmus(sb, offsets=OFFSETS)
+    _sweep(sb, OFFSETS)
     assert len(sim_runs) == SB_SCHEDULES
-    run_litmus(sb, offsets=OFFSETS, **knob)
+    _sweep(sb, OFFSETS, **knob)
     assert len(sim_runs) == 2 * SB_SCHEDULES
     default = run_content_key(sb, litmus_config(sb))
     params = {k: v for k, v in knob.items() if k != "model"}
@@ -134,53 +151,101 @@ def test_programs_differing_in_flags_or_init_never_share(sim_runs):
         LitmusTest("SB+set", fenced.threads, init={"x": 2}),
     ]
     for n, variant in enumerate(variants, start=1):
-        run_litmus(variant, offsets=OFFSETS)
+        _sweep(variant, OFFSETS)
         assert len(sim_runs) == n * SB_SCHEDULES, variant
     assert len(warm_slot("litmus-runs")) == len(variants)
 
 
-def test_mid_thread_delay_never_shares_across_a_shift(sim_runs):
-    """MP's reader pauses again mid-thread by the delay's absolute
-    length, so (40, 40) is not (1, 1) moved later: every pair is
-    simulated and stored under itself."""
+#: MP's schedules are ((writer gaps), (reader gaps)): the reader's
+#: second gap is the one its ``delay`` marks
+def _mp_schedule(w: int, r: int, mid: int):
+    return ((w, 0), (r, mid, 0))
+
+
+def test_shift_of_every_first_gap_shares_the_run(sim_runs):
+    """An MP schedule that differs from another only by the same shift
+    of every first gap, mid gap equal, is that run moved later: it
+    reads the memo entry, and simulating it directly agrees."""
     mp = parse_litmus(MP.source)
-    run = run_litmus(mp, offsets=[1, 40])
+    base = run_litmus(mp, schedules=[_mp_schedule(3, 1, 40)])
+    assert len(sim_runs) == 1
+    moved = run_litmus(mp, schedules=[_mp_schedule(8, 6, 40)])
+    assert len(sim_runs) == 1
+    assert schedule_key(_mp_schedule(8, 6, 40)) == (_mp_schedule(3, 1, 40), 5)
+    assert moved.total_cycles == base.total_cycles + 5
+    assert moved.outcomes == base.outcomes
+    assert sorted(_memo(mp)) == [_mp_schedule(3, 1, 40)]
+    env, program, registers = build_program(compile_litmus(mp),
+                                            _mp_schedule(8, 6, 40))
+    assert env.run(program).cycles == moved.total_cycles
+    assert {tuple(registers[r] for r in sorted(registers))} == moved.outcomes
+
+
+def test_mid_thread_delay_never_shares_across_a_shift(sim_runs):
+    """A mid-thread gap counts from an op the thread dispatched, so a
+    schedule that differs in one never shares a run, shifted or not:
+    MP's pair (40, 40) is not (1, 1) moved later, as its reader pauses
+    40 cycles mid-thread, not 1."""
+    mp = parse_litmus(MP.source)
+    for n, schedule in enumerate([_mp_schedule(3, 1, 40),
+                                  _mp_schedule(3, 1, 41),
+                                  _mp_schedule(4, 2, 42)], start=1):
+        run_litmus(mp, schedules=[schedule])
+        assert len(sim_runs) == n, schedule
+    del sim_runs[:]
+    clear_warm_state()
+    run = _sweep(mp, [1, 40])
     assert len(sim_runs) == 4
-    memo = warm_slot("litmus-runs")[run_content_key(mp, litmus_config(mp))]
-    assert sorted(memo) == [(1, 1), (1, 40), (40, 1), (40, 40)]
-    assert run.total_cycles == sum(cycles for cycles, _ in memo.values())
+    memo = _memo(mp)
+    # (40, 40) is stored moved 39 cycles earlier, apart from (1, 1)
+    assert sorted(memo) == [_mp_schedule(1, 1, 1), _mp_schedule(1, 1, 40),
+                            _mp_schedule(1, 40, 40), _mp_schedule(40, 1, 1)]
+    assert run.total_cycles == sum(cycles for cycles, _ in memo.values()) + 39
+
+
+def test_first_gap_of_zero_blocks_the_shift(sim_runs):
+    """A first gap of 0 is no pause at all: with one thread starting at
+    once, no other thread's first gap is shifted, however long."""
+    mp = parse_litmus(MP.source)
+    for schedule in (_mp_schedule(0, 7, 40), _mp_schedule(7, 0, 40)):
+        assert schedule_key(schedule) == (schedule, 0)
+    run_litmus(mp, schedules=[_mp_schedule(0, 1, 40)])
+    run_litmus(mp, schedules=[_mp_schedule(0, 7, 40)])
+    assert len(sim_runs) == 2
+    assert sorted(_memo(mp)) == [_mp_schedule(0, 1, 40),
+                                 _mp_schedule(0, 7, 40)]
 
 
 def test_zero_delay_never_shares_with_a_nonzero_one(sim_runs):
-    """A zero delay is no pause at all, so (0, 0) is simulated and
+    """A zero delay is no pause at all, so pair (0, 0) is simulated and
     (1, 1) is simulated apart from it; (7, 7) is (1, 1) moved six
     cycles later and reads its entry."""
     sb = parse_litmus(SB.source)
-    zero = run_litmus(sb, offsets=[0])
+    zero = _sweep(sb, [0])
     assert len(sim_runs) == 1
-    one = run_litmus(sb, offsets=[1])
+    one = _sweep(sb, [1])
     assert len(sim_runs) == 2
-    seven = run_litmus(sb, offsets=[7])
+    seven = _sweep(sb, [7])
     assert len(sim_runs) == 2
     assert seven.total_cycles == one.total_cycles + 6
     assert seven.outcomes == one.outcomes
-    memo = warm_slot("litmus-runs")[run_content_key(sb, litmus_config(sb))]
-    assert sorted(memo) == [(0, 0), (1, 1)]
-    assert memo[0, 0] == (zero.total_cycles, next(iter(zero.outcomes)))
+    memo = _memo(sb)
+    assert sorted(memo) == [((0, 0), (0, 0)), ((1, 0), (1, 0))]
+    assert memo[(0, 0), (0, 0)] == (zero.total_cycles, next(iter(zero.outcomes)))
 
 
 def test_derived_run_reaching_the_cycle_limit_is_simulated(
         monkeypatch, sim_runs):
-    """A pair whose shifted cycles stay under the limit reads its
+    """A schedule whose shifted cycles stay under the limit reads its
     representative; one whose shifted cycles reach it is simulated and
     raises the limit's error, as simulating it always did."""
     sb = parse_litmus(SB.source)
-    cycles = run_litmus(sb, offsets=[1]).total_cycles
+    cycles = _sweep(sb, [1]).total_cycles
     monkeypatch.setattr(dsl, "_MAX_CYCLES", cycles + 10)
-    assert run_litmus(sb, offsets=[10]).total_cycles == cycles + 9
+    assert _sweep(sb, [10]).total_cycles == cycles + 9
     assert len(sim_runs) == 1
     with pytest.raises(CycleLimitError):
-        run_litmus(sb, offsets=[11])
+        _sweep(sb, [11])
     assert len(sim_runs) == 2
 
 

@@ -83,6 +83,25 @@ def test_verify_report_carries_the_backend_axis():
             assert set(mode_slot["engines"]) == {"event", "event@sisd"}
 
 
+def test_committed_verify_report_is_current(tmp_path):
+    """Regenerating the matrix at the committed backends, seeds and
+    grid reproduces ``verify-report.json`` byte for byte."""
+    committed = REPO_ROOT / "verify-report.json"
+    settings = json.loads(committed.read_text())
+    jobs = verify_jobs(seeds=settings["seeds"], smoke=settings["smoke"],
+                       backends=settings["backends"])
+    result = run_campaign(jobs, parallel=0)
+    assert result.ok
+    fresh = tmp_path / "fresh.json"
+    write_report(assemble_verify_report(
+        result.outcomes, seeds=settings["seeds"], smoke=settings["smoke"]),
+        fresh)
+    assert fresh.read_bytes() == committed.read_bytes(), (
+        "verify-report.json is stale -- regenerate with "
+        "`python -m repro verify --mem-backend mesi,sisd`"
+    )
+
+
 def test_verify_jobs_reject_unknown_backend():
     with pytest.raises(KeyError, match="backend"):
         verify_jobs(backends=["mesi", "token-coherence"])

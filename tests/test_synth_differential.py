@@ -23,10 +23,14 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import write_report
+from repro.campaign import run_campaign
+from repro.campaign.jobs import synth_jobs
 from repro.core.semantics import reference_allowed_outcomes
 from repro.litmus.dsl import abstract_threads, outcomes_matching, parse_litmus
 from repro.synth.corpus import SYNTH_CORPUS, synth_entry
 from repro.synth.cost import placement_cycles
+from repro.synth.report import assemble_synth_report
 from repro.synth.sites import (
     apply_placement,
     fence_sites,
@@ -181,3 +185,17 @@ def test_synthesized_never_costlier_than_handwritten(name, report):
     assert (case["synthesized"]["stall_cycles"]
             <= case["handwritten"]["stall_cycles"])
     assert (case["synthesized"]["stall_cycles"] <= case["all_full_stall"])
+
+
+def test_committed_report_is_current(tmp_path):
+    """Regenerating the full synthesis (every corpus entry, every mode,
+    the default probe grid, mesi) reproduces the artifact byte for
+    byte."""
+    jobs = synth_jobs()
+    result = run_campaign(jobs, parallel=0)
+    assert result.ok
+    fresh = tmp_path / "fresh.json"
+    write_report(assemble_synth_report(result.outcomes, smoke=False), fresh)
+    assert fresh.read_bytes() == REPORT.read_bytes(), (
+        "synth-report.json is stale -- regenerate with `python -m repro synth`"
+    )
