@@ -554,12 +554,13 @@ def cmd_perf(ns) -> int:
         (f"{GATE_WORKLOAD}[{backend}]" if len(backends) > 1 else GATE_WORKLOAD,
          cell["sim_cycles"], cell["dense_wall_s"], cell["event_wall_s"],
          f"{cell['event_speedup']}x" if cell["event_speedup"] is not None else "n/a",
+         cell["event_ticks"],
          "yes" if cell["identical"] else "DIVERGED")
         for backend, cell in report["backends"].items()
     ]
     print(format_table(
         ["workload", "sim cycles", "dense s", "event s", "speedup",
-         "identical"],
+         "event ticks", "identical"],
         rows, title="simulator perf -- dense loop vs event engine",
     ))
     print(f"report written to {ns.perf_out}", file=sys.stderr)

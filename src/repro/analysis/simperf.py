@@ -26,6 +26,13 @@ single-shot wall is hostage to scheduler noise; min-of-N of each side
 is the standard estimator of the noise floor and is what the speedup
 gate is judged on.
 
+Wall-clock ratios move by about 20 % on the same code, so each
+backend's cell also records ``event_ticks``, the event engine's
+``Core.tick`` calls (deterministic: every rep must count the same, or
+the cell reads ``identical: false``), and ``ticks_per_core_cycle``,
+those ticks over the dense loop's, which ticks every core every cycle.
+A change to the wake rule moves them exactly, whatever the timing noise.
+
 ``python -m repro perf`` drives this module and writes
 ``BENCH_simperf.json``; ``--smoke`` shrinks the workload for CI, and
 ``--mem-backend mesi,sisd`` adds a column set per backend.
@@ -54,19 +61,26 @@ ENGINES = {
 
 def run_gate_workload(smoke: bool, dense_loop: bool = False,
                       mem_backend: str = "mesi"):
-    """Simulate ``fig15-hot``; return (simulated_cycles, fingerprint)."""
+    """Simulate ``fig15-hot``; return (simulated_cycles, fingerprint,
+    ticks).
+
+    The fingerprint is the result's stats summary, which both engines
+    must agree on; ``ticks`` (:attr:`SimResult.ticks`) is the engine's
+    own work and stays out of it.
+    """
     from ..campaign.figures import _app_builders
     from ..isa.instructions import FenceKind
-    from .speedup import measure
+    from ..runtime.lang import Env
 
     scale = 0.25 if smoke else 1.0
     builder, _native = _app_builders(scale)["radiosity"]
     cfg = SimConfig(mem_latency=GATE_MEM_LATENCY, dense_loop=dense_loop,
                     mem_backend=mem_backend)
-    point = measure(
-        lambda env: builder(env, FenceKind.GLOBAL), cfg, label=GATE_WORKLOAD
-    )
-    return point.cycles, point.stats_summary
+    env = Env(cfg)
+    workload = builder(env, FenceKind.GLOBAL)
+    result = env.run(workload.program)
+    workload.check()
+    return result.cycles, result.stats.summary(), result.ticks
 
 
 def _timed(engine: str, smoke: bool, mem_backend: str):
@@ -74,26 +88,32 @@ def _timed(engine: str, smoke: bool, mem_backend: str):
 
     reset_cids()
     t0 = time.perf_counter()
-    cycles, fingerprint = run_gate_workload(smoke=smoke,
-                                            mem_backend=mem_backend,
-                                            **ENGINES[engine])
+    cycles, fingerprint, ticks = run_gate_workload(smoke=smoke,
+                                                   mem_backend=mem_backend,
+                                                   **ENGINES[engine])
     wall = time.perf_counter() - t0
-    return wall, cycles, fingerprint
+    return wall, cycles, fingerprint, ticks
 
 
 def _measure_backend(smoke: bool, mem_backend: str, reps: int,
                      progress=None) -> dict:
     """One backend's cell: each engine min-of-reps."""
     walls = {"dense": [], "event": []}
+    ticks = {"dense": set(), "event": set()}
     results = []
     # interleaved rep pairs so OS-level noise drifts hit both engines
     for _ in range(max(1, reps)):
         for engine in walls:
-            wall, cycles, fp = _timed(engine, smoke, mem_backend)
+            wall, cycles, fp, n = _timed(engine, smoke, mem_backend)
             walls[engine].append(wall)
+            ticks[engine].add(n)
             results.append((cycles, fp))
     dense_cycles = results[0][0]
-    identical = all(r == results[0] for r in results)
+    # every rep of an engine ticks the same: a spread is nondeterminism
+    identical = (all(r == results[0] for r in results)
+                 and all(len(t) == 1 for t in ticks.values()))
+    event_ticks = max(ticks["event"])
+    dense_ticks = max(ticks["dense"])
     dense_wall = min(walls["dense"])
     event_wall = min(walls["event"])
     cell = {
@@ -103,6 +123,8 @@ def _measure_backend(smoke: bool, mem_backend: str, reps: int,
         "dense_cycles_per_s": round(dense_cycles / dense_wall) if dense_wall else None,
         "event_cycles_per_s": round(dense_cycles / event_wall) if event_wall else None,
         "event_speedup": round(dense_wall / event_wall, 2) if event_wall else None,
+        "event_ticks": event_ticks,
+        "ticks_per_core_cycle": round(event_ticks / dense_ticks, 5),
         "identical": identical,
     }
     if progress is not None:

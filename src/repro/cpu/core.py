@@ -4,9 +4,10 @@ One :class:`Core` per simulated hardware thread.  Each cycle
 (:meth:`tick`, the one per-cycle step both simulation engines run) the
 core, in order:
 
-1. applies completions scheduled for this cycle (loads, CAS, branches,
-   store-buffer drains), then completes the speculatively issued
-   fences whose scope condition now holds,
+1. applies completions due by this cycle (loads, CAS, branches and
+   store-buffer drains from the event heap; the one in-flight compute
+   by its done cycle), then completes the speculatively issued fences
+   whose scope condition now holds,
 2. retires up to ``retire_width`` instructions from the ROB head
    (stores move into the store buffer),
 3. issues at most one buffered store to the cache write port,
@@ -77,6 +78,11 @@ _heappop = heapq.heappop
 _EV_ROB = 0
 _EV_SB = 1
 
+# stall-counter deltas (fence, rob_full, sb_full, mshr): a probe
+# blocked on a fence's FSB column, and a probe that bumps nothing
+_FENCE_DELTAS = (1, 0, 0, 0)
+_NO_DELTAS = (0, 0, 0, 0)
+
 
 class Core:
     """One out-of-order core executing one guest thread."""
@@ -87,6 +93,7 @@ class Core:
     __slots__ = (
         "core_id", "config", "memory", "hierarchy", "stats", "rob", "sb",
         "_rob_q", "_sb_q", "tracker", "predictor", "_events", "_ev_seq",
+        "_compute",
         "_gen", "_gen_done", "_pending_op", "_last_result",
         "_blocking_entry", "_blocked_until", "_spec_fence_groups",
         "_mem_seq", "_next_fence_id", "_outstanding_misses",
@@ -167,6 +174,9 @@ class Core:
         self.stats = stats
         self._events.clear()
         self._ev_seq = 0
+        # the one compute in flight, if any: it completes at its
+        # done_cycle without a heap event (it blocks dispatch until then)
+        self._compute: RobEntry | None = None
         self._gen: Generator[Op, object, object] | None = None
         self._gen_done = True
         self._pending_op: Op | None = None
@@ -178,10 +188,11 @@ class Core:
         self._next_fence_id = 0  # ids for speculatively issued fences
         self._outstanding_misses = 0  # loads missing L1, bounded by MSHRs
         self._sb_hold_until = 0  # chaos: store-drain throttle release cycle
-        # stall counters a no-progress tick bumps, as per-cycle deltas;
+        # stall counters a no-progress tick bumps, as per-cycle deltas
+        # (fence, rob_full, sb_full, mshr), or None when it bumped none;
         # account_idle replays them for every cycle the event scheduler
         # skips so fast-path stats stay byte-identical to the dense loop
-        self._idle_deltas = (0, 0, 0, 0)  # fence, rob_full, sb_full, mshr
+        self._idle_deltas: tuple[int, int, int, int] | None = None
         # every stable object the dispatch lanes touch, bundled
         # so one attribute fetch + tuple unpack replaces ~20 per call.
         # All members but the stats are fixed for the core's lifetime:
@@ -259,10 +270,9 @@ class Core:
 
         * the completion event heap (ROB completions scheduled from the
           coherence backend's :meth:`~repro.mem.backend.CoherenceBackend.
-          completion_cycle`, branch resolutions, compute latencies, and
-          store-buffer drains),
-        * the store buffer's own earliest in-flight drain
-          (:meth:`~repro.cpu.store_buffer.StoreBuffer.next_completion_cycle`),
+          completion_cycle`, branch resolutions, and store-buffer
+          drains),
+        * the in-flight compute's completion (``_compute``),
         * the dependent-chain release cycle (``_blocked_until``), and
         * the chaos write-port throttle release (``_sb_hold_until``).
         """
@@ -271,9 +281,11 @@ class Core:
             c = self._events[0][0]
             if c > now:
                 best = c
-        c = self.sb.next_completion_cycle()
-        if c is not None and c > now and (best is None or c < best):
-            best = c
+        ce = self._compute
+        if ce is not None:
+            c = ce.done_cycle
+            if c > now and (best is None or c < best):
+                best = c
         c = self._blocked_until
         if c > now and (best is None or c < best):
             best = c
@@ -288,14 +300,15 @@ class Core:
 
         The core's one tick, run by both engines: the dense loop ticks
         every core on every cycle, the event scheduler only the cores
-        due (architecture §9).  Completions, retire and store issue are
-        inlined; dispatch is :meth:`_dispatch_lanes`.  A no-progress
-        tick records its stall-counter deltas for :meth:`account_idle`'s
-        replay.  A progress tick publishes the probe-skip hint
-        ``_skip_until``, which only the event scheduler reads: the
-        dense loop ticks the probes it covers, and the wake-up
-        soundness battery (tests/test_fastpath_soundness.py) checks
-        each one against the hint.
+        due (architecture §9).  Completions (:meth:`_complete_due`),
+        retire and store issue each run behind a guard, the last two
+        inline; dispatch is :meth:`_dispatch_lanes`.  A no-progress tick records its
+        stall-counter deltas for :meth:`account_idle`'s replay.  A
+        progress tick publishes the probe-skip hint ``_skip_until``,
+        which only the event scheduler reads: the dense loop ticks the
+        span it covers, and the wake-up soundness battery
+        (tests/test_fastpath_soundness.py) checks each of those ticks
+        against the hint.
         """
         if self.finished:
             return False
@@ -307,68 +320,17 @@ class Core:
         self.stall_reason = None
         progress = False
 
-        # Completions: the maturity test runs every tick, so the loop
-        # set-up is only paid when an event is actually due; mask-0 load completions (unscoped straight-
-        # line code) reduce complete_mem to one checked decrement, and
-        # the open-fence countdown is skipped when no fence is open
-        # (both are exact: the skipped calls are no-ops).
+        # Completions: the maturity tests run every tick, so the loop is
+        # only entered when an event is actually due
         events = self._events
         if events and events[0][0] <= cycle:
             progress = True
-            mon = self.monitor
-            tracker = self.tracker
-            fsb = tracker.fsb
-            groups = self._spec_fence_groups
-            core_id = self.core_id
-            while events and events[0][0] <= cycle:
-                ev = _heappop(events)
-                if ev[2] == _EV_ROB:
-                    entry = ev[3]
-                    entry.done = True
-                    ekind = entry.kind
-                    if ekind == K_LOAD:
-                        mask = entry.fsb_mask
-                        if mask:
-                            tracker.complete_mem(mask, is_load=True)
-                        else:
-                            fsb.total_loads -= 1
-                            if fsb.total_loads < 0:
-                                # record_complete's underflow check
-                                raise RuntimeError(
-                                    "FSB completion without matching dispatch"
-                                )
-                        if groups:
-                            self._fence_countdown(mask, True, entry.seq)
-                        if entry.value:
-                            self._outstanding_misses -= 1
-                        if mon is not None:
-                            mon.on_mem_complete(core_id, cycle, entry.seq, True)
-                    elif ekind == K_CAS:
-                        tracker.complete_mem(entry.fsb_mask, is_load=False)
-                        if groups:
-                            self._fence_countdown(entry.fsb_mask, False, entry.seq)
-                        if mon is not None:
-                            mon.on_mem_complete(core_id, cycle, entry.seq, False)
-                    elif ekind == K_BRANCH:
-                        if entry.value:  # mispredict flag stored in .value
-                            tracker.squash()
-                            if mon is not None:
-                                mon.on_squash(
-                                    core_id, cycle,
-                                    tracker.fss.items(),
-                                    tracker.overflow_count,
-                                )
-                        else:
-                            tracker.confirm_speculation()
-                else:  # _EV_SB: store drain completed -> globally visible
-                    sbe = ev[3]
-                    self.memory.drain_store(core_id, sbe.addr)
-                    tracker.complete_mem(sbe.fsb_mask, is_load=False, in_sb=True)
-                    if groups:
-                        self._fence_countdown(sbe.fsb_mask, False, sbe.op_seq)
-                    self.sb.remove(sbe)
-                    if mon is not None:
-                        mon.on_store_drain(core_id, cycle, sbe.op_seq)
+            self._complete_due(cycle)
+        ce = self._compute
+        if ce is not None and ce.done_cycle <= cycle:
+            ce.done = True
+            self._compute = None
+            progress = True
         if self._spec_fence_groups:
             progress |= self._try_complete_open_fences(cycle)
         rob_q = self._rob_q
@@ -376,7 +338,9 @@ class Core:
         # Retire, then store issue.  Retire only does work when the
         # head entry is done (a store head may also insert into the SB,
         # but only once done): the guard skips the loop set-up on the
-        # many ticks spent waiting on a head.
+        # many ticks spent waiting on a head.  Each retired op adds the
+        # cycles it sat in the ROB to the occupancy sum, which is what
+        # sampling the ROB depth once per cycle would add.
         sb = self.sb
         if rob_q and rob_q[0].done:
             retire_log = self.retire_log
@@ -393,6 +357,7 @@ class Core:
                     sbe.op_seq = head.seq
                     self.tracker.store_retired(head.fsb_mask)
                 rob_q.popleft()
+                stats.rob_occupancy_sum += cycle - head.dispatch_cycle
                 if retire_log is not None:
                     retire_log.append((cycle, KIND_NAMES[head.kind], head.addr))
                 n -= 1
@@ -419,62 +384,83 @@ class Core:
         if self._dispatch_lanes(cycle):
             progress = True
 
-        stats.rob_occupancy_sum += len(rob_q)
-        stats.rob_occupancy_samples += 1
-
         if (not rob_q and not sb_q and self._gen_done
                 and self._pending_op is None):
             self.finished = True
             self.finish_cycle = cycle
             stats.cycles = cycle
+            # the core ran cycles 0..cycle
+            stats.rob_occupancy_samples = cycle + 1
             return True
         if not progress:
-            self._idle_deltas = (
+            deltas = (
                 stats.fence_stall_cycles - pre_fence,
                 stats.rob_full_stalls - pre_rob_full,
                 stats.sb_full_stalls - pre_sb_full,
                 stats.mshr_stalls - pre_mshr,
             )
+            self._idle_deltas = None if deltas == _NO_DELTAS else deltas
             return False
         # Publish the probe-skip hint: the earliest cycle the next tick
-        # could possibly progress at, when every tick before it is
-        # provably a no-progress probe whose stall deltas are known now.
-        # Preconditions shared by both cases -- nothing but dispatch can
-        # act: no open fence groups, no retirable ROB head (the head
-        # only becomes done via a completion event), and no issuable
-        # buffered store (store-buffer state only changes via drain
-        # events, which live in the same event heap; the chaos guard
-        # keeps the write-port throttle out of the proof).
+        # could act at, when every tick before it is provably a probe
+        # whose stall deltas are known now.  Shared preconditions: no
+        # open fence group and no retirable ROB head (the head only
+        # becomes done through its own completion).
         self._skip_until = 0
-        if (not self._spec_fence_groups
-                and not (rob_q and rob_q[0].done)
-                and (not sb_q
-                     or (self.chaos is None
-                         and self.sb.next_issuable() is None))):
-            events = self._events
-            if self._blocked_until > cycle + 1:
-                # dependent-chain block: the blocked dispatch path
-                # returns before any stall counter, so the skipped
-                # probes are zero-delta
-                e = self._blocked_until
+        if self._spec_fence_groups or (rob_q and rob_q[0].done):
+            return True
+        nxt = cycle + 1
+        if self._blocked_until > nxt:
+            # dependent-chain block: a blocked probe returns before it
+            # reads any stall counter or FSB state, so the skipped
+            # probes are zero-delta
+            e = self._blocked_until
+            if self.monitor is None:
+                # head-only wake: retire waits on the head, so the
+                # completions of younger entries (FSB, MSHR and scope
+                # stack updates only the blocked dispatch would read)
+                # stay in the heap, and the wake tick's completion loop
+                # applies them in order.  Drains become globally
+                # visible, so they bound the span.  A monitor sees each
+                # completion's cycle: it keeps the earliest event.
+                if rob_q:
+                    c = rob_q[0].done_cycle
+                    if c < e:
+                        e = c
+                if sb_q:
+                    c = sb.next_completion_cycle()
+                    if c is not None and c < e:
+                        e = c
+            else:
+                events = self._events
                 if events and events[0][0] < e:
                     e = events[0][0]
-                if e > cycle + 1:
-                    self._skip_until = e
-                    self._idle_deltas = (0, 0, 0, 0)
-            elif events:
-                op = self._pending_op
-                if (op is not None and op.__class__ is Fence
-                        and not (self._in_window and op.speculable)
-                        and len(rob_q) < self._rob_cap
-                        and not self.tracker.fence_ready(op.kind, op.waits)):
-                    # pending non-speculative fence waiting on its FSB
-                    # column, which only completions/drains can clear:
-                    # each skipped probe is exactly one fence stall
-                    e = events[0][0]
-                    if e > cycle + 1:
-                        self._skip_until = e
-                        self._idle_deltas = (1, 0, 0, 0)
+                ce = self._compute
+                if ce is not None and ce.done_cycle < e:
+                    e = ce.done_cycle
+            deltas = None
+        else:
+            op = self._pending_op
+            events = self._events
+            if not (events and self._compute is None
+                    and op is not None and op.__class__ is Fence
+                    and not (self._in_window and op.speculable)
+                    and len(rob_q) < self._rob_cap
+                    and not self.tracker.fence_ready(op.kind, op.waits)):
+                return True
+            # pending non-speculative fence waiting on its FSB column,
+            # which only completions/drains can clear: each skipped
+            # probe is exactly one fence stall.  (An in-flight compute
+            # would complete at cycle + 1 here, outside the heap.)
+            e = events[0][0]
+            deltas = _FENCE_DELTAS
+        # no issuable buffered store: store-buffer state only changes
+        # via drains, which bound the span; the chaos guard keeps the
+        # write-port throttle out of the proof
+        if e > nxt and (not sb_q or (self.chaos is None
+                                     and sb.next_issuable() is None)):
+            self._skip_until = e
+            self._idle_deltas = deltas
         return True
 
     # the name the block-compiling engine gave this tick; the
@@ -482,20 +468,115 @@ class Core:
     # it by name, so it stays an alias until the next benchmark change
     tick_compiled = tick
 
+    def _complete_due(self, cycle: int) -> None:
+        """Apply every heap event due by ``cycle``, in (cycle, seq) order.
+
+        Mask-0 load completions (unscoped straight-line code) reduce
+        ``complete_mem`` to one checked decrement, and the open-fence
+        countdown is skipped when no fence is open (both are exact: the
+        skipped calls are no-ops).
+        """
+        events = self._events
+        mon = self.monitor
+        tracker = self.tracker
+        fsb = tracker.fsb
+        groups = self._spec_fence_groups
+        core_id = self.core_id
+        while events and events[0][0] <= cycle:
+            ev = _heappop(events)
+            if ev[2] == _EV_ROB:
+                entry = ev[3]
+                entry.done = True
+                ekind = entry.kind
+                if ekind == K_LOAD:
+                    mask = entry.fsb_mask
+                    if mask:
+                        tracker.complete_mem(mask, is_load=True)
+                    else:
+                        fsb.total_loads -= 1
+                        if fsb.total_loads < 0:
+                            # record_complete's underflow check
+                            raise RuntimeError(
+                                "FSB completion without matching dispatch"
+                            )
+                    if groups:
+                        self._fence_countdown(mask, True, entry.seq)
+                    if entry.value:
+                        self._outstanding_misses -= 1
+                    if mon is not None:
+                        mon.on_mem_complete(core_id, cycle, entry.seq, True)
+                elif ekind == K_CAS:
+                    tracker.complete_mem(entry.fsb_mask, is_load=False)
+                    if groups:
+                        self._fence_countdown(entry.fsb_mask, False, entry.seq)
+                    if mon is not None:
+                        mon.on_mem_complete(core_id, cycle, entry.seq, False)
+                elif ekind == K_BRANCH:
+                    if entry.value:  # mispredict flag stored in .value
+                        tracker.squash()
+                        if mon is not None:
+                            mon.on_squash(
+                                core_id, cycle,
+                                tracker.fss.items(),
+                                tracker.overflow_count,
+                            )
+                    else:
+                        tracker.confirm_speculation()
+            else:  # _EV_SB: store drain completed -> globally visible
+                sbe = ev[3]
+                self.memory.drain_store(core_id, sbe.addr)
+                tracker.complete_mem(sbe.fsb_mask, is_load=False, in_sb=True)
+                if groups:
+                    self._fence_countdown(sbe.fsb_mask, False, sbe.op_seq)
+                self.sb.remove(sbe)
+                if mon is not None:
+                    mon.on_store_drain(core_id, cycle, sbe.op_seq)
+
+    def settle(self, cycle: int) -> None:
+        """Apply the completions a head-only wake left pending through
+        ``cycle``.
+
+        Inside a span the event scheduler skips on the probe-skip hint,
+        the dense loop's ticks only complete entries behind the
+        not-done ROB head; the wake tick applies them.  A run that fails
+        mid-span calls this so the failure's diagnostic shows the state
+        the dense loop would have reached.  A no-op on a core with
+        nothing due.
+        """
+        events = self._events
+        if events and events[0][0] <= cycle:
+            self._complete_due(cycle)
+        ce = self._compute
+        if ce is not None and ce.done_cycle <= cycle:
+            ce.done = True
+            self._compute = None
+
+    def close_occupancy(self, cycle: int) -> None:
+        """Close the ROB-occupancy count of a run stopped at ``cycle``
+        before this core finished: it ran cycles ``0 .. cycle - 1``,
+        and each op still in the ROB sat there since its dispatch."""
+        if self.finished:
+            return
+        stats = self.stats
+        stats.rob_occupancy_sum += sum(cycle - e.dispatch_cycle
+                                       for e in self._rob_q)
+        stats.rob_occupancy_samples = cycle
+
     def account_idle(self, delta: int) -> None:
         """Attribute ``delta`` skipped cycles to this core's stats.
 
-        Replays, once per skipped cycle, exactly the increments the last
-        no-progress tick made -- ROB-occupancy sampling plus whichever
-        stall counters that tick bumped -- so a warped run's statistics
-        are byte-identical to the dense per-cycle loop's.
+        Replays, once per skipped cycle, exactly the stall-counter
+        increments the last no-progress tick made, so a warped run's
+        statistics are byte-identical to the dense per-cycle loop's.
+        (ROB occupancy is counted per op at retire, so a skipped cycle
+        adds nothing else.)  The scheduler does not call it when the
+        deltas are None.
         """
-        if self.finished or delta <= 0:
+        deltas = self._idle_deltas
+        if self.finished or delta <= 0 or deltas is None:
             return
         stats = self.stats
-        stats.rob_occupancy_sum += len(self._rob_q) * delta
-        stats.rob_occupancy_samples += delta
-        d_fence, d_rob_full, d_sb_full, d_mshr = self._idle_deltas
+        d_fence, d_rob_full, d_sb_full, d_mshr = deltas
         if d_fence:
             stats.fence_stall_cycles += d_fence * delta
         if d_rob_full:
@@ -666,6 +747,7 @@ class Core:
             done = self.hierarchy.completion_cycle(
                 cycle, self.core_id, op.addr, True, stats
             )
+            entry.done_cycle = done
             self._schedule(done, _EV_ROB, entry)
             self.rob.push(entry)
             if cfg.cas_fence:
@@ -691,6 +773,7 @@ class Core:
             entry.value = 1 if mispredict else 0
             resolve = cycle + cfg.branch_latency
             tracker.begin_speculation()
+            entry.done_cycle = resolve
             self._schedule(resolve, _EV_ROB, entry)
             self.rob.push(entry)
             if mispredict:
@@ -901,9 +984,9 @@ class Core:
                     if needs_mshr:
                         entry.value = 1  # holds an MSHR until completion
                         self._outstanding_misses += 1
+                    done = entry.done_cycle = cycle + latency
                     self._ev_seq += 1
-                    _heappush(events, (cycle + latency,
-                                       self._ev_seq, _EV_ROB, entry))
+                    _heappush(events, (done, self._ev_seq, _EV_ROB, entry))
                     rob_q.append(entry)
                     self._last_result = value
                     stats.loads += 1
@@ -964,13 +1047,12 @@ class Core:
                 latency = op.cycles
                 if latency < 1:
                     latency = 1
+                # a dependent ALU chain: issue resumes when it finishes,
+                # so it completes without a heap event (tick checks it)
                 entry = RobEntry(K_COMPUTE, cycle)
-                self._ev_seq += 1
-                _heappush(events, (cycle + latency,
-                                   self._ev_seq, _EV_ROB, entry))
+                entry.done_cycle = self._blocked_until = cycle + latency
+                self._compute = entry
                 rob_q.append(entry)
-                # a dependent ALU chain: issue resumes when it finishes
-                self._blocked_until = cycle + latency
                 # latency >= 1: the next iteration is guaranteed blocked
                 self._pending_op = None
                 dispatched += 1

@@ -44,6 +44,7 @@ class RobEntry:
         "waits",
         "scope_entry",
         "dispatch_cycle",
+        "done_cycle",
         "in_sb",
         "seq",
     )
@@ -57,6 +58,9 @@ class RobEntry:
         self.waits = 0
         self.scope_entry = 0
         self.dispatch_cycle = dispatch_cycle
+        # the cycle the entry completes: its dispatch cycle unless a
+        # completion is scheduled for it (memory ops, branches, computes)
+        self.done_cycle = dispatch_cycle
         self.in_sb = False  # store already placed in the SB at dispatch (RMO)
         self.seq = 0        # memory-op sequence number (program order)
 

@@ -115,10 +115,10 @@ class StoreBuffer:
     def next_completion_cycle(self) -> int | None:
         """Earliest drain-completion cycle among in-flight entries.
 
-        Part of the event-scheduler wake-up contract (architecture §9):
-        the store buffer reports the exact cycle its next drain becomes
-        globally visible, so the scheduler never has to poll it.
-        Returns None when nothing is in flight.
+        A drain makes a store globally visible, so the probe-skip hint's
+        head-only wake-up (architecture §9) never skips past it.  (The
+        wake-up itself reads the drain's heap event.)  Returns None when
+        nothing is in flight.
         """
         best = None
         for entry in self._entries:

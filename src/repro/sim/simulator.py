@@ -18,9 +18,12 @@ tests/test_fastpath_equivalence.py is the differential suite):
   -- completion events, store-buffer drains, branch redirect and drain
   holds; see docs/architecture.md §9) and the scheduler jumps it
   straight there, attributing the skipped span to stall accounting
-  (``Core.account_idle``) and to the timeline as an explicit
-  skipped-span marker.  The probe-skip hint a progress tick publishes
-  cuts the remaining blocked probes.
+  (``Core.account_idle``, only when that tick bumped a stall counter)
+  and to the timeline as an explicit skipped-span marker.  The
+  probe-skip hint a progress tick publishes cuts the remaining blocked
+  probes; in an unmonitored dependent-chain block it wakes the core
+  only for its ROB head (or a chain end or store drain), and the wake
+  tick applies the younger entries' completions it passed over.
 
 Both engines run the same per-cycle step (``Core.tick``), so nothing
 inside a tick -- completions, retire, store issue, the fused dispatch
@@ -32,15 +35,20 @@ Equivalence rests on two invariants, both enforced by tests:
 
 1. *Wake-up soundness*: ticking a stalled core strictly before its
    reported wake-up cycle makes no progress and mutates no observable
-   state (tests/test_fastpath_soundness.py).
+   state; inside a probe-skip span a tick may progress only by
+   completing entries behind a ROB head that is not done, which
+   nothing reads before the wake tick applies them
+   (tests/test_fastpath_soundness.py).
 2. *Idle-delta replay*: a no-progress tick's stall-counter increments
    are a pure function of core state, so replaying the recorded deltas
    once per skipped cycle reproduces the dense loop's counters exactly.
+   ROB occupancy is counted per op at retire, so it needs no replay.
 
-Because skipped ticks are side-effect free, the interleaving of the
-ticks that *do* run is the same in both engines (core-index order at
-each cycle), which keeps every shared-memory access -- and therefore
-every value read, monitor event and chaos RNG draw -- identical.
+Because skipped ticks touch nothing another core can see, the
+interleaving of the ticks that *do* run is the same in both engines
+(core-index order at each cycle), which keeps every shared-memory
+access -- and therefore every value read, monitor event and chaos RNG
+draw -- identical.
 
 A core whose no-progress tick reports no next event can never progress
 again, so both engines raise :class:`DeadlockError` on the first such
@@ -93,6 +101,10 @@ class SimResult:
     stats: SimStats
     memory: SharedMemory
     cycles: int
+    #: ``Core.tick`` calls the engine made: a measure of the
+    #: scheduler's work, not of the simulated machine, so it stays out
+    #: of the stats both engines must agree on
+    ticks: int = 0
 
     @property
     def fence_stall_cycles(self) -> int:
@@ -168,23 +180,25 @@ class Simulator:
         bound = len(gens)
 
         if self.config.dense_loop:
-            self._run_dense(limit)
+            ticks = self._run_dense(limit)
         else:
-            self._run_event(limit, bound)
+            ticks = self._run_event(limit, bound)
 
         stats = SimStats(cores=self.core_stats)
         stats.total_cycles = max((c.finish_cycle for c in self.cores), default=0)
         # cores that idled from cycle 0 (no thread) report zero cycles
-        return SimResult(stats=stats, memory=self.memory, cycles=stats.total_cycles)
+        return SimResult(stats=stats, memory=self.memory,
+                         cycles=stats.total_cycles, ticks=ticks)
 
     # ---------------------------------------------------------- dense engine
-    def _run_dense(self, limit: int) -> None:
+    def _run_dense(self, limit: int) -> int:
         """Reference loop: tick every core on every cycle.
 
         The probe-skip hint (``Core._skip_until``) is ignored: the loop
         runs every probe the hint would have replayed as idle.  A
         no-progress tick of an unfinished core with no next event is a
-        deadlock, raised before the next core ticks.
+        deadlock, raised before the next core ticks.  Returns the number
+        of ticks.
         """
         cores = self.cores
         timeline = self.timeline
@@ -200,8 +214,9 @@ class Simulator:
             if timeline is not None:
                 timeline.sample(cycle, cores)
             if running == 0:
-                return
+                return (cycle + 1) * len(cores)
             cycle += 1
+        self._close_occupancy(limit)
         raise CycleLimitError(
             f"simulation exceeded {limit} cycles "
             f"({sum(1 for c in cores if not c.finished)} cores still running)",
@@ -209,7 +224,7 @@ class Simulator:
         )
 
     # ---------------------------------------------------------- event engine
-    def _run_event(self, limit: int, bound: int) -> None:
+    def _run_event(self, limit: int, bound: int) -> int:
         """Event-driven scheduler: sleep each core until its next event.
 
         A min-heap of ``(wake_cycle, core_index)`` holds every unfinished
@@ -232,8 +247,12 @@ class Simulator:
 
         *Probe-skip*: a progress tick of ``Core.tick`` may prove that
         every tick up to some later cycle is a blocked probe with known
-        stall deltas, and the scheduler replays that span as idle
-        instead of ticking it.
+        stall deltas (or, in an unmonitored dependent-chain block, only
+        completes entries behind the not-done ROB head, which the wake
+        tick applies), and the scheduler replays that span as idle
+        instead of ticking it.  Idle replay is skipped when the deltas
+        are None: the span bumps no stall counter.  Returns the number
+        of ticks.
         """
         cores = self.cores
         timeline = self.timeline
@@ -241,12 +260,14 @@ class Simulator:
         ticks = [c.tick for c in cores]
         heap = [(0, i) for i in range(len(cores)) if not cores[i].finished]
         unfinished = len(heap)
+        n_ticks = 0
         while unfinished:
             cycle, i = heap[0]
             if cycle >= limit:
                 break
             core = cores[i]
             progressed = ticks[i](cycle)
+            n_ticks += 1
             if timeline is not None:
                 timeline.sample_core(cycle, core)
             if progressed:
@@ -260,7 +281,8 @@ class Simulator:
                 # Core.tick), so replay it as idle instead of ticking
                 skip = core._skip_until
                 if skip > nxt and skip < limit and timeline is None:
-                    core.account_idle(skip - nxt)
+                    if core._idle_deltas is not None:
+                        core.account_idle(skip - nxt)
                     nxt = skip
             else:
                 nxt = core.next_event_cycle(cycle)
@@ -272,13 +294,15 @@ class Simulator:
                     nxt = limit
                 span_end = nxt - 1
                 if span_end > cycle:
-                    core.account_idle(span_end - cycle)
+                    if core._idle_deltas is not None:
+                        core.account_idle(span_end - cycle)
                     if timeline is not None:
                         timeline.skip(
                             core.core_id, cycle + 1, span_end, core_state(core),
                         )
             heapreplace(heap, (nxt, i))
         if unfinished:
+            self._close_occupancy(limit)
             raise CycleLimitError(
                 f"simulation exceeded {limit} cycles "
                 f"({unfinished} cores still running)",
@@ -291,8 +315,23 @@ class Simulator:
             for i, core in enumerate(cores):
                 start = core.finish_cycle + 1 if i < bound else 0
                 timeline.skip(core.core_id, start, end, "done")
+        return n_ticks
+
+    def _close_occupancy(self, cycle: int) -> None:
+        """Close every core's ROB-occupancy count: the run stopped at
+        ``cycle``, every core having ticked (or slept) through
+        ``cycle - 1``."""
+        for core in self.cores:
+            core.close_occupancy(cycle)
 
     def _raise_deadlock(self, cycle: int, core_id: int) -> None:
+        # Bring every other core to where the dense loop stands: cores
+        # before the stuck one have ticked ``cycle``, the later ones
+        # ``cycle - 1``.  The event engine may have left completions of
+        # a head-only wake pending in them; the dense loop applied them.
+        for core in self.cores:
+            core.settle(cycle if core.core_id <= core_id else cycle - 1)
+        self._close_occupancy(cycle)
         raise DeadlockError(
             f"core {core_id} stuck at cycle {cycle}: no event can ever wake it",
             diagnostic=capture(self.cores, cycle, "deadlock", stuck_core=core_id),

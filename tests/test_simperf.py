@@ -5,7 +5,13 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.simperf import GATE_WORKLOAD, divergent_cells, run_perf
+from repro.analysis.simperf import (
+    GATE_WORKLOAD,
+    divergent_cells,
+    run_gate_workload,
+    run_perf,
+)
+from repro.runtime.lang import reset_cids
 
 
 def test_unknown_backend_rejected():
@@ -29,6 +35,25 @@ def test_run_perf_report_shape():
     assert gate["min_speedup"] == 2.0
     assert gate["speedup"] == report["event_speedup"]
     assert gate["passed"] is report["ok"]
+
+
+def test_event_ticks_identical_across_reps():
+    """The event engine's tick count is deterministic: every rep counts
+    the same (or the cell reads not identical), and a fresh run agrees."""
+    report = run_perf(smoke=True, reps=2)
+    cell = report["backends"]["mesi"]
+    assert cell["identical"] is True
+    reset_cids()
+    _cycles, event_fp, ticks = run_gate_workload(smoke=True)
+    assert cell["event_ticks"] == ticks > 0
+    assert 0 < cell["ticks_per_core_cycle"] < 1
+    # the tick count is the engine's work, not part of the fingerprint
+    # both engines must agree on
+    reset_cids()
+    _cycles, dense_fp, dense_ticks = run_gate_workload(smoke=True,
+                                                       dense_loop=True)
+    assert dense_ticks > ticks
+    assert dense_fp == event_fp
 
 
 def test_run_perf_backend_axis():
